@@ -127,9 +127,26 @@ def _read_csv_rows(path: str, columns: int) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _json(doc) -> str:
+    """Strict JSON: it has no NaN or Infinity, so non-finite floats print
+    as null."""
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
+
+
 def _emit(doc, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+        return _json(doc)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -178,10 +195,7 @@ def _cmd_criterion(args) -> str:
             c_hi = max(c_hi, 10.0 * dc.log_c0.value)
     samples = sample_curve(spec, dc, kind, c_lo, c_hi, args.count)
     if args.format == "json":
-        return (
-            json.dumps([{"c": s.c, "logH": s.log_h} for s in samples], indent=2)
-            + "\n"
-        )
+        return _json([{"c": s.c, "logH": s.log_h} for s in samples])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["c", "logH"])

@@ -255,6 +255,28 @@ class TestVerifyCommand:
         assert doc["satisfied"] is True
         assert doc["delta_measured"] == pytest.approx(0.05, rel=1e-4)
 
+    def test_output_is_strict_json(self, capsys, tmp_path):
+        # zero data: the bound's log is -inf, which strict JSON cannot carry
+        path = tmp_path / "nodes.csv"
+        path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0",
+                "--b0", "1.0", "--gauss-a", "0.25", "--amplitude", "0",
+                "--c", str(24.0 * math.exp(4.0) * 0.06), "--nodes", str(path),
+                "--eval-grid", "101",
+            ],
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["log_bound"] is None
+        assert doc["max_error_measured"] == 0.0
+
     def test_requires_cube_side(self, capsys, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("0.5\n")

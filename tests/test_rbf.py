@@ -16,7 +16,7 @@ from mqshape import (
     poly_basis,
     uniform_grid,
 )
-from mqshape.rbf import _cond1, _pairwise_sq_dists
+from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _pairwise_sq_dists
 
 
 def perturbed_grid_1d(rng, count, spacing=0.5):
@@ -85,6 +85,25 @@ class TestNodeSet:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             NodeSet(points=np.zeros((0, 1)), cube=(np.zeros(1), 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError):
+            NodeSet(points=[[bad, 0.5], [0.2, 0.3]], cube=(np.zeros(2), 1.0))
+        with pytest.raises(InputError):
+            NodeSet(points=[[0.5, 0.5]], cube=(np.array([bad, 0.0]), 1.0))
+
+    def test_rejects_non_adjacent_duplicate(self):
+        pts = [[0.1, 0.2], [0.1, 0.9], [0.5, 0.5], [0.7, 0.2], [0.1, 0.2]]
+        with pytest.raises(InputError):
+            NodeSet(points=pts, cube=(np.zeros(2), 1.0))
+
+    def test_rejects_signed_zero_duplicate(self):
+        with pytest.raises(InputError):
+            NodeSet(points=[[0.0, 0.5], [0.3, 0.1], [-0.0, 0.5]], cube=(-np.ones(2), 2.0))
+
+    def test_accepts_large_grid(self):
+        assert uniform_grid(np.zeros(2), 1.0, 45, 2).count == 2025
 
 
 class TestFit:
@@ -193,6 +212,24 @@ class TestEvaluate:
         b = evaluate(interp_shifted, xs + shift)
         assert np.max(np.abs(a - b)) < 1e-9 * (1.0 + np.max(np.abs(a)))
 
+    def test_offset_cube_reproduces_nodes(self):
+        # a cube far from the origin must cost no digits to cancellation
+        nodes = uniform_grid(np.array([1e4, 1e4]), 1.0, 12, 2)
+        local = nodes.points - 1e4
+        vals = np.sin(3.0 * local[:, 0]) * np.cos(2.0 * local[:, 1])
+        interp = fit(Kernel(c=0.1, beta=1.0, n=2), nodes, vals)
+        assert np.max(np.abs(evaluate(interp, nodes.points) - vals)) < 1e-12
+
+    def test_blocks_match_row_by_row(self):
+        rng = np.random.default_rng(11)
+        nodes = perturbed_grid_2d(rng, 20, spacing=0.05)
+        interp = fit(Kernel(c=0.02, beta=-1.0, n=2), nodes, rng.normal(size=nodes.count))
+        rows = _EVAL_BLOCK_ENTRIES // nodes.count
+        xs = rng.uniform(0.0, 1.0, (2 * rows + 7, 2))
+        batch = evaluate(interp, xs)
+        one_by_one = np.array([evaluate(interp, x) for x in xs])
+        assert np.max(np.abs(batch - one_by_one)) < 1e-13 * (1.0 + np.max(np.abs(batch)))
+
     def test_single_point_shape(self):
         nodes = uniform_grid(np.zeros(1), 1.0, 5, 1)
         interp = fit(Kernel(c=1.0, beta=-1.0, n=1), nodes, np.ones(5))
@@ -224,6 +261,22 @@ class TestConditioning:
             for c in (1.0, 10.0, 100.0)
         ]
         assert conds[0] <= conds[1] <= conds[2]
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimate_against_dense_oracle(self, beta, seed):
+        rng = np.random.default_rng(seed)
+        nodes = perturbed_grid_2d(rng, 6 + 2 * seed)
+        k = Kernel(c=0.5 + seed, beta=beta, n=2)
+        pts = nodes.points
+        a = k.radial(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        if beta > 0:  # constant tail
+            ones = np.ones((nodes.count, 1))
+            a = np.block([[a, ones], [ones.T, np.zeros((1, 1))]])
+        oracle = np.linalg.cond(a, 1)
+        est = condition_estimate(k, nodes)
+        assert fit(k, nodes, rng.normal(size=nodes.count)).condition_estimate == est
+        assert oracle / 3.0 <= est <= 3.0 * oracle
 
     def test_estimate_rejects_dimension_mismatch(self):
         nodes = uniform_grid(np.zeros(2), 1.0, 3, 2)
