@@ -1,19 +1,26 @@
 """Multiquadric kernel interpolation with polynomial side conditions.
 
-The kernel is h(x) = Gamma(-beta/2) (c^2 + |x|^2)^(beta/2).  For beta > 0
-it is conditionally positive definite of order m = ceil(beta/2) and the
+The kernel is h(x) = Gamma(-beta/2) (c^2 + |x|^2)^(beta/2).  The
+prefactor Gamma(-beta/2) comes from :func:`math.gamma`; a pole (beta a
+nonnegative even integer) or an overflow (beta below about -343) is a
+:class:`SpecError`.  A shape parameter so large that c^2 or the kernel
+values overflow gives infinite or zero matrix entries, which the solve
+reports as a :class:`ConditioningError`.  For beta > 0 the kernel is
+conditionally positive definite of order m = ceil(beta/2) and the
 interpolant carries a polynomial tail of degree m - 1 plus moment side
 conditions on the kernel coefficients; for beta < 0 the tail is empty.
 The saddle system is factored once by a partially pivoted LU.  That one
 factorization gives the solve, the 1-norm condition estimate (LAPACK
 ``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and Stability
 of Numerical Algorithms*, ch. 15) and two steps of iterative refinement
-with extended-precision residuals.
+with extended-precision residuals.  ``scipy.linalg`` is imported on the
+first factorization, not with this module, so the criterion and
+optimizer never load scipy.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation, and :func:`evaluate`
-works through fixed-size row blocks, so its memory does not grow with
-the number of evaluation points.
+works through fixed-size row blocks (:func:`_row_reduce`), so its memory
+does not grow with the number of evaluation points.
 """
 
 from __future__ import annotations
@@ -21,12 +28,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgecon
-from scipy.special import gamma as _gamma_fn
 
 from .constants import cpd_order
 from .errors import ConditioningError, InputError, SpecError
@@ -43,9 +48,9 @@ __all__ = [
     "uniform_grid",
 ]
 
-# Kernel entries per row block in evaluate(): each temporary is 512 KiB,
-# so a block's working set stays in a core's L2 cache and memory does not
-# grow with the number of evaluation points.
+# Kernel entries per row block in _row_reduce(): each temporary is
+# 512 KiB, so a block's working set stays in a core's L2 cache and memory
+# does not grow with the number of evaluation points.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 
@@ -61,7 +66,10 @@ class Kernel:
     def __post_init__(self):
         if not self.c > 0.0:
             raise SpecError(f"shape parameter c must be positive, got {self.c}")
-        g = float(_gamma_fn(-self.beta / 2.0))
+        try:
+            g = math.gamma(-self.beta / 2.0)
+        except (ValueError, OverflowError):  # a pole, or beyond double range
+            g = math.inf
         if not math.isfinite(g):
             raise SpecError(
                 f"beta={self.beta:g} makes the kernel prefactor non-finite"
@@ -69,8 +77,12 @@ class Kernel:
         object.__setattr__(self, "gamma_factor", g)
 
     def radial(self, r2):
-        """Kernel value as a function of squared distance (array-friendly)."""
-        return self.gamma_factor * (self.c ** 2 + np.asarray(r2)) ** (self.beta / 2.0)
+        """Kernel value as a function of squared distance (array-friendly).
+        Values beyond double range are inf (or 0 for beta < 0), never an
+        exception: the solve reports them as ill-conditioning."""
+        with np.errstate(over="ignore"):
+            c2 = np.float64(self.c) ** 2
+            return self.gamma_factor * (c2 + np.asarray(r2)) ** (self.beta / 2.0)
 
 
 def kernel_eval(kernel: Kernel, x) -> float:
@@ -153,6 +165,18 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _row_reduce(x: np.ndarray, y: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` applied to the squared distances from the rows of x to
+    the rows of y, one row block of at most _EVAL_BLOCK_ENTRIES entries
+    at a time; ``reduce`` maps a (rows, len(y)) block to one value per
+    row."""
+    step = max(1, _EVAL_BLOCK_ENTRIES // y.shape[0])
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], step):
+        out[start:start + step] = reduce(_sq_dists(x[start:start + step], y))
+    return out
+
+
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
     """Squared distance matrix of the rows of pts.  (x_i - x_j)^2 and
     (x_j - x_i)^2 are the same number and every entry sums its axes in
@@ -215,10 +239,15 @@ class Interpolant:
 
 
 def _factor(matrix: np.ndarray):
-    """LU factors of a square matrix and its 1-norm condition estimate,
+    """(solve, cond) for a square matrix: ``solve(b)`` solves A x = b from
+    one LU factorization, and cond is the 1-norm condition estimate
     ||A||_1 / rcond with rcond from LAPACK dgecon on those same factors.
     An exactly singular matrix estimates inf.  Raises ValueError when the
-    matrix has non-finite entries."""
+    matrix has non-finite entries.  scipy is imported here, on the first
+    factorization, so that importing this module does not load it."""
+    import scipy.linalg
+    from scipy.linalg.lapack import dgecon
+
     anorm = np.linalg.norm(matrix, 1)  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         raise ValueError("matrix has non-finite entries")
@@ -227,7 +256,8 @@ def _factor(matrix: np.ndarray):
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu_piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     rcond, info = dgecon(lu_piv[0], anorm, norm="1")
-    return lu_piv, (1.0 / rcond if info == 0 and rcond > 0.0 else math.inf)
+    cond = 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
+    return partial(scipy.linalg.lu_solve, lu_piv), cond
 
 
 def _cond1(matrix: np.ndarray) -> float:
@@ -284,9 +314,9 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     # One LU serves the solve, the condition estimate and the refinement.
     cond = math.inf
     try:
-        lu_piv, cond = _factor(saddle)
-        solution = scipy.linalg.lu_solve(lu_piv, rhs)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
+        solve, cond = _factor(saddle)
+        solution = solve(rhs)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # scipy raises numpy's
         raise ConditioningError(
             f"saddle system is numerically singular (cond ~ {cond:.3e})",
             condition_estimate=cond,
@@ -305,7 +335,7 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
         resid = np.asarray(b_ext - a_ext @ solution.astype(np.longdouble), dtype=float)
         if not np.isfinite(resid).all():
             break
-        update = scipy.linalg.lu_solve(lu_piv, resid)
+        update = solve(resid)
         if not np.isfinite(update).all():
             break
         solution = solution + update
@@ -338,14 +368,11 @@ def evaluate(interp: Interpolant, x) -> np.ndarray:
             f"expected {interp.nodes.dim}"
         )
     nodes = interp.nodes
-    centres = _centred(nodes, nodes.points)
-    rows = max(1, _EVAL_BLOCK_ENTRIES // nodes.count)
-    s = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], rows):
-        block = _centred(nodes, pts[start:start + rows])
-        s[start:start + rows] = (
-            interp.kernel.radial(_sq_dists(block, centres)) @ interp.kernel_coeffs
-        )
+    s = _row_reduce(
+        _centred(nodes, pts),
+        _centred(nodes, nodes.points),
+        lambda d2: interp.kernel.radial(d2) @ interp.kernel_coeffs,
+    )
     if interp.poly_exponents:
         s = s + _poly_matrix(interp.poly_exponents, pts) @ interp.poly_coeffs
     return float(s[0]) if single else s

@@ -5,7 +5,11 @@ closes the loop by fitting interpolants to concrete target functions,
 measuring the worst-case error on a grid, and comparing against the full
 error bound (constant prefactors included).  Bounds and errors are
 compared in the log domain because the convergence factor alone can span
-hundreds of orders of magnitude.
+hundreds of orders of magnitude.  The fill distance is measured by an
+exhaustive nearest-node scan over a tensor grid, in the same row blocks
+that :func:`mqshape.rbf.evaluate` uses, so this module needs no spatial
+index and, like the rest of the package apart from the linear solve, no
+scipy.
 
 Target functions are gaussian bumps.  Under the Fourier convention
 fhat(xi) = integral f(x) e^{-i <x, xi>} dx, the bump e^{-a|x|^2} has
@@ -23,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .constants import DerivedConstants, ProblemSpec, derive_constants
 from .criterion import (
@@ -34,7 +37,7 @@ from .criterion import (
     regime_for,
 )
 from .errors import InputError, PreconditionError, SpecError
-from .rbf import Kernel, NodeSet, evaluate, fit
+from .rbf import Kernel, NodeSet, _row_reduce, evaluate, fit
 
 __all__ = [
     "GaussianBump",
@@ -108,7 +111,10 @@ def fill_distance(
 
     Maximizes the nearest-node distance over a uniform tensor grid with
     grid_per_side points per axis (endpoints included), converging to the
-    true supremum from below as the grid refines.
+    true supremum from below as the grid refines.  Each grid point's
+    nearest node comes from an exhaustive scan of squared distances in the
+    row blocks :func:`evaluate` uses, so memory stays bounded and the scan
+    costs less than evaluating an interpolant on the same grid.
     """
     if grid_per_side < 2:
         raise InputError(f"grid_per_side must be >= 2, got {grid_per_side}")
@@ -120,13 +126,17 @@ def fill_distance(
     corner = np.asarray(cube[0], dtype=float).reshape(-1)
     side = float(cube[1])
     n = corner.shape[0]
+    if pts.shape[1] != n:
+        raise InputError(
+            f"nodes have dimension {pts.shape[1]}, the cube has dimension {n}"
+        )
     axes = [
         np.linspace(corner[i], corner[i] + side, grid_per_side) for i in range(n)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
-    dists, _ = cKDTree(pts).query(grid)
-    return float(np.max(dists))
+    nearest_sq = _row_reduce(grid, pts, lambda d2: d2.min(axis=1))
+    return math.sqrt(nearest_sq.max())
 
 
 def _log_lambda_pow_bound(dc: DerivedConstants, c: float) -> float:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,17 @@ class TestFitCommand:
         assert out == ""
         assert "row 2" in err
 
+    def test_overflowing_shape_parameter_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text("0.0,1.0\n0.5,2.0\n1.0,3.0\n")
+        code, out, err = run_cli(
+            capsys,
+            ["fit", "--n", "1", "--beta", "-1", "--c", "1e200", "--nodes", str(path)],
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -295,3 +310,61 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--n", "1"])  # missing required flags
     assert exc.value.code == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SPEC_FLAGS = ["--n", "1", "--beta", "-1", "--delta", "0.1", "--b0", "1"]
+
+
+def scipy_modules_after(argv):
+    """Exit code of ``cli.main(argv)`` (None for a bare ``import mqshape``)
+    and the scipy modules loaded, in a fresh interpreter that imports
+    mqshape from this checkout."""
+    probe = "import contextlib, io, sys\nimport mqshape\ncode = None\n"
+    if argv is not None:
+        probe += (
+            "from mqshape.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+        )
+    probe += "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, *modules = proc.stdout.split()
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["optimize", *SPEC_FLAGS],
+        ["criterion", *SPEC_FLAGS, "--count", "50"],
+        ["constants", *SPEC_FLAGS],
+    ],
+)
+def test_selection_commands_load_no_scipy(argv):
+    code, modules = scipy_modules_after(argv)
+    assert code == ("None" if argv is None else "0")
+    assert modules == set()
+
+
+def test_verify_loads_only_scipy_linalg(tmp_path):
+    path = tmp_path / "nodes.csv"
+    path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
+    argv = [
+        "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0", "--b0", "1.0",
+        "--gauss-a", "0.25", "--c", str(24.0 * math.exp(4.0) * 0.06),
+        "--nodes", str(path), "--eval-grid", "101",
+    ]
+    code, modules = scipy_modules_after(argv)
+    assert code == "0"
+    assert "scipy.linalg" in modules
+    assert not {m for m in modules if m.startswith(("scipy.special", "scipy.spatial"))}

@@ -59,6 +59,22 @@ class TestKernel:
         with pytest.raises(SpecError):
             Kernel(c=1.0, beta=2.0, n=1)  # prefactor has a pole
 
+    @pytest.mark.parametrize(
+        "beta", [-343.0, -200.5, -41.3, -11.68, -7.0, -3.0, -1.0, -0.5,
+                 0.5, 1.0, 3.0, 5.5, 11.6, 41.0]
+    )
+    def test_gamma_factor_matches_scipy(self, beta):
+        from scipy.special import gamma  # oracle only; mqshape uses math.gamma
+
+        expected = float(gamma(-beta / 2.0))
+        got = Kernel(c=1.0, beta=beta, n=1).gamma_factor
+        assert abs(got - expected) <= 16 * math.ulp(expected)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0, 4.0, -400.0])
+    def test_gamma_factor_pole_or_overflow_rejected(self, beta):
+        with pytest.raises(SpecError):
+            Kernel(c=1.0, beta=beta, n=1)
+
 
 class TestPolyBasis:
     def test_orders(self):
@@ -151,6 +167,16 @@ class TestFit:
         nodes = uniform_grid(np.zeros(1), 1.0, 3, 1)
         with pytest.raises(ConditioningError):
             fit(Kernel(c=1e150, beta=-1.0, n=1), nodes, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0, 3.0])
+    def test_overflowing_shape_parameter_is_ill_conditioned(self, beta):
+        # c^2 overflows a double: the kernel entries become inf (beta > 0)
+        # or 0 (beta < 0), which the solve must report, not raise on
+        nodes = uniform_grid(np.zeros(1), 1.0, 3, 1)
+        kern = Kernel(c=1e200, beta=beta, n=1)
+        with pytest.raises(ConditioningError):
+            fit(kern, nodes, [1.0, 2.0, 3.0])
+        assert condition_estimate(kern, nodes) == math.inf
 
     @pytest.mark.parametrize("beta", [-1.0, 1.0])
     @pytest.mark.parametrize("n", [1, 2])

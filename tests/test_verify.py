@@ -115,6 +115,42 @@ class TestFillDistance:
             fill_distance(nodes.cube, np.zeros((0, 1)), 10)
 
 
+def kdtree_fill_distance(cube, pts, grid_per_side):
+    """Oracle: the same grid, nearest nodes from a KD-tree."""
+    from scipy.spatial import cKDTree
+
+    corner = np.asarray(cube[0], dtype=float).reshape(-1)
+    axes = [np.linspace(x, x + cube[1], grid_per_side) for x in corner]
+    grid = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    return float(cKDTree(pts).query(grid)[0].max())
+
+
+class TestFillDistanceOracle:
+    @pytest.mark.parametrize(
+        "n, count, grid_per_side, corner, side",
+        [
+            (1, 17, 1001, 0.0, 1.0),  # random 1-D
+            (2, 40, 120, 0.0, 1.0),  # random 2-D
+            (2, 25, 90, 1e4, 2.5),  # cube far from the origin
+            (1, 300, 2001, -3.0, 7.0),  # ten row blocks
+            (2, 200, 150, 0.0, 1.0),  # ~70 row blocks
+        ],
+    )
+    def test_matches_kdtree(self, n, count, grid_per_side, corner, side):
+        rng = np.random.default_rng(1000 * n + count)
+        pts = corner + side * rng.uniform(0.0, 1.0, (count, n))
+        nodes = NodeSet(points=pts, cube=(np.full(n, corner), side))
+        expected = kdtree_fill_distance(nodes.cube, pts, grid_per_side)
+        got = fill_distance(nodes.cube, nodes, grid_per_side)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+        # a raw coordinate array gives the same answer as the NodeSet
+        assert fill_distance(nodes.cube, pts, grid_per_side) == got
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            fill_distance((np.zeros(2), 1.0), np.zeros((3, 1)), 10)
+
+
 class TestErrorBound:
     def test_exponent_composition(self):
         # beta/2 + (1-n-beta)/4 == (1+beta-n)/4 for all (n, beta)
