@@ -5,7 +5,15 @@ bound, evaluates the c-dependent criterion curves in the log domain,
 minimizes them over the admissible interval, and validates the machinery
 by fitting real interpolants and comparing measured errors against the
 full bounds.
+
+Importing the package loads neither numpy nor scipy: the selection layers
+(constants, criterion, optimizer) are pure ``math`` code.  The exports of
+:mod:`mqshape.rbf` and :mod:`mqshape.verify`, and those two submodules,
+are resolved on first use, which imports numpy; the first factorization
+in :func:`fit` imports ``scipy.linalg``.
 """
+
+import importlib
 
 from .constants import (
     DerivedConstants,
@@ -49,25 +57,25 @@ from .optimizer import (
     minimize_scalar,
     optimal_c,
 )
-from .rbf import (
-    Interpolant,
-    Kernel,
-    NodeSet,
-    condition_estimate,
-    evaluate,
-    fit,
-    kernel_eval,
-    poly_basis,
-    uniform_grid,
-)
-from .verify import (
-    BoundReport,
-    GaussianBump,
-    e_sigma_norm,
-    error_bound,
-    fill_distance,
-    run_bound_experiment,
-)
+# Exports resolved on first use: name -> the submodule that defines it.
+_LAZY = {
+    "Interpolant": "rbf",
+    "Kernel": "rbf",
+    "NodeSet": "rbf",
+    "condition_estimate": "rbf",
+    "evaluate": "rbf",
+    "fit": "rbf",
+    "kernel_eval": "rbf",
+    "poly_basis": "rbf",
+    "uniform_grid": "rbf",
+    "BoundReport": "verify",
+    "GaussianBump": "verify",
+    "e_sigma_norm": "verify",
+    "error_bound": "verify",
+    "fill_distance": "verify",
+    "run_bound_experiment": "verify",
+}
+_LAZY_SUBMODULES = ("rbf", "verify")
 
 __version__ = "0.1.0"
 
@@ -122,3 +130,17 @@ __all__ = [
     "uniform_grid",
     "xi_star",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_SUBMODULES})

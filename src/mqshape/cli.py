@@ -5,19 +5,23 @@ Subcommands: ``constants``, ``criterion``, ``optimize``, ``fit``,
 stdout carries exclusively the requested document (diagnostics go to
 stderr).  Exit codes: 0 ok, 2 usage or input error, 3 numeric failure,
 4 violated admissibility precondition.
+
+The selection commands (``constants``, ``criterion``, ``optimize``) are
+pure ``math`` code and load neither numpy nor scipy; ``fit`` and
+``verify`` import numpy, :mod:`mqshape.rbf` and :mod:`mqshape.verify`
+when they run, and the first factorization imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
 import sys
 from typing import List, Optional
-
-import numpy as np
 
 from .constants import Mode, ProblemSpec, derive_constants
 from .criterion import kind_for, sample_curve
@@ -29,10 +33,26 @@ from .errors import (
     SpecError,
 )
 from .optimizer import optimal_c
-from .rbf import Kernel, NodeSet, fit
-from .verify import GaussianBump, run_bound_experiment
 
 __all__ = ["main", "build_parser"]
+
+# rbf and verify names that this module's namespace offers without
+# importing them (and numpy) at load time: code that reads or wraps
+# ``cli.fit`` and the like, as the traced benchmark pass does, resolves
+# them here on first access.
+_LAZY = {
+    "Kernel": ".rbf",
+    "NodeSet": ".rbf",
+    "fit": ".rbf",
+    "GaussianBump": ".verify",
+    "run_bound_experiment": ".verify",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name], __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, need_delta: bool = True) -> None:
@@ -104,7 +124,10 @@ def _spec_from_args(args, delta: Optional[float] = None) -> ProblemSpec:
     )
 
 
-def _read_csv_rows(path: str, columns: int) -> np.ndarray:
+def _read_csv_rows(path: str, columns: int):
+    """The numeric rows of a CSV file as a float array."""
+    import numpy as np
+
     rows: List[List[float]] = []
     try:
         handle = open(path, newline="")
@@ -219,6 +242,10 @@ def _cmd_optimize(args) -> str:
 
 
 def _cmd_fit(args) -> str:
+    import numpy as np
+
+    from . import rbf
+
     if args.values is None:
         data = _read_csv_rows(args.nodes, args.n + 1)
         pts, values = data[:, : args.n], data[:, args.n]
@@ -227,9 +254,9 @@ def _cmd_fit(args) -> str:
         values = _read_csv_rows(args.values, 1).ravel()
     corner = pts.min(axis=0)
     side = float(max(np.max(pts.max(axis=0) - corner), 1.0))
-    nodes = NodeSet(points=pts, cube=(corner, side))
-    kern = Kernel(c=args.c, beta=args.beta, n=args.n)
-    interp = fit(kern, nodes, values)
+    nodes = rbf.NodeSet(points=pts, cube=(corner, side))
+    kern = rbf.Kernel(c=args.c, beta=args.beta, n=args.n)
+    interp = rbf.fit(kern, nodes, values)
     doc = {
         "n_nodes": nodes.count,
         "n_poly_terms": len(interp.poly_exponents),
@@ -243,11 +270,15 @@ def _cmd_fit(args) -> str:
 
 
 def _cmd_verify(args) -> str:
+    import numpy as np
+
+    from . import rbf, verify
+
     pts = _read_csv_rows(args.nodes, args.n)
     if args.b0 is None:
         raise SpecError("verify requires --b0 (the cube side)")
     corner = np.full(args.n, args.corner)
-    nodes = NodeSet(points=pts, cube=(corner, args.b0))
+    nodes = rbf.NodeSet(points=pts, cube=(corner, args.b0))
     # delta is measured from the nodes; the placeholder keeps validation happy
     spec = ProblemSpec(
         n=args.n,
@@ -258,8 +289,8 @@ def _cmd_verify(args) -> str:
         mode=Mode(args.mode),
     )
     bump_center = tuple(corner + 0.5 * args.b0)
-    f = GaussianBump(a=args.gauss_a, n=args.n, amplitude=args.amplitude, center=bump_center)
-    report = run_bound_experiment(
+    f = verify.GaussianBump(a=args.gauss_a, n=args.n, amplitude=args.amplitude, center=bump_center)
+    report = verify.run_bound_experiment(
         spec, f, nodes, args.c, args.eval_grid, args.grid_per_side
     )
     doc = {

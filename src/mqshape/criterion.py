@@ -10,6 +10,12 @@ Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
 like e^{sigma c^2 / 8} for large c), so linear-domain evaluation would
 overflow long before the interesting region ends.
+
+The module is scalar ``math`` code and imports neither numpy nor scipy,
+so the ``constants``, ``criterion`` and ``optimize`` commands built on it
+start without them.  Vectorizing the curves would save little: the
+numpy import costs a fresh process more than the scalar evaluation of a
+2000-point curve.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List
-
-import numpy as np
 
 from .constants import DerivedConstants, Mode, ProblemSpec
 from .errors import NumericError, SpecError
@@ -317,16 +321,19 @@ def sample_curve(
 ) -> List[CurveSample]:
     """Log-spaced samples of the criterion curve on [c_lo, c_hi].
 
-    Deterministic; the endpoints are hit exactly.  The range is not
+    Deterministic; the endpoints are hit exactly and the points in between
+    are exp(log c_lo + i * step), evenly spaced in log c.  The range is not
     clamped to the admissible interval so curves may be plotted beyond it.
     """
     if not (0.0 < c_lo < c_hi) or not math.isfinite(c_hi):
         raise SpecError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
     if count < 2:
         raise SpecError(f"need at least 2 samples, got {count}")
-    cs = np.geomspace(c_lo, c_hi, count)
-    cs[0], cs[-1] = c_lo, c_hi
-    return [CurveSample(float(c), log_h_unified(float(c), spec, dc, kind)) for c in cs]
+    c_lo, c_hi = float(c_lo), float(c_hi)
+    u_lo = math.log(c_lo)
+    step = (math.log(c_hi) - u_lo) / (count - 1)
+    cs = [c_lo, *(math.exp(u_lo + i * step) for i in range(1, count - 1)), c_hi]
+    return [CurveSample(c, log_h_unified(c, spec, dc, kind)) for c in cs]
 
 
 def case2_sq_derivative(c: float, sigma: float) -> float:

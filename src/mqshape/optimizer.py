@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .constants import DerivedConstants, Mode, ProblemSpec
 from .criterion import CriterionKind, Regime, kind_for, log_h_unified
 from .errors import NumericError, PreconditionError, SpecError
@@ -78,9 +76,10 @@ def _minimize_info(
     if tol <= 0.0:
         raise SpecError(f"tolerance must be positive, got {tol}")
     ulo, uhi = math.log(lo), math.log(hi)
-    us = np.linspace(ulo, uhi, _SCAN_POINTS)
+    step = (uhi - ulo) / (_SCAN_POINTS - 1)
+    us = [ulo + k * step for k in range(_SCAN_POINTS - 1)] + [uhi]
     fs = [_eval_checked(f, math.exp(u)) for u in us]
-    i = int(np.argmin(fs))  # first occurrence, so ties go to the smaller c
+    i = fs.index(min(fs))  # first occurrence, so ties go to the smaller c
 
     a = us[max(i - 1, 0)]
     b = us[min(i + 1, _SCAN_POINTS - 1)]

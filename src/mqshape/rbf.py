@@ -48,9 +48,9 @@ __all__ = [
     "uniform_grid",
 ]
 
-# Kernel entries per row block in _row_reduce(): each temporary is
-# 512 KiB, so a block's working set stays in a core's L2 cache and memory
-# does not grow with the number of evaluation points.
+# Entries per row block in _row_reduce() and verify.fill_distance(): each
+# temporary is 512 KiB, so a block's working set stays in a core's L2
+# cache and memory does not grow with the number of evaluation points.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 

@@ -5,11 +5,11 @@ closes the loop by fitting interpolants to concrete target functions,
 measuring the worst-case error on a grid, and comparing against the full
 error bound (constant prefactors included).  Bounds and errors are
 compared in the log domain because the convergence factor alone can span
-hundreds of orders of magnitude.  The fill distance is measured by an
-exhaustive nearest-node scan over a tensor grid, in the same row blocks
-that :func:`mqshape.rbf.evaluate` uses, so this module needs no spatial
-index and, like the rest of the package apart from the linear solve, no
-scipy.
+hundreds of orders of magnitude.  The fill distance is measured by a
+nearest-node scan over a tensor grid, in row blocks no larger than those
+of :func:`mqshape.rbf.evaluate`, that skips the nodes too far along the
+first axis to be nearest; it is exact, needs no spatial index and, like
+the rest of the package apart from the linear solve, no scipy.
 
 Target functions are gaussian bumps.  Under the Fourier convention
 fhat(xi) = integral f(x) e^{-i <x, xi>} dx, the bump e^{-a|x|^2} has
@@ -37,7 +37,7 @@ from .criterion import (
     regime_for,
 )
 from .errors import InputError, PreconditionError, SpecError
-from .rbf import Kernel, NodeSet, _row_reduce, evaluate, fit
+from .rbf import _EVAL_BLOCK_ENTRIES, Kernel, NodeSet, _sq_dists, evaluate, fit
 
 __all__ = [
     "GaussianBump",
@@ -111,10 +111,15 @@ def fill_distance(
 
     Maximizes the nearest-node distance over a uniform tensor grid with
     grid_per_side points per axis (endpoints included), converging to the
-    true supremum from below as the grid refines.  Each grid point's
-    nearest node comes from an exhaustive scan of squared distances in the
-    row blocks :func:`evaluate` uses, so memory stays bounded and the scan
-    costs less than evaluating an interpolant on the same grid.
+    true supremum from below as the grid refines.  The grid is scanned in
+    row blocks of at most as many squared distances as :func:`evaluate`
+    holds at once, so memory stays bounded.  The nodes are sorted by their
+    first coordinate, and a block scans only the nodes within a radius r
+    of its first-coordinate range, r an upper bound on every nearest-node
+    distance in the block: a node farther than r along that axis cannot be
+    nearest, so the result equals that of an exhaustive scan.  r is the
+    previous block's largest nearest-node distance; a block whose own
+    largest exceeds it is scanned again with that larger radius.
     """
     if grid_per_side < 2:
         raise InputError(f"grid_per_side must be >= 2, got {grid_per_side}")
@@ -123,6 +128,8 @@ def fill_distance(
     )
     if pts.size == 0:
         raise InputError("fill distance needs a nonempty node set")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("fill distance needs finite node coordinates")
     corner = np.asarray(cube[0], dtype=float).reshape(-1)
     side = float(cube[1])
     n = corner.shape[0]
@@ -135,8 +142,32 @@ def fill_distance(
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
-    nearest_sq = _row_reduce(grid, pts, lambda d2: d2.min(axis=1))
-    return math.sqrt(nearest_sq.max())
+
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    keys = pts[:, 0]
+
+    def nearest_sq(block: np.ndarray, radius: float) -> np.ndarray:
+        lo, hi = block[:, 0].min(), block[:, 0].max()
+        # relative slack so that rounding in the window bounds never drops
+        # a node that could be nearest; a wider window only costs time
+        pad = radius * (1.0 + 1e-12) + 1e-12 * (abs(lo) + abs(hi))
+        i = np.searchsorted(keys, lo - pad, side="left")
+        j = np.searchsorted(keys, hi + pad, side="right")
+        if i == j:  # no node within the radius: scan them all
+            i, j = 0, len(keys)
+        return _sq_dists(block, pts[i:j]).min(axis=1)
+
+    step = max(1, _EVAL_BLOCK_ENTRIES // len(keys))
+    radius = math.inf
+    worst_sq = 0.0
+    for start in range(0, grid.shape[0], step):
+        block = grid[start:start + step]
+        block_sq = nearest_sq(block, radius).max()
+        if math.sqrt(block_sq) > radius:
+            block_sq = nearest_sq(block, math.sqrt(block_sq)).max()
+        radius = math.sqrt(block_sq)
+        worst_sq = max(worst_sq, block_sq)
+    return math.sqrt(worst_sq)
 
 
 def _log_lambda_pow_bound(dc: DerivedConstants, c: float) -> float:

@@ -318,8 +318,8 @@ SPEC_FLAGS = ["--n", "1", "--beta", "-1", "--delta", "0.1", "--b0", "1"]
 
 def scipy_modules_after(argv):
     """Exit code of ``cli.main(argv)`` (None for a bare ``import mqshape``)
-    and the scipy modules loaded, in a fresh interpreter that imports
-    mqshape from this checkout."""
+    and the scipy modules loaded, plus ``numpy`` when it is loaded, in a
+    fresh interpreter that imports mqshape from this checkout."""
     probe = "import contextlib, io, sys\nimport mqshape\ncode = None\n"
     if argv is not None:
         probe += (
@@ -327,18 +327,27 @@ def scipy_modules_after(argv):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
         )
-    probe += "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    probe += (
+        "print(code, *sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.split('.')[0] == 'scipy'))\n"
+    )
+    code, *modules = run_fresh(probe).split()
+    return code, set(modules)
+
+
+def run_fresh(source):
+    """stdout of ``source`` run by a fresh interpreter that imports mqshape
+    from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", source],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    code, *modules = proc.stdout.split()
-    return code, set(modules)
+    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -368,3 +377,57 @@ def test_verify_loads_only_scipy_linalg(tmp_path):
     assert code == "0"
     assert "scipy.linalg" in modules
     assert not {m for m in modules if m.startswith(("scipy.special", "scipy.spatial"))}
+
+
+@pytest.mark.parametrize("command", ["fit", "verify"])
+def test_rbf_commands_load_numpy_and_only_scipy_linalg(tmp_path, command):
+    path = tmp_path / "nodes.csv"
+    xs = np.linspace(0.0, 1.0, 11)
+    if command == "fit":
+        path.write_text("".join(f"{x},{math.sin(x)}\n" for x in xs))
+        argv = ["fit", "--n", "1", "--beta", "-1", "--c", "0.5", "--nodes", str(path)]
+    else:
+        path.write_text("".join(f"{x}\n" for x in xs))
+        argv = [
+            "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0", "--b0", "1.0",
+            "--gauss-a", "0.25", "--c", str(24.0 * math.exp(4.0) * 0.06),
+            "--nodes", str(path), "--eval-grid", "101",
+        ]
+    code, modules = scipy_modules_after(argv)
+    assert code == "0"
+    assert {"numpy", "scipy.linalg"} <= modules
+    assert not {m for m in modules if m.startswith(("scipy.special", "scipy.spatial"))}
+
+
+LAZY_EXPORTS_PROBE = """
+import importlib, sys
+import mqshape
+
+assert 'numpy' not in sys.modules
+assert set(mqshape.__all__) <= set(dir(mqshape))
+assert 'rbf' in dir(mqshape) and 'verify' in dir(mqshape)
+interp = mqshape.rbf.fit(
+    mqshape.rbf.Kernel(c=0.5, beta=-1.0, n=1),
+    mqshape.rbf.uniform_grid([0.0], 1.0, 5, 1),
+    [0.0, 1.0, 0.0, 1.0, 0.0],
+)
+assert interp.node_residual < 1e-8
+for name in mqshape.__all__:
+    value = getattr(mqshape, name)
+    home = importlib.import_module('mqshape.' + value.__module__.split('.')[-1])
+    assert getattr(home, name) is value, name
+namespace = {}
+exec('from mqshape import *', namespace)
+assert all(namespace[name] is getattr(mqshape, name) for name in mqshape.__all__)
+try:
+    mqshape.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError('unknown attribute resolved')
+print('ok')
+"""
+
+
+def test_lazy_exports_resolve():
+    assert run_fresh(LAZY_EXPORTS_PROBE).split() == ["ok"]

@@ -359,6 +359,28 @@ class TestSampleCurve:
         cs = [s.c for s in samples]
         assert all(cs[i + 1] > cs[i] for i in range(len(cs) - 1))
 
+    @pytest.mark.parametrize(
+        "c_lo, c_hi, count",
+        [
+            (0.08352760365204465, 1637.9445009943277, 2000),  # spans c = 1
+            (1e-3, 1e3, 5000),
+            (1e-300, 1e-290, 600),
+            (1e290, 1e300, 600),
+            (1e-300, 1e300, 2000),
+        ],
+    )
+    def test_points_match_geomspace(self, c_lo, c_hi, count):
+        spec = _spec(n=2, delta=1e-3)
+        dc = derive_constants(spec)
+        cs = [s.c for s in sample_curve(spec, dc, kind_for(spec), c_lo, c_hi, count)]
+        assert cs[0] == c_lo and cs[-1] == c_hi
+        assert all(a < b for a, b in zip(cs, cs[1:]))
+        # Both space the logs evenly, so each point carries an absolute log
+        # error of a few eps times the larger |log endpoint|, even at c = 1.
+        eps = np.finfo(float).eps
+        rtol = 4.0 * eps * (1.0 + max(abs(math.log(c_lo)), abs(math.log(c_hi))))
+        np.testing.assert_allclose(cs, np.geomspace(c_lo, c_hi, count), rtol=rtol, atol=0.0)
+
     def test_fixed_b0_curve_argmin_left_of_knee(self):
         # classic setup: small delta pushes the optimum to the admissible
         # left endpoint, which sits below the knee c0

@@ -276,3 +276,180 @@ class TestOptimalC:
             assert not result.clamped_lower
             results[sigma] = result.c_star
         assert results[4.0] == pytest.approx(results[1.0] / 2.0, rel=1e-6)
+
+
+# Results of optimal_c recorded, as hex floats, from the numpy scan
+# (np.linspace points, np.argmin) that the pure-Python scan must reproduce
+# to the bit.  Every regime and mode; sigma = 1.5, b0 = 1, and delta puts
+# c_min at 0.05 / sqrt(sigma) (interior optimum) or 20 / sqrt(sigma)
+# (clamped).  Columns: n, beta, mode, delta, c_star, log_h_star,
+# clamped_lower, iterations, bracket.
+OPTIMAL_C_PINS = [
+    (1, -1.0, 'practical', '0x1.055a003125ea2p-15',
+     '0x1.aff1b609022c9p-2', '0x1.5f77e3b4579f7p-1', False, 35, ('0x1.4e6fdf33cf02dp-5', '0x1.e2b7dddfefa67p+3')),
+    (1, -1.0, 'practical', '0x1.985ca04ccb3e2p-7',
+     '0x1.0547666079ba6p+4', '0x1.94659e0d49361p+5', True, 33, ('0x1.0547666079ba6p+4', '0x1.997c72b44c6b5p+10')),
+    (1, -1.0, 'fixed-b0', '0x1.055a003125ea2p-15',
+     '0x1.a7c21fda6ad46p+4', '-0x1.05f1bc1bda1c7p+7', False, 37, ('0x1.4e6fdf33cf02dp-5', '0x1.997c72b44c6b5p+10')),
+    (1, -1.0, 'fixed-b0', '0x1.985ca04ccb3e2p-7',
+     '0x1.0547666079ba6p+4', '0x1.9127398fb1430p+5', True, 33, ('0x1.0547666079ba6p+4', '0x1.997c72b44c6b5p+10')),
+    (1, -1.0, 'dilation-invariant', '0x1.055a003125ea2p-15',
+     '0x1.a7c21fda6ad46p+4', '-0x1.05f1bc1bda1c7p+7', False, 37, ('0x1.4e6fdf33cf02dp-5', '0x1.997c72b44c6b5p+10')),
+    (1, -1.0, 'dilation-invariant', '0x1.985ca04ccb3e2p-7',
+     '0x1.0547666079ba6p+4', '0x1.9127398fb1430p+5', True, 33, ('0x1.0547666079ba6p+4', '0x1.997c72b44c6b5p+10')),
+    (2, -1.0, 'practical', '0x1.61ae427400041p-82',
+     '0x1.a20bd668377aap-1', '0x1.62e42fefa39f2p-1', False, 35, ('0x1.4e6fdf33cf041p-5', '0x1.a20bd700c2c3fp+4')),
+    (2, -1.0, 'practical', '0x1.145023eaa002dp-73',
+     '0x1.0547666079baep+4', '0x1.92c8547c16e18p+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (2, -1.0, 'fixed-b0', '0x1.61ae427400041p-82',
+     '0x1.a7c26b2cb4ed7p+4', '-0x1.06595a0f0dc51p+7', False, 40, ('0x1.4e6fdf33cf041p-5', '0x1.9373a9efb6e08p+74')),
+    (2, -1.0, 'fixed-b0', '0x1.145023eaa002dp-73',
+     '0x1.0547666079baep+4', '0x1.8f89effe7eee7p+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (2, -1.0, 'dilation-invariant', '0x1.61ae427400041p-82',
+     '0x1.a7c26b2cb4ed7p+4', '-0x1.06595a0f0dc51p+7', False, 40, ('0x1.4e6fdf33cf041p-5', '0x1.9373a9efb6e08p+74')),
+    (2, -1.0, 'dilation-invariant', '0x1.145023eaa002dp-73',
+     '0x1.0547666079baep+4', '0x1.8f89effe7eee7p+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (3, -1.0, 'practical', '0x1.17724ab38f26ap-691',
+     '0x1.ffffffc4f69aap-1', '0x1.0a2b23f3bab73p+0', False, 36, ('0x1.4e6fdf33cf06bp-5', '0x1.0000000000000p+5')),
+    (3, -1.0, 'practical', '0x1.b4a294b88fa50p-683',
+     '0x1.0547666079b8dp+4', '0x1.942e6432dada3p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, -1.0, 'fixed-b0', '0x1.17724ab38f26ap-691',
+     '0x1.a7c2e7ef729b9p+4', '-0x1.0600536f42e5ep+7', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, -1.0, 'fixed-b0', '0x1.b4a294b88fa50p-683',
+     '0x1.0547666079b8dp+4', '0x1.90efffb542e72p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, -1.0, 'dilation-invariant', '0x1.17724ab38f26ap-691',
+     '0x1.a7c2e7ef729b9p+4', '-0x1.0600536f42e5ep+7', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, -1.0, 'dilation-invariant', '0x1.b4a294b88fa50p-683',
+     '0x1.0547666079b8dp+4', '0x1.90efffb542e72p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (2, 0.5, 'practical', '0x1.61ae427400035p-83',
+     '0x1.a20bd751fc728p-3', '0x1.0b375dce91e00p-10', False, 35, ('0x1.4e6fdf33cf041p-5', '0x1.a20bd700c2c3fp+2')),
+    (2, 0.5, 'practical', '0x1.145023eaa0024p-74',
+     '0x1.0547666079baep+4', '0x1.9ec64b2e76b5fp+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (2, 0.5, 'fixed-b0', '0x1.61ae427400035p-83',
+     '0x1.a774b867f043cp+5', '-0x1.05ae27b7f5effp+9', False, 40, ('0x1.4e6fdf33cf041p-5', '0x1.9373a9efb6e08p+74')),
+    (2, 0.5, 'fixed-b0', '0x1.145023eaa0024p-74',
+     '0x1.0547666079baep+4', '0x1.9849823346cfep+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (2, 0.5, 'dilation-invariant', '0x1.61ae427400035p-83',
+     '0x1.a774b867f043cp+5', '-0x1.05ae27b7f5effp+9', False, 40, ('0x1.4e6fdf33cf041p-5', '0x1.9373a9efb6e08p+74')),
+    (2, 0.5, 'dilation-invariant', '0x1.145023eaa0024p-74',
+     '0x1.0547666079baep+4', '0x1.9849823346cfep+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (3, 1.0, 'practical', '0x1.7498639a14354p-692',
+     '0x1.5555557709909p-2', '0x1.203d7629c8166p-2', False, 35, ('0x1.4e6fdf33cf06bp-5', '0x1.5555555555555p+3')),
+    (3, 1.0, 'practical', '0x1.23170dd05fc4bp-683',
+     '0x1.0547666079b8dp+4', '0x1.a38766c0dfcd9p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, 1.0, 'fixed-b0', '0x1.7498639a14354p-692',
+     '0x1.a75afa5fb53bfp+5', '-0x1.053ce9348fc70p+9', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, 1.0, 'fixed-b0', '0x1.23170dd05fc4bp-683',
+     '0x1.0547666079b8dp+4', '0x1.9d0a9dc5afe78p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, 1.0, 'dilation-invariant', '0x1.7498639a14354p-692',
+     '0x1.a75afa5fb53bfp+5', '-0x1.053ce9348fc70p+9', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, 1.0, 'dilation-invariant', '0x1.23170dd05fc4bp-683',
+     '0x1.0547666079b8dp+4', '0x1.9d0a9dc5afe78p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (1, 1.0, 'practical', '0x1.055a003125eaap-16',
+     '0x1.4e6fdf33cf037p-5', '-0x1.1bcfd399b2b09p+0', True, 35, ('0x1.4e6fdf33cf037p-5', '0x1.997c72b44c6b5p+10')),
+    (1, 1.0, 'practical', '0x1.985ca04ccb3e2p-8',
+     '0x1.0547666079ba6p+4', '0x1.a4a3e6ae16e9bp+5', True, 33, ('0x1.0547666079ba6p+4', '0x1.997c72b44c6b5p+10')),
+    (1, 1.0, 'fixed-b0', '0x1.055a003125eaap-16',
+     '0x1.a75ae1cb2402ap+5', '-0x1.052a8f66994a1p+9', False, 37, ('0x1.4e6fdf33cf037p-5', '0x1.997c72b44c6b5p+10')),
+    (1, 1.0, 'fixed-b0', '0x1.985ca04ccb3e2p-8',
+     '0x1.0547666079ba6p+4', '0x1.9e271db2e703ap+5', True, 33, ('0x1.0547666079ba6p+4', '0x1.997c72b44c6b5p+10')),
+    (1, 1.0, 'dilation-invariant', '0x1.055a003125eaap-16',
+     '0x1.a75ae1cb2402ap+5', '-0x1.052a8f66994a1p+9', False, 37, ('0x1.4e6fdf33cf037p-5', '0x1.997c72b44c6b5p+10')),
+    (1, 1.0, 'dilation-invariant', '0x1.985ca04ccb3e2p-8',
+     '0x1.0547666079ba6p+4', '0x1.9e271db2e703ap+5', True, 33, ('0x1.0547666079ba6p+4', '0x1.997c72b44c6b5p+10')),
+    (3, 3.0, 'practical', '0x1.f0cb2f781af3fp-693',
+     '0x1.4e6fdf33cf06bp-5', '-0x1.9808c11411e79p-1', True, 42, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, 3.0, 'practical', '0x1.841ebd15d5080p-684',
+     '0x1.0547666079b8dp+4', '0x1.b8c7e6a45c713p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, 3.0, 'fixed-b0', '0x1.f0cb2f781af3fp-693',
+     '0x1.3d8cc58d6ba34p+6', '-0x1.25dca12f47913p+10', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, 3.0, 'fixed-b0', '0x1.841ebd15d5080p-684',
+     '0x1.0547666079b8dp+4', '0x1.af0cb92b94982p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, 3.0, 'dilation-invariant', '0x1.f0cb2f781af3fp-693',
+     '0x1.3d8cc58d6ba34p+6', '-0x1.25dca12f47913p+10', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, 3.0, 'dilation-invariant', '0x1.841ebd15d5080p-684',
+     '0x1.0547666079b8dp+4', '0x1.af0cb92b94982p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (2, -0.5, 'practical', '0x1.61ae427400041p-82',
+     '0x1.3988e131e39c7p-1', '0x1.7c22d79a73cfbp-3', False, 35, ('0x1.4e6fdf33cf041p-5', '0x1.3988e1409212fp+4')),
+    (2, -0.5, 'practical', '0x1.145023eaa002dp-73',
+     '0x1.0547666079baep+4', '0x1.9429c21044060p+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (2, -0.5, 'fixed-b0', '0x1.61ae427400041p-82',
+     '0x1.a75b70022f75fp+4', '-0x1.05c360c81bbcap+7', False, 40, ('0x1.4e6fdf33cf041p-5', '0x1.9373a9efb6e08p+74')),
+    (2, -0.5, 'fixed-b0', '0x1.145023eaa002dp-73',
+     '0x1.0547666079baep+4', '0x1.90eb5d92ac12fp+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (2, -0.5, 'dilation-invariant', '0x1.61ae427400041p-82',
+     '0x1.a75b70022f75fp+4', '-0x1.05c360c81bbcap+7', False, 40, ('0x1.4e6fdf33cf041p-5', '0x1.9373a9efb6e08p+74')),
+    (2, -0.5, 'dilation-invariant', '0x1.145023eaa002dp-73',
+     '0x1.0547666079baep+4', '0x1.90eb5d92ac12fp+5', True, 38, ('0x1.0547666079baep+4', '0x1.9373a9efb6e08p+74')),
+    (3, -1.5, 'practical', '0x1.17724ab38f26ap-691',
+     '0x1.2aaaaa81e30cfp+0', '0x1.f2c1dfbb5e613p-3', False, 36, ('0x1.4e6fdf33cf06bp-5', '0x1.2aaaaaaaaaaabp+5')),
+    (3, -1.5, 'practical', '0x1.b4a294b88fa50p-683',
+     '0x1.0547666079b8dp+4', '0x1.88fdb9f1f00a9p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, -1.5, 'fixed-b0', '0x1.17724ab38f26ap-691',
+     '0x1.a829a33c7c3ffp+4', '-0x1.090a2ea63e631p+7', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, -1.5, 'fixed-b0', '0x1.b4a294b88fa50p-683',
+     '0x1.0547666079b8dp+4', '0x1.85bf557458178p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+    (3, -1.5, 'dilation-invariant', '0x1.17724ab38f26ap-691',
+     '0x1.a829a33c7c3ffp+4', '-0x1.090a2ea63e631p+7', False, 44, ('0x1.4e6fdf33cf06bp-5', '0x1.16e0528dc9b60p+511')),
+    (3, -1.5, 'dilation-invariant', '0x1.b4a294b88fa50p-683',
+     '0x1.0547666079b8dp+4', '0x1.85bf557458178p+5', True, 42, ('0x1.0547666079b8dp+4', '0x1.16e0528dc9b60p+511')),
+]
+
+
+@pytest.mark.parametrize(
+    "n, beta, mode, delta, c_star, log_h_star, clamped, iterations, bracket",
+    OPTIMAL_C_PINS,
+)
+def test_optimal_c_bitwise_pinned(
+    n, beta, mode, delta, c_star, log_h_star, clamped, iterations, bracket
+):
+    spec = ProblemSpec(
+        n=n, beta=beta, sigma=1.5, delta=float.fromhex(delta), b0=1.0, mode=Mode(mode)
+    )
+    result = optimal_c(spec, derive_constants(spec))
+    assert result.c_star.hex() == c_star
+    assert result.log_h_star.hex() == log_h_star
+    assert result.clamped_lower is clamped
+    assert result.iterations == iterations
+    assert tuple(b.hex() for b in result.bracket) == bracket
+
+
+MINIMIZE_SCALAR_PINS = {
+    # name: (f, lo, hi, x, f(x)) with x and f(x) recorded, as hex floats,
+    # from the numpy scan
+    "log_parabola": (lambda x: (math.log(x) - 1.0) ** 2, 0.01, 100.0,
+        '0x1.5bf0a8a1ce455p+1', '0x1.02f602034fd20p-57'),
+    "increasing": (lambda x: x, 0.5, 8.0,
+        '0x1.0000000000000p-1', '0x1.0000000000000p-1'),
+    "decreasing": (lambda x: -x, 0.5, 8.0,
+        '0x1.ffffffd931a1ap+2', '-0x1.ffffffd931a1ap+2'),
+    "constant": (lambda x: 3.0, 0.1, 10.0,
+        '0x1.999999999999ap-4', '0x1.8000000000000p+1'),
+    "quartic_off_grid": (lambda x: (x - 2.345) ** 4 + 0.1 * x, 1e-3, 1e3,
+        '0x1.06bb89e59ae48p+1', '0x1.b357d495c87a0p-3'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINIMIZE_SCALAR_PINS))
+def test_minimize_scalar_bitwise_pinned(name):
+    f, lo, hi, x, fx = MINIMIZE_SCALAR_PINS[name]
+    got_x, got_fx = minimize_scalar(f, lo, hi)
+    assert (got_x.hex(), got_fx.hex()) == (x, fx)
+
+
+def test_scan_points_are_linspace_bitwise():
+    # the 64 scan probes are exp of np.linspace over [log lo, log hi], to the bit
+    rng = np.random.default_rng(64)
+    for _ in range(300):
+        # ranges straddling c = 1 often round log lo + 63 * step off log hi
+        lo = math.exp(rng.uniform(-30.0, 10.0))
+        hi = lo * math.exp(rng.uniform(1e-6, 40.0))
+        probes = []
+
+        def f(c):
+            probes.append(c)
+            return (math.log(c) - math.log(lo)) ** 2
+
+        minimize_scalar(f, lo, hi)
+        us = np.linspace(math.log(lo), math.log(hi), 64)
+        assert probes[:64] == [math.exp(u) for u in us]

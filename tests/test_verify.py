@@ -150,6 +150,34 @@ class TestFillDistanceOracle:
         with pytest.raises(InputError):
             fill_distance((np.zeros(2), 1.0), np.zeros((3, 1)), 10)
 
+    def test_rejects_non_finite_nodes(self):
+        # a raw array is not checked by NodeSet; a NaN node must not be
+        # skipped by the pruned scan and yield a finite answer
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                fill_distance((np.zeros(1), 1.0), np.array([[0.5], [bad]]), 11)
+
+    @pytest.mark.parametrize("n, grid_per_side", [(1, 4001), (2, 160)])
+    def test_clustered_nodes_match_kdtree(self, n, grid_per_side):
+        # bands at both ends of axis 0 and a small cluster between them,
+        # with wide empty gaps: the nearest-node distance jumps between row
+        # blocks, and a block scanned only with the radius carried over
+        # from the previous one would miss nearer nodes
+        rng = np.random.default_rng(1)
+
+        def box(lo0, hi0, hi_rest, count):
+            lo, hi = np.zeros(n), np.full(n, hi_rest)
+            lo[0], hi[0] = lo0, hi0
+            return rng.uniform(lo, hi, (count, n))
+
+        pts = np.concatenate(
+            [box(0.0, 0.1, 1.0, 40), box(0.45, 0.5, 0.05, 10), box(0.9, 1.0, 1.0, 40)]
+        )
+        nodes = NodeSet(points=pts, cube=(np.zeros(n), 1.0))
+        expected = kdtree_fill_distance(nodes.cube, pts, grid_per_side)
+        got = fill_distance(nodes.cube, nodes, grid_per_side)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
 
 class TestErrorBound:
     def test_exponent_composition(self):
