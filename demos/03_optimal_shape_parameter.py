@@ -2,12 +2,17 @@
 
 The optimizer minimizes the criterion over the admissible interval
 [c_min, infinity), clamping to the left endpoint when the curve never
-descends, and exploiting two closed-form accelerators:
+descends.  In practical mode the minimizer is known in closed form and
+no search is made:
 
-* for beta = -1 in n >= 2 dimensions the interior critical point solves a
-  monotone scalar equation (and equals sqrt(n/(2 sigma)) exactly),
-* for beta > 0 with 1 + beta - n < 0 the dip is at
-  (n - 1 - beta)/sqrt(2 n sigma).
+* for the general core (every (n, beta) but beta = -1 in one dimension)
+  the dip is at (n - 1 - beta)/sqrt(2 n sigma) when 1 + beta - n < 0; for
+  beta = -1 in n >= 2 dimensions that is sqrt(n/(2 sigma)), which also
+  solves a monotone scalar equation (cross-checked below),
+* for beta = -1 in one dimension it is u*/sqrt(sigma), u* = 0.516622...
+
+The fixed-b0 and dilation-invariant modes add a convergence factor and
+are minimized by a scan.
 
 Run:  python demos/03_optimal_shape_parameter.py
 """

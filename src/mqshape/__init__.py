@@ -34,7 +34,6 @@ from .criterion import (
     kind_for,
     log_h_beta_neg1_multid,
     log_h_beta_neg1_oned,
-    log_h_beta_pos,
     log_h_general,
     log_h_unified,
     log_lambda_pow,
@@ -52,7 +51,6 @@ from .errors import (
 )
 from .optimizer import (
     OptimalResult,
-    case3_start_value,
     critical_point_case1,
     minimize_scalar,
     optimal_c,
@@ -99,7 +97,6 @@ __all__ = [
     "ProblemSpec",
     "Regime",
     "SpecError",
-    "case3_start_value",
     "condition_estimate",
     "cpd_order",
     "critical_point_case1",
@@ -115,7 +112,6 @@ __all__ = [
     "kind_for",
     "log_h_beta_neg1_multid",
     "log_h_beta_neg1_oned",
-    "log_h_beta_pos",
     "log_h_general",
     "log_h_unified",
     "log_lambda_pow",

@@ -1,10 +1,14 @@
 """Log-domain evaluation of the shape-parameter criterion curves.
 
-For each admissible (beta, n) regime the error bound of the interpolation
-theory has a c-dependent core H(c); the recommended shape parameter is the
-minimizer of H over the admissible interval.  This module evaluates
-log H(c) for every supported regime, together with the exponential
-convergence factor lambda^(1/delta) that the two non-practical modes add.
+For each admissible (beta, n) the error bound of the interpolation theory
+has a c-dependent core H(c); the recommended shape parameter is the
+minimizer of H over the admissible interval.  The theory has two formulas
+for H: the piecewise one-dimensional beta = -1 form and the general core,
+which covers every other admissible (beta, n); for beta = -1, n >= 2 the
+core differs from the explicit product form only by a c-independent
+constant.  This module evaluates log H(c) with the formula that applies,
+together with the exponential convergence factor lambda^(1/delta) that
+the two non-practical modes add.
 
 Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
@@ -38,7 +42,6 @@ __all__ = [
     "log_h_beta_neg1_multid",
     "log_h_beta_neg1_multid_simplified",
     "log_h_beta_neg1_oned",
-    "log_h_beta_pos",
     "log_h_general",
     "log_lambda_pow",
     "log_h_unified",
@@ -53,11 +56,9 @@ _LN_2_3 = math.log(2.0 / 3.0)
 
 
 class Regime(Enum):
-    """Supported (beta, n) combinations, most specific first."""
+    """The two criterion formulas."""
 
-    BETA_NEG1_MULTI = "beta=-1, n>=2"
     BETA_NEG1_1D = "beta=-1, n=1"
-    BETA_POS = "beta>0"
     GENERAL = "|n+beta|>=1 and n+beta+1>=0"
 
 
@@ -75,28 +76,20 @@ class CurveSample:
     log_h: float
 
 
-def _regime_admissible(regime: Regime, n: int, beta: float) -> bool:
-    if regime is Regime.BETA_NEG1_MULTI:
-        return beta == -1.0 and n >= 2
-    if regime is Regime.BETA_NEG1_1D:
-        return beta == -1.0 and n == 1
-    if regime is Regime.BETA_POS:
-        return beta > 0.0
+def _core_admissible(n: int, beta: float) -> bool:
     return abs(n + beta) >= 1.0 and n + beta + 1.0 >= 0.0
 
 
 def regime_for(n: int, beta: float) -> Regime:
-    """The most specific regime covering (n, beta).
+    """The criterion formula covering (n, beta).
 
     Raises :class:`SpecError` when no criterion covers the combination
-    (beta < 0 with n + beta + 1 < 0 or |n + beta| < 1, other than the
-    special one-dimensional beta = -1 case).
+    (n + beta + 1 < 0 or |n + beta| < 1, other than the one-dimensional
+    beta = -1 case).
     """
-    if beta == -1.0:
-        return Regime.BETA_NEG1_1D if n == 1 else Regime.BETA_NEG1_MULTI
-    if beta > 0.0:
-        return Regime.BETA_POS
-    if _regime_admissible(Regime.GENERAL, n, beta):
+    if beta == -1.0 and n == 1:
+        return Regime.BETA_NEG1_1D
+    if _core_admissible(n, beta):
         return Regime.GENERAL
     raise SpecError(
         f"no criterion is available for n={n}, beta={beta:g}: "
@@ -144,13 +137,17 @@ def xi_star(c: float, sigma: float, q: float) -> float:
 
 
 def log_h_beta_neg1_multid(c: float, n: int, sigma: float) -> float:
-    """log of the criterion for the inverse multiquadric, beta=-1, n>=2.
+    """log of the product-form criterion for the inverse multiquadric,
+    beta=-1, n>=2.
 
     H(c) = c^(-n/4) [c + R]^(n/4)
            e^{(sigma/8)[c^2 + cR] - (sigma/16)[c^2 + cR + 2n/sigma]}
     with R = sqrt(c^2 + 4n/sigma).  H tends to infinity both as c -> 0+
     and as c -> infinity; its unique interior minimum is the recommended
-    shape parameter (before admissibility clamping).
+    shape parameter (before admissibility clamping).  It equals
+    :func:`log_h_general` at beta = -1 plus (n/4) log(4/sigma); the
+    criterion evaluates that core, and this form is kept as an
+    independent test oracle.  c^2 + cR overflows for c above ~1e154.
     """
     c = _require_positive_c(c)
     if n < 2:
@@ -213,7 +210,7 @@ def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
 
 
 def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
-    """log of the criterion core common to the remaining regimes.
+    """log of the criterion core for every (beta, n) but 1-D beta = -1.
 
     H(c) = c^((1+beta-n)/4) [xi*^((n+beta+1)/2)
            e^{c xi* - xi*^2/sigma}]^(1/2)
@@ -221,7 +218,7 @@ def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
     Requires |n + beta| >= 1 and n + beta + 1 >= 0.
     """
     c = _require_positive_c(c)
-    if not _regime_admissible(Regime.GENERAL, n, beta):
+    if not _core_admissible(n, beta):
         raise SpecError(
             f"core criterion needs |n+beta| >= 1 and n+beta+1 >= 0, "
             f"got n={n}, beta={beta:g}"
@@ -231,13 +228,6 @@ def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
     return 0.25 * (1.0 + beta - n) * math.log(c) + 0.5 * (
         0.5 * q * math.log(xs) + c * xs - xs * xs / sigma
     )
-
-
-def log_h_beta_pos(c: float, n: int, beta: float, sigma: float) -> float:
-    """log of the criterion for multiquadrics with beta > 0 (any n >= 1)."""
-    if not beta > 0.0:
-        raise SpecError(f"this criterion requires beta > 0, got beta={beta:g}")
-    return log_h_general(c, n, beta, sigma)
 
 
 def _neg_exp(log_abs: float) -> float:
@@ -273,40 +263,28 @@ def log_lambda_pow(c: float, spec: ProblemSpec, dc: DerivedConstants) -> float:
     return _neg_exp(dc.eta_log_abs + math.log(c))
 
 
-def _check_kind(spec: ProblemSpec, kind: CriterionKind) -> None:
-    if kind.mode is not spec.mode:
-        raise SpecError(
-            f"criterion mode {kind.mode.value!r} does not match the "
-            f"problem mode {spec.mode.value!r}"
-        )
-    if not _regime_admissible(kind.regime, spec.n, spec.beta):
-        raise SpecError(
-            f"regime {kind.regime.name} is not admissible for "
-            f"n={spec.n}, beta={spec.beta:g}"
-        )
-
-
 def log_h_unified(
     c: float, spec: ProblemSpec, dc: DerivedConstants, kind: CriterionKind
 ) -> float:
-    """log H(c) for the requested regime, including the mode's factor.
+    """log H(c) for the problem's criterion, including the mode's factor.
 
-    Practical mode evaluates the regime's bare criterion; the other two
-    modes add :func:`log_lambda_pow`.  Constant prefactors of the error
-    bound that do not depend on c are deliberately excluded here (they do
-    not move the minimizer); the verification module carries them.
+    ``kind`` must equal :func:`kind_for` of ``spec``.  Practical mode
+    evaluates the bare criterion; the other two modes add
+    :func:`log_lambda_pow`.  Constant prefactors of the error bound that do
+    not depend on c are deliberately excluded here (they do not move the
+    minimizer); the verification module carries them.
     """
-    _check_kind(spec, kind)
-    regime = kind.regime
-    if regime is Regime.BETA_NEG1_MULTI:
-        core = log_h_beta_neg1_multid(c, spec.n, spec.sigma)
-    elif regime is Regime.BETA_NEG1_1D:
+    regime = regime_for(spec.n, spec.beta)
+    if kind.regime is not regime or kind.mode is not spec.mode:
+        raise SpecError(
+            f"criterion {kind.regime.name}, {kind.mode.value!r} does not match "
+            f"the problem's {regime.name}, {spec.mode.value!r}"
+        )
+    if regime is Regime.BETA_NEG1_1D:
         core = log_h_beta_neg1_oned(c, spec.sigma)
-    elif regime is Regime.BETA_POS:
-        core = log_h_beta_pos(c, spec.n, spec.beta, spec.sigma)
     else:
         core = log_h_general(c, spec.n, spec.beta, spec.sigma)
-    if kind.mode is Mode.PRACTICAL:
+    if spec.mode is Mode.PRACTICAL:
         return core
     return core + log_lambda_pow(c, spec, dc)
 

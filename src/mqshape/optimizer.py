@@ -2,38 +2,47 @@
 
 The admissible interval for the shape parameter is [c_min, infinity) with
 c_min = 12 rho sqrt(n) e^{2 n gamma_n} gamma_n (m+1) delta.  Every
-supported criterion grows without bound as c -> infinity, so the search is
-capped at a finite right endpoint, recorded in the result for audit.
+supported criterion grows without bound as c -> infinity, so the interval
+is capped at a finite right endpoint, recorded in the result for audit.
 
-Two structural facts speed things up and cross-check the generic search:
+In practical mode the minimizer of the bare criterion is known in closed
+form, so no search is made:
 
-* For the core regimes (beta = -1 with n >= 2, beta > 0, and the general
-  core) the unconstrained critical point, when it exists, is exactly
-  (n - 1 - beta) / sqrt(2 n sigma); it exists iff 1 + beta - n < 0.
-* For beta = -1, n >= 2 the same critical point is also the unique root of
-  an explicit monotone equation, solved here by bisection.
+* for the general core it is (n - 1 - beta) / sqrt(2 n sigma) when
+  1 + beta - n < 0; otherwise the core is nondecreasing;
+* for beta = -1, n = 1 it is u*/sqrt(sigma), with u* the root of
+  -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2) on the small-c branch.
+
+The optimum is that point or c_min, whichever is larger.  The fixed-b0
+and dilation-invariant modes add a convergence factor that moves the
+minimizer, and are minimized by a log-spaced scan with golden-section
+refinement.  For beta = -1, n >= 2 the critical point is also the unique
+root of an explicit monotone equation, solved by bisection in
+:func:`critical_point_case1` as an independent check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .constants import DerivedConstants, Mode, ProblemSpec
-from .criterion import CriterionKind, Regime, kind_for, log_h_unified
+from .criterion import Regime, kind_for, log_h_unified
 from .errors import NumericError, PreconditionError, SpecError
 
 __all__ = [
     "OptimalResult",
     "minimize_scalar",
     "critical_point_case1",
-    "case3_start_value",
     "optimal_c",
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 64
+# u* of the module docstring, correctly rounded
+_ONED_U_STAR = 0.5166224863922065
 
 
 @dataclass(frozen=True)
@@ -174,27 +183,10 @@ def critical_point_case1(n: int, sigma: float, tol: float = 1e-10) -> float:
     return math.exp(0.5 * (ua + ub))
 
 
-def case3_start_value(n: int, beta: float, sigma: float) -> Optional[float]:
-    """Search start (n-1-beta)/sqrt(2 n sigma) for beta > 0.
-
-    Returns None when 1 + beta - n >= 0: the criterion is then
-    nondecreasing and the minimizer sits at the admissible lower endpoint,
-    so no interior start exists.
-    """
-    if not beta > 0.0:
-        raise SpecError(f"requires beta > 0, got beta={beta:g}")
-    if sigma <= 0.0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
-    p = n - 1.0 - beta
-    if p <= 0.0:
-        return None
-    return p / math.sqrt(2.0 * n * sigma)
-
-
-def _interior_start(spec: ProblemSpec, kind: CriterionKind) -> Optional[float]:
-    """Unconstrained critical point for the regime, when one exists."""
-    if kind.regime is Regime.BETA_NEG1_1D:
-        return 1.0 / math.sqrt(3.0 * spec.sigma)
+def _interior_start(spec: ProblemSpec, regime: Regime) -> Optional[float]:
+    """Minimizer of the bare criterion, when it is interior."""
+    if regime is Regime.BETA_NEG1_1D:
+        return _ONED_U_STAR / math.sqrt(spec.sigma)
     p = spec.n - 1.0 - spec.beta
     if p <= 0.0:
         return None
@@ -202,10 +194,7 @@ def _interior_start(spec: ProblemSpec, kind: CriterionKind) -> Optional[float]:
 
 
 def optimal_c(
-    spec: ProblemSpec,
-    dc: DerivedConstants,
-    kind: Optional[CriterionKind] = None,
-    tol: float = 1e-8,
+    spec: ProblemSpec, dc: DerivedConstants, tol: float = 1e-8
 ) -> OptimalResult:
     """Optimal shape parameter on the admissible interval.
 
@@ -213,12 +202,12 @@ def optimal_c(
     [c_min, C_HI], where C_HI caps the unbounded interval at
     max(1000 * scale, 10 * c0 when defined, 10 * c_min), further limited
     so the criterion stays finite in double precision.  In practical mode
-    the regime's known critical point, when inside the interval, narrows
-    the search bracket.  ``clamped_lower`` is set when no interior descent
-    is found.
+    the minimizer is max(c_min, the criterion's closed-form critical
+    point), found with no search (``iterations`` is 0); the other modes
+    scan the whole interval.  ``clamped_lower`` is set when the minimum
+    sits at c_min.
     """
-    if kind is None:
-        kind = kind_for(spec)
+    kind = kind_for(spec)
     if spec.b0 is not None:
         bound = spec.b0 / (4.0 * dc.gamma_n * (dc.m + 1))
         if not spec.delta < bound:
@@ -234,13 +223,14 @@ def optimal_c(
         )
     c_min = dc.log_c_min.value
 
-    start = _interior_start(spec, kind)
+    start = _interior_start(spec, kind.regime)
     scale = max(1.0, start if start is not None else 1.0)
     c_hi = max(1e3 * scale, 10.0 * c_min)
     if dc.log_c0 is not None and dc.log_c0.log_value < math.log(1e306):
         c_hi = max(c_hi, 10.0 * dc.log_c0.value)
-    # keep sigma * c^2 / 8 (the criterion's growth) representable
-    guard = math.sqrt(8e307 / spec.sigma)
+    # keep sigma * c^2 / 8 (the criterion's growth) representable; for
+    # sigma < ~0.45 the quotient alone overflows
+    guard = math.sqrt(min(8e307 / spec.sigma, sys.float_info.max))
     c_hi = min(c_hi, guard)
     if not c_hi > c_min * (1.0 + 1e-12):
         raise NumericError(
@@ -248,24 +238,22 @@ def optimal_c(
             "finite-evaluation cap; delta is too large for this regime"
         )
 
-    lo, hi = c_min, c_hi
-    if kind.mode is Mode.PRACTICAL and start is not None and c_min < start < c_hi:
-        # The minimum is at the known critical point (or at c_min when the
-        # point is outside); a wide bracket around it is guaranteed to
-        # contain the minimizer of the bare criterion.
-        lo = max(c_min, start / 32.0)
-        hi = min(c_hi, start * 32.0)
-
     def objective(c: float) -> float:
         return log_h_unified(c, spec, dc, kind)
 
-    info = _minimize_info(objective, lo, hi, tol)
-    clamped = info.at_lower and info.x <= c_min * (1.0 + 8.0 * tol)
-    c_star = c_min if clamped else info.x
+    if spec.mode is Mode.PRACTICAL:
+        clamped = start is None or start <= c_min
+        c_star = c_min if clamped else start
+        iterations = 0
+    else:
+        info = _minimize_info(objective, c_min, c_hi, tol)
+        clamped = info.at_lower and info.x <= c_min * (1.0 + 8.0 * tol)
+        c_star = c_min if clamped else info.x
+        iterations = info.iterations
     return OptimalResult(
         c_star=c_star,
         log_h_star=objective(c_star),
         clamped_lower=clamped,
-        iterations=info.iterations,
-        bracket=(lo, hi),
+        iterations=iterations,
+        bracket=(c_min, c_hi),
     )

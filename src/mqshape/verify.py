@@ -29,13 +29,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .constants import DerivedConstants, ProblemSpec, derive_constants
-from .criterion import (
-    CriterionKind,
-    Regime,
-    log_h_beta_neg1_oned,
-    log_h_general,
-    regime_for,
-)
+from .criterion import log_h_beta_neg1_oned, log_h_general
 from .errors import InputError, PreconditionError, SpecError
 from .rbf import _EVAL_BLOCK_ENTRIES, Kernel, NodeSet, _sq_dists, evaluate, fit
 
@@ -186,11 +180,7 @@ def _log_lambda_pow_bound(dc: DerivedConstants, c: float) -> float:
 
 
 def error_bound(
-    spec: ProblemSpec,
-    dc: DerivedConstants,
-    c: float,
-    f_norm: float,
-    kind: Optional[CriterionKind] = None,
+    spec: ProblemSpec, dc: DerivedConstants, c: float, f_norm: float
 ) -> float:
     """log of the full worst-case error bound at shape parameter c.
 
@@ -204,7 +194,19 @@ def error_bound(
         raise SpecError(f"shape parameter c must be positive, got {c}")
     if f_norm < 0.0:
         raise SpecError(f"function norm must be >= 0, got {f_norm}")
-    regime = kind.regime if kind is not None else regime_for(spec.n, spec.beta)
+
+    n, beta, sigma = spec.n, spec.beta, spec.sigma
+    if n == 1 and beta == -1.0:
+        const = ((beta - 3.0) / 4.0) * _LN2 - 0.5 * _LNPI
+        core = log_h_beta_neg1_oned(c, sigma)
+    elif beta > 0.0:
+        const = ((n + beta + 1.0) / 4.0) * _LN2 + ((n + 1.0) / 4.0) * _LNPI + dc.log_d0
+        core = log_h_general(c, n, beta, sigma)
+    else:
+        # beta = -1 in n >= 2 and the other negative exponents share one
+        # bound shape; the core rejects (n, beta) that no criterion covers
+        const = -(3.0 * n / 4.0) * (_LN2 + _LNPI)
+        core = log_h_general(c, n, beta, sigma)
 
     # c = c_min makes delta equal to the cap exactly; the 1e-12 slack in
     # log domain keeps that admissible boundary case from failing on
@@ -217,20 +219,8 @@ def error_bound(
             f"delta0={cap:g} at c={c:g}"
         )
 
-    n, beta, sigma = spec.n, spec.beta, spec.sigma
     half_log_nalpha = 0.5 * (math.log(n) + dc.log_alpha_n)
     half_log_delta_prod = 0.5 * dc.log_delta_product
-    if regime is Regime.BETA_NEG1_1D:
-        const = ((beta - 3.0) / 4.0) * _LN2 - 0.5 * _LNPI
-        core = log_h_beta_neg1_oned(c, sigma)
-    elif regime is Regime.BETA_POS:
-        const = ((n + beta + 1.0) / 4.0) * _LN2 + ((n + 1.0) / 4.0) * _LNPI + dc.log_d0
-        core = log_h_general(c, n, beta, sigma)
-    else:
-        # beta = -1 in n >= 2 and the general regime share one bound shape
-        const = -(3.0 * n / 4.0) * (_LN2 + _LNPI)
-        core = log_h_general(c, n, beta, sigma)
-
     log_norm = math.log(f_norm) if f_norm > 0.0 else -math.inf
     return (
         const

@@ -14,7 +14,6 @@ from mqshape import (
     kind_for,
     log_h_beta_neg1_multid,
     log_h_beta_neg1_oned,
-    log_h_beta_pos,
     log_h_general,
     log_h_unified,
     log_lambda_pow,
@@ -157,24 +156,20 @@ class TestPositiveBetaCriterion:
     def test_interior_critical_point(self):
         # n=3, beta=1, sigma=1: the curve dips exactly at 1/sqrt(6)
         c0 = 1.0 / math.sqrt(6.0)
-        below = log_h_beta_pos(c0 * 0.999, 3, 1.0, 1.0)
-        above = log_h_beta_pos(c0 * 1.001, 3, 1.0, 1.0)
-        at = log_h_beta_pos(c0, 3, 1.0, 1.0)
+        below = log_h_general(c0 * 0.999, 3, 1.0, 1.0)
+        above = log_h_general(c0 * 1.001, 3, 1.0, 1.0)
+        at = log_h_general(c0, 3, 1.0, 1.0)
         assert at < below and at < above
-        assert log_h_beta_pos(1e-6, 3, 1.0, 1.0) > at
-        assert log_h_beta_pos(1e3, 3, 1.0, 1.0) > at
+        assert log_h_general(1e-6, 3, 1.0, 1.0) > at
+        assert log_h_general(1e3, 3, 1.0, 1.0) > at
 
     def test_nondecreasing_when_no_interior_point(self):
         # n=1, beta=1: 1+beta-n >= 0, curve never descends
         spec = _spec(n=1, beta=1.0, delta=0.01)
         dc = derive_constants(spec)
         cs = np.geomspace(dc.log_c_min.value, 1e3, 100)
-        vals = [log_h_beta_pos(float(c), 1, 1.0, 1.0) for c in cs]
+        vals = [log_h_general(float(c), 1, 1.0, 1.0) for c in cs]
         assert all(vals[i + 1] >= vals[i] for i in range(len(vals) - 1))
-
-    def test_rejects_negative_beta(self):
-        with pytest.raises(SpecError):
-            log_h_beta_pos(1.0, 1, -1.0, 1.0)
 
 
 class TestGeneralCore:
@@ -201,18 +196,25 @@ class TestGeneralCore:
             assert a == pytest.approx(b, abs=1e-10 * max(1.0, abs(b)))
 
     def test_matches_positive_beta_form(self):
-        assert log_h_general(0.7, 2, 1.5, 1.0) == log_h_beta_pos(0.7, 2, 1.5, 1.0)
+        # beta > 0 has no formula of its own: the criterion is the core
+        spec = _spec(n=2, beta=1.5, delta=1e-3)
+        dc = derive_constants(spec)
+        assert log_h_unified(0.7, spec, dc, kind_for(spec)) == log_h_general(0.7, 2, 1.5, 1.0)
 
     def test_rejects_uncovered_combination(self):
         with pytest.raises(SpecError):
             log_h_general(1.0, 1, -1.5, 1.0)  # |n+beta| < 1
+        with pytest.raises(SpecError):
+            log_h_general(1.0, 1, -1.0, 1.0)  # 1-D beta=-1 has its own formula
 
 
 class TestRegimeSelection:
     def test_most_specific_regime(self):
-        assert regime_for(2, -1.0) is Regime.BETA_NEG1_MULTI
+        # two formulas: 1-D beta=-1, and the core for everything else
+        assert set(Regime) == {Regime.BETA_NEG1_1D, Regime.GENERAL}
         assert regime_for(1, -1.0) is Regime.BETA_NEG1_1D
-        assert regime_for(1, 1.0) is Regime.BETA_POS
+        assert regime_for(2, -1.0) is Regime.GENERAL
+        assert regime_for(1, 1.0) is Regime.GENERAL
         assert regime_for(1, -2.0) is Regime.GENERAL
         assert regime_for(3, -1.5) is Regime.GENERAL
 
@@ -286,8 +288,8 @@ class TestUnified:
         spec = _spec(n=2, delta=1e-3)
         dc = derive_constants(spec)
         kind = kind_for(spec)
-        assert kind.regime is Regime.BETA_NEG1_MULTI
-        assert log_h_unified(0.8, spec, dc, kind) == log_h_beta_neg1_multid(0.8, 2, 1.0)
+        assert kind.regime is Regime.GENERAL
+        assert log_h_unified(0.8, spec, dc, kind) == log_h_general(0.8, 2, -1.0, 1.0)
 
     def test_fixed_b0_equals_practical_plus_constant_beyond_knee(self):
         spec_fb = _spec(b0=1.0, delta=0.01, mode=Mode.FIXED_B0)
@@ -318,7 +320,7 @@ class TestUnified:
         spec = _spec(n=1, beta=-1.0)
         dc = derive_constants(spec)
         with pytest.raises(SpecError):
-            log_h_unified(1.0, spec, dc, CriterionKind(Regime.BETA_POS, Mode.PRACTICAL))
+            log_h_unified(1.0, spec, dc, CriterionKind(Regime.GENERAL, Mode.PRACTICAL))
 
     @pytest.mark.parametrize(
         "n, beta, mode",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mqshape import (
     Mode,
@@ -9,20 +10,23 @@ from mqshape import (
     PreconditionError,
     ProblemSpec,
     SpecError,
-    case3_start_value,
     critical_point_case1,
     derive_constants,
     kind_for,
     log_h_beta_neg1_multid,
-    log_h_beta_pos,
+    log_h_general,
     log_h_unified,
     minimize_scalar,
     optimal_c,
+    optimizer,
 )
+from mqshape.criterion import case2_sq_derivative
 
 # bounded-search oracles (independent high-precision runs)
 DI_ARGMIN = 12.377774689597498  # n=1, beta=-1, sigma=1, delta=1e-4
 ONE_D_ARGMIN = 0.5166224878150684  # n=1, beta=-1, sigma=1, practical
+# root of -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2), correctly rounded
+ONED_U_STAR = 0.5166224863922065
 
 
 def _lhs_case1(c, n, sigma):
@@ -45,7 +49,7 @@ class TestMinimizeScalar:
 
     def test_positive_beta_criterion(self):
         x, _ = minimize_scalar(
-            lambda c: log_h_beta_pos(c, 3, 1.0, 1.0), 1e-3, 10.0, tol=1e-8
+            lambda c: log_h_general(c, 3, 1.0, 1.0), 1e-3, 10.0, tol=1e-8
         )
         assert x == pytest.approx(0.408248, abs=1e-4)
         assert x == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-6)
@@ -114,19 +118,33 @@ class TestCriticalPointCase1:
             critical_point_case1(1, 1.0)
 
 
-class TestCase3Start:
-    def test_examples(self):
-        assert case3_start_value(3, 1.0, 1.0) == pytest.approx(
-            1.0 / math.sqrt(6.0), rel=1e-14
-        )
-        assert case3_start_value(1, 1.0, 1.0) is None
-        assert case3_start_value(5, 1.0, 2.0) == pytest.approx(
-            3.0 / math.sqrt(20.0), rel=1e-14
-        )
+def _practical(n, beta, sigma, delta=1e-300):
+    spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=delta)
+    return optimal_c(spec, derive_constants(spec))
 
-    def test_rejects_negative_beta(self):
-        with pytest.raises(SpecError):
-            case3_start_value(3, -1.0, 1.0)
+
+class TestCase3Start:
+    """Practical mode returns the core's critical point
+    (n-1-beta)/sqrt(2 n sigma) itself, with no search."""
+
+    def test_examples(self):
+        for n, beta, sigma in [(3, 1.0, 1.0), (3, 0.5, 2.0), (2, 0.5, 0.3)]:
+            r = _practical(n, beta, sigma)
+            assert r.c_star == (n - 1.0 - beta) / math.sqrt(2.0 * n * sigma)
+            assert not r.clamped_lower and r.iterations == 0
+        # 1 + beta - n >= 0: the core never descends, so c* = c_min
+        spec = ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=1e-300)
+        dc = derive_constants(spec)
+        r = optimal_c(spec, dc)
+        assert r.clamped_lower and r.c_star == dc.log_c_min.value
+
+    def test_negative_beta_core(self):
+        for n, beta, sigma in [
+            (2, -1.0, 1.0), (3, -1.0, 4.0), (2, -0.5, 1.5), (3, -1.5, 0.3), (1, -2.0, 2.0)
+        ]:
+            r = _practical(n, beta, sigma)
+            assert r.c_star == (n - 1.0 - beta) / math.sqrt(2.0 * n * sigma)
+            assert not r.clamped_lower and r.iterations == 0
 
 
 class TestOptimalC:
@@ -137,7 +155,7 @@ class TestOptimalC:
         assert r.c_star == pytest.approx(0.408248, abs=1e-4)
         assert not r.clamped_lower
         assert r.log_h_star == pytest.approx(
-            log_h_beta_pos(r.c_star, 3, 1.0, 1.0), abs=1e-14
+            log_h_general(r.c_star, 3, 1.0, 1.0), abs=1e-14
         )
 
     def test_clamped_when_curve_never_descends(self):
@@ -278,9 +296,78 @@ class TestOptimalC:
         assert results[4.0] == pytest.approx(results[1.0] / 2.0, rel=1e-6)
 
 
+class TestPracticalClosedForm:
+    @pytest.mark.parametrize("sigma", [0.25, 1.0, 1.5, 4.0])
+    def test_oned_optimum_is_the_derivative_root(self, sigma):
+        # d(H^2)/dc changes sign from - to + at the returned c*
+        r = _practical(1, -1.0, sigma)
+        assert r.c_star == ONED_U_STAR / math.sqrt(sigma)
+        assert case2_sq_derivative(r.c_star * (1.0 - 1e-9), sigma) < 0.0
+        assert case2_sq_derivative(r.c_star * (1.0 + 1e-9), sigma) > 0.0
+
+    @pytest.mark.parametrize("n, beta", [(1, -1.0), (3, 1.0), (1, 1.0)])
+    def test_one_criterion_evaluation(self, n, beta, monkeypatch):
+        calls = []
+
+        def counted(c, *args):
+            calls.append(c)
+            return log_h_unified(c, *args)
+
+        monkeypatch.setattr(optimizer, "log_h_unified", counted)
+        r = _practical(n, beta, 1.0)
+        assert calls == [r.c_star]
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        beta=st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 3.0]),
+        log_sigma=st.floats(math.log(0.25), math.log(4.0)),
+        log_c_min=st.floats(math.log(0.05), math.log(20.0)),
+        mode=st.sampled_from(list(Mode)),
+    )
+    def test_no_grid_point_beats_the_optimum(self, n, beta, log_sigma, log_c_min, mode):
+        assume(abs(n + beta) >= 1.0 or (n, beta) == (1, -1.0))
+        sigma = math.exp(log_sigma)
+        unit = derive_constants(ProblemSpec(n=n, beta=beta, sigma=sigma, delta=1.0))
+        delta = math.exp(log_c_min - 0.5 * log_sigma - unit.log_c_min.log_value)
+        assume(delta < 1.0 / (4.0 * unit.gamma_n * (unit.m + 1)))
+        spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=delta, b0=1.0, mode=mode)
+        dc = derive_constants(spec)
+        r = optimal_c(spec, dc)
+        assert r.bracket[0] <= r.c_star <= r.bracket[1]
+        kind = kind_for(spec)
+        grid_min = min(
+            log_h_unified(float(c), spec, dc, kind) for c in np.geomspace(*r.bracket, 2000)
+        )
+        assert log_h_unified(r.c_star, spec, dc, kind) <= grid_min + 1e-9
+
+
+def test_cap_stays_finite_for_small_sigma():
+    # 8e307 / sigma overflows for sigma < 0.445, and the uncapped interval
+    # reached c ~ 1e205, where the criterion is not finite
+    for mode in (Mode.PRACTICAL, Mode.FIXED_B0):
+        spec = ProblemSpec(n=3, beta=1.0, sigma=0.3, delta=1e-200, b0=1.0, mode=mode)
+        dc = derive_constants(spec)
+        r = optimal_c(spec, dc)
+        assert r.clamped_lower and r.c_star == dc.log_c_min.value
+        assert r.c_star == pytest.approx(5.76e6, rel=1e-3)
+        assert math.isfinite(r.log_h_star) and math.isfinite(r.bracket[1])
+
+
+def test_multid_inverse_multiquadric_finite_up_to_the_cap():
+    # the product form's c^2 + cR overflowed below the cap (c ~ 1.26e154)
+    spec = ProblemSpec(n=3, beta=-1.0, sigma=0.5, delta=1e-200, b0=1.0, mode=Mode.FIXED_B0)
+    dc = derive_constants(spec)
+    r = optimal_c(spec, dc)
+    assert r.clamped_lower and r.c_star == dc.log_c_min.value
+    assert math.isfinite(r.log_h_star)
+
+
 # Results of optimal_c recorded, as hex floats, from the numpy scan
 # (np.linspace points, np.argmin) that the pure-Python scan must reproduce
-# to the bit.  Every regime and mode; sigma = 1.5, b0 = 1, and delta puts
+# to the bit in the fixed-b0 and dilation-invariant modes.  Practical mode
+# was recorded from the same scan and is now checked against its closed
+# form.  Every (n, beta) and mode; sigma = 1.5, b0 = 1, and delta puts
 # c_min at 0.05 / sqrt(sigma) (interior optimum) or 20 / sqrt(sigma)
 # (clamped).  Columns: n, beta, mode, delta, c_star, log_h_star,
 # clamped_lower, iterations, bracket.
@@ -396,6 +483,15 @@ OPTIMAL_C_PINS = [
 ]
 
 
+# The cap c_hi does not depend on the mode, so the practical rows share the
+# bracket pinned for fixed-b0 at the same (n, beta, delta).
+_SCAN_BRACKETS = {
+    (n, beta, delta): bracket
+    for n, beta, mode, delta, *_, bracket in OPTIMAL_C_PINS
+    if mode == "fixed-b0"
+}
+
+
 @pytest.mark.parametrize(
     "n, beta, mode, delta, c_star, log_h_star, clamped, iterations, bracket",
     OPTIMAL_C_PINS,
@@ -406,9 +502,33 @@ def test_optimal_c_bitwise_pinned(
     spec = ProblemSpec(
         n=n, beta=beta, sigma=1.5, delta=float.fromhex(delta), b0=1.0, mode=Mode(mode)
     )
-    result = optimal_c(spec, derive_constants(spec))
+    dc = derive_constants(spec)
+    result = optimal_c(spec, dc)
+    # beta=-1, n>=2 was recorded with the product form, which is the core
+    # plus the constant (n/4) log(4/sigma)
+    pinned = float.fromhex(log_h_star)
+    offset = 0.25 * n * math.log(4.0 / 1.5) if beta == -1.0 and n >= 2 else 0.0
+    log_h_tol = 1e-15 * max(1.0, abs(pinned))
+    if mode == "practical":
+        # closed form max(c_min, critical point) in place of the recorded
+        # scan; the bracket is the whole capped interval, as in the other modes
+        if n == 1 and beta == -1.0:
+            start = ONED_U_STAR / math.sqrt(1.5)
+        else:
+            p = n - 1.0 - beta
+            start = p / math.sqrt(2.0 * n * 1.5) if p > 0.0 else 0.0
+        assert result.c_star == max(dc.log_c_min.value, start)
+        assert result.c_star == pytest.approx(float.fromhex(c_star), rel=5e-8)
+        assert abs(result.log_h_star - (pinned - offset)) <= log_h_tol
+        assert result.clamped_lower is clamped
+        assert result.iterations == 0
+        assert tuple(b.hex() for b in result.bracket) == _SCAN_BRACKETS[n, beta, delta]
+        return
     assert result.c_star.hex() == c_star
-    assert result.log_h_star.hex() == log_h_star
+    if offset:
+        assert abs(result.log_h_star - (pinned - offset)) <= log_h_tol
+    else:
+        assert result.log_h_star.hex() == log_h_star
     assert result.clamped_lower is clamped
     assert result.iterations == iterations
     assert tuple(b.hex() for b in result.bracket) == bracket
