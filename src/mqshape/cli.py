@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     SpecError,
 )
-from .optimizer import optimal_c
+from .optimizer import finite_c_cap, optimal_c
 
 __all__ = ["main", "build_parser"]
 
@@ -204,11 +204,13 @@ def _cmd_criterion(args) -> str:
     spec = _spec_from_args(args)
     dc = derive_constants(spec)
     kind = kind_for(spec)
+    cap = finite_c_cap(spec.sigma)
     c_lo = args.c_lo
     if c_lo is None:
-        if dc.log_c_min.log_value > 700.0:
+        if not dc.log_c_min.log_value < math.log(cap):
             raise NumericError(
-                "c_min overflows double precision; pass --c-lo explicitly"
+                f"c_min lies beyond c = {cap:g}, where the criterion stops being "
+                "finite in double precision; pass --c-lo explicitly"
             )
         c_lo = dc.log_c_min.value
     c_hi = args.c_hi
@@ -216,6 +218,7 @@ def _cmd_criterion(args) -> str:
         c_hi = 1e3 * max(1.0, c_lo)
         if dc.log_c0 is not None and dc.log_c0.log_value < math.log(1e306):
             c_hi = max(c_hi, 10.0 * dc.log_c0.value)
+        c_hi = min(c_hi, cap)
     samples = sample_curve(spec, dc, kind, c_lo, c_hi, args.count)
     if args.format == "json":
         return _json([{"c": s.c, "logH": s.log_h} for s in samples])

@@ -36,6 +36,7 @@ __all__ = [
     "OptimalResult",
     "minimize_scalar",
     "critical_point_case1",
+    "finite_c_cap",
     "optimal_c",
 ]
 
@@ -193,6 +194,13 @@ def _interior_start(spec: ProblemSpec, regime: Regime) -> Optional[float]:
     return p / math.sqrt(2.0 * spec.n * spec.sigma)
 
 
+def finite_c_cap(sigma: float) -> float:
+    """Largest c at which the criterion stays finite in double precision:
+    it keeps sigma c^2 / 8, the criterion's growth, representable.  For
+    sigma below ~0.45 the quotient alone overflows, hence the min."""
+    return math.sqrt(min(8e307 / sigma, sys.float_info.max))
+
+
 def optimal_c(
     spec: ProblemSpec, dc: DerivedConstants, tol: float = 1e-8
 ) -> OptimalResult:
@@ -228,10 +236,7 @@ def optimal_c(
     c_hi = max(1e3 * scale, 10.0 * c_min)
     if dc.log_c0 is not None and dc.log_c0.log_value < math.log(1e306):
         c_hi = max(c_hi, 10.0 * dc.log_c0.value)
-    # keep sigma * c^2 / 8 (the criterion's growth) representable; for
-    # sigma < ~0.45 the quotient alone overflows
-    guard = math.sqrt(min(8e307 / spec.sigma, sys.float_info.max))
-    c_hi = min(c_hi, guard)
+    c_hi = min(c_hi, finite_c_cap(spec.sigma))
     if not c_hi > c_min * (1.0 + 1e-12):
         raise NumericError(
             f"admissible interval [{c_min:g}, {c_hi:g}] collapses under the "

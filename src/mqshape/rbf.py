@@ -9,18 +9,19 @@ reports as a :class:`ConditioningError`.  For beta > 0 the kernel is
 conditionally positive definite of order m = ceil(beta/2) and the
 interpolant carries a polynomial tail of degree m - 1 plus moment side
 conditions on the kernel coefficients; for beta < 0 the tail is empty.
-The saddle system is factored once by a partially pivoted LU.  That one
-factorization gives the solve, the 1-norm condition estimate (LAPACK
-``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and Stability
-of Numerical Algorithms*, ch. 15) and two steps of iterative refinement
-with extended-precision residuals.  ``scipy.linalg`` is imported on the
-first factorization, not with this module, so the criterion and
-optimizer never load scipy.
+The saddle system is factored once by a partially pivoted LU and solved
+once.  That one factorization also gives the 1-norm condition estimate
+(LAPACK ``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 15).  ``scipy.linalg`` is
+imported on the first factorization, not with this module, so the
+criterion and optimizer never load scipy.
 
 Distances are taken per axis on coordinates centred on the node cube, so
-an offset cube loses no digits to cancellation, and :func:`evaluate`
-works through fixed-size row blocks (:func:`_row_reduce`), so its memory
-does not grow with the number of evaluation points.
+an offset cube loses no digits to cancellation.  The polynomial tail is
+built in the same frame, scaled to [-1, 1]^n, so its coefficients refer
+to the cube and not to the origin.  :func:`evaluate` works through
+fixed-size row blocks (:func:`_row_reduce`), so its memory does not grow
+with the number of evaluation points.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -214,7 +215,10 @@ def poly_basis(m: int, n: int) -> List[Tuple[int, ...]]:
     return basis
 
 
-def _poly_matrix(exponents: Sequence[Tuple[int, ...]], pts: np.ndarray) -> np.ndarray:
+def _poly_matrix(exponents, nodes: NodeSet, x: np.ndarray) -> np.ndarray:
+    """Monomials at the rows of x in the cube frame: coordinates centred
+    on the node cube and scaled to [-1, 1]^n."""
+    pts = _centred(nodes, x) / (0.5 * nodes.cube[1])
     q = len(exponents)
     p = np.ones((pts.shape[0], q))
     for j, expo in enumerate(exponents):
@@ -226,7 +230,8 @@ def _poly_matrix(exponents: Sequence[Tuple[int, ...]], pts: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Fitted interpolant: kernel part plus optional polynomial tail."""
+    """Fitted interpolant: kernel part plus optional polynomial tail,
+    whose ``poly_coeffs`` act on cube-frame coordinates (:func:`_poly_matrix`)."""
 
     kernel: Kernel
     nodes: NodeSet
@@ -279,7 +284,7 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     q = len(exponents)
     if not q:
         return a, None, exponents
-    p = _poly_matrix(exponents, nodes.points)
+    p = _poly_matrix(exponents, nodes, nodes.points)
     return np.block([[a, p], [p.T, np.zeros((q, q))]]), p, exponents
 
 
@@ -302,7 +307,6 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     saddle, p, exponents = _saddle(kernel, nodes)
     q = len(exponents)
     a = saddle[:n_nodes, :n_nodes]
-    rhs = np.concatenate([values, np.zeros(q)])
     if q:
         svals = np.linalg.svd(p, compute_uv=False)
         if svals[-1] <= 1e-10 * svals[0]:
@@ -311,11 +315,11 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
                 "polynomial tail"
             )
 
-    # One LU serves the solve, the condition estimate and the refinement.
+    # One LU serves the solve and the condition estimate.
     cond = math.inf
     try:
         solve, cond = _factor(saddle)
-        solution = solve(rhs)
+        solution = solve(np.concatenate([values, np.zeros(q)]))
     except (np.linalg.LinAlgError, ValueError) as exc:  # scipy raises numpy's
         raise ConditioningError(
             f"saddle system is numerically singular (cond ~ {cond:.3e})",
@@ -326,19 +330,6 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
             f"saddle solve produced non-finite coefficients (cond ~ {cond:.3e})",
             condition_estimate=cond,
         )
-    # Iterative refinement with extended-precision residuals pushes the
-    # node-reproduction residual toward roundoff for moderately
-    # ill-conditioned systems (flat kernels stay beyond rescue).
-    a_ext = saddle.astype(np.longdouble)
-    b_ext = rhs.astype(np.longdouble)
-    for _ in range(2):
-        resid = np.asarray(b_ext - a_ext @ solution.astype(np.longdouble), dtype=float)
-        if not np.isfinite(resid).all():
-            break
-        update = solve(resid)
-        if not np.isfinite(update).all():
-            break
-        solution = solution + update
 
     coef = solution[:n_nodes]
     poly = solution[n_nodes:]
@@ -374,7 +365,7 @@ def evaluate(interp: Interpolant, x) -> np.ndarray:
         lambda d2: interp.kernel.radial(d2) @ interp.kernel_coeffs,
     )
     if interp.poly_exponents:
-        s = s + _poly_matrix(interp.poly_exponents, pts) @ interp.poly_coeffs
+        s = s + _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs
     return float(s[0]) if single else s
 
 

@@ -131,6 +131,26 @@ class TestCriterionCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 6
 
+    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    def test_default_range_ends_at_the_finite_cap(self, capsys, beta):
+        # 10 * c0 ~ 1e205 lies past the cap, where log H is nan
+        flags = ["--n", "3", "--beta", repr(beta), "--delta", "1e-200", "--b0", "1",
+                 "--mode", "fixed-b0"]
+        code, out, _ = run_cli(capsys, ["criterion", *flags])
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert len(rows) == 200 and all(math.isfinite(float(h)) for _, h in rows)
+        code, out, _ = run_cli(capsys, ["optimize", *flags])
+        assert code == 0 and float(rows[-1][0]) == json.loads(out)["bracket"][1]
+
+    def test_default_range_beyond_the_finite_cap_is_refused(self, capsys):
+        # c_min ~ 5.8e166 lies past the cap ~ 8.9e153
+        code, out, err = run_cli(
+            capsys,
+            ["criterion", "--n", "3", "--beta", "1", "--delta", "1e-40", "--b0", "1"],
+        )
+        assert code == 3 and out == "" and "--c-lo" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -244,6 +244,23 @@ class TestExperiments:
         assert rep.delta_measured == pytest.approx(0.05, rel=1e-6)
         assert rep.max_error_measured < 1.0  # loose bound, sane interpolant
 
+    @pytest.mark.parametrize(
+        "count, ceiling",
+        # measured 2.5e-5 and 1.1e-8 from one solve; 9.4e-4 and 2.2e-6 with
+        # two refinement steps, which diverge at this cond (~1e18-1e20)
+        [(41, 1.5e-4), (641, 1.5e-7)],
+    )
+    def test_error_at_optimal_c_is_that_of_one_solve(self, count, ceiling):
+        nodes = uniform_grid(np.zeros(1), 1.0, count, 1)
+        spec = ProblemSpec(
+            n=1, beta=-1.0, sigma=1.0, delta=0.5 / (count - 1), b0=1.0, mode=Mode.FIXED_B0
+        )
+        c = optimal_c(spec, derive_constants(spec)).c_star
+        f = GaussianBump(a=0.25, n=1, center=(0.5,))
+        rep = run_bound_experiment(spec, f, nodes, c, eval_grid=4001)
+        assert rep.satisfied
+        assert rep.max_error_measured < ceiling
+
     def test_halving_spacing_reduces_error(self):
         f = GaussianBump(a=1.0, n=1, center=(0.0,))
         spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=1.0, b0=25.6)
