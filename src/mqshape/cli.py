@@ -205,14 +205,13 @@ def _cmd_criterion(args) -> str:
     dc = derive_constants(spec)
     kind = kind_for(spec)
     cap = finite_c_cap(spec.sigma)
-    c_lo = args.c_lo
-    if c_lo is None:
-        if not dc.log_c_min.log_value < math.log(cap):
-            raise NumericError(
-                f"c_min lies beyond c = {cap:g}, where the criterion stops being "
-                "finite in double precision; pass --c-lo explicitly"
-            )
-        c_lo = dc.log_c_min.value
+    c_lo = dc.log_c_min.value if args.c_lo is None else args.c_lo
+    if c_lo >= cap:
+        raise NumericError(
+            f"range start c_lo = {c_lo:g} is not below the finite cap {cap:g}, "
+            "beyond which the criterion is not finite in double precision; "
+            "pass a smaller --c-lo"
+        )
     c_hi = args.c_hi
     if c_hi is None:
         c_hi = 1e3 * max(1.0, c_lo)

@@ -2,23 +2,36 @@
 
 The admissible interval for the shape parameter is [c_min, infinity) with
 c_min = 12 rho sqrt(n) e^{2 n gamma_n} gamma_n (m+1) delta.  Every
-supported criterion grows without bound as c -> infinity, so the interval
-is capped at a finite right endpoint, recorded in the result for audit.
+supported criterion grows without bound as c -> infinity, but in double
+precision it can only be evaluated up to a finite cap, so the interval
+searched is [c_min, cap], recorded in the result for audit.
 
-In practical mode the minimizer of the bare criterion is known in closed
-form, so no search is made:
+The minimizer is found with no scan.  Below the knee c0 of the
+convergence factor (everywhere in dilation-invariant mode) the mode adds
+-eta c to log H, eta = |eta(delta)|; beyond c0, and in practical mode,
+it adds a constant (eta = 0).  The criterion is evaluated at c_min, at
+the stationary points of log H_core - eta c on each piece, and at c0;
+the least value wins.  The stationary points are known in closed form:
 
-* for the general core it is (n - 1 - beta) / sqrt(2 n sigma) when
-  1 + beta - n < 0; otherwise the core is nondecreasing;
-* for beta = -1, n = 1 it is u*/sqrt(sigma), with u* the root of
-  -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2) on the small-c branch.
+* for the general core the slope is -p/(4c) + xi*(c)/2 - eta with
+  p = n - 1 - beta and q = n + beta + 1, whose zeros are
+  c = 2 xi/sigma - q/(2 xi) for the positive roots xi of
+  2 xi^3 - 4 eta xi^2 - n sigma xi + eta q sigma = 0; at eta = 0 the
+  only one is p / sqrt(2 n sigma), when p > 0;
+* for beta = -1, n = 1 the slope is sqrt(sigma) D(c sqrt(sigma)) - eta
+  for one fixed function D, which rises from -inf through 0 at u*, peaks
+  at t_peak, dips at the branch point 2/sqrt(3) and then grows like t/4;
+  the local minima are where D = eta/sqrt(sigma) on the two rising
+  stretches, and at eta = 0 the only one is u*/sqrt(sigma), u* the root
+  of -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2).
 
-The optimum is that point or c_min, whichever is larger.  The fixed-b0
-and dilation-invariant modes add a convergence factor that moves the
-minimizer, and are minimized by a log-spaced scan with golden-section
-refinement.  For beta = -1, n >= 2 the critical point is also the unique
-root of an explicit monotone equation, solved by bisection in
-:func:`critical_point_case1` as an independent check.
+Beyond the cap the slope only grows, so a criterion that still falls
+there has its minimizer beyond it, near 4 eta/sigma, where log H is about
+-2 eta^2/sigma, far below any value under the cap; it cannot be
+evaluated, and is refused.  For beta = -1, n >= 2 the
+critical point is also the unique root of an explicit monotone equation,
+solved by bisection in :func:`critical_point_case1` as an independent
+check.
 """
 
 from __future__ import annotations
@@ -26,10 +39,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .constants import DerivedConstants, Mode, ProblemSpec
-from .criterion import Regime, kind_for, log_h_unified
+from .criterion import (
+    _LOG_2_SQRT3,
+    _LOG_INV_LN2,
+    Regime,
+    kind_for,
+    log_h_unified,
+    xi_star,
+)
 from .errors import NumericError, PreconditionError, SpecError
 
 __all__ = [
@@ -42,8 +62,10 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 64
-# u* of the module docstring, correctly rounded
+# u* and t_peak of the module docstring, correctly rounded
 _ONED_U_STAR = 0.5166224863922065
+_ONED_T_PEAK = 0.6806753792204169
+_ONED_BRANCH = 2.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -51,9 +73,9 @@ class OptimalResult:
     """Minimizer record for one criterion curve.
 
     ``clamped_lower`` is set when the minimum sits at the admissible lower
-    endpoint (the curve never decreases inside the interval); ``bracket``
-    is the interval that was actually searched, including the finite cap
-    used in place of infinity.
+    endpoint c_min; ``bracket`` is the interval searched, [c_min, cap]
+    with the finite cap of :func:`finite_c_cap` in place of infinity.
+    The minimizer is found in closed form, so ``iterations`` is always 0.
     """
 
     c_star: float
@@ -63,14 +85,6 @@ class OptimalResult:
     bracket: Tuple[float, float]
 
 
-@dataclass(frozen=True)
-class _ScanResult:
-    x: float
-    fx: float
-    iterations: int
-    at_lower: bool
-
-
 def _eval_checked(f: Callable[[float], float], x: float) -> float:
     v = f(x)
     if not math.isfinite(v):
@@ -78,9 +92,17 @@ def _eval_checked(f: Callable[[float], float], x: float) -> float:
     return v
 
 
-def _minimize_info(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> _ScanResult:
+def minimize_scalar(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8
+) -> Tuple[float, float]:
+    """Minimize a scalar function on [lo, hi] to relative tolerance tol.
+
+    A 64-point log-spaced scan brackets the minimum, then golden-section
+    refinement narrows it.  For unimodal f the result is within tol*x of
+    the true argmin; monotone functions return the matching endpoint.
+    Deterministic; raises :class:`NumericError` if f is non-finite
+    anywhere it is probed.
+    """
     if not (0.0 < lo < hi):
         raise SpecError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if tol <= 0.0:
@@ -113,25 +135,9 @@ def _minimize_info(
         if iterations > 400:
             break
     x = math.exp(0.5 * (a + b))
-    at_lower = i == 0 and (x - lo) <= 4.0 * tol * lo
-    if at_lower:
+    if i == 0 and (x - lo) <= 4.0 * tol * lo:
         x = lo
-    return _ScanResult(x=x, fx=_eval_checked(f, x), iterations=iterations, at_lower=at_lower)
-
-
-def minimize_scalar(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8
-) -> Tuple[float, float]:
-    """Minimize a scalar function on [lo, hi] to relative tolerance tol.
-
-    A 64-point log-spaced scan brackets the minimum, then golden-section
-    refinement narrows it.  For unimodal f the result is within tol*x of
-    the true argmin; monotone functions return the matching endpoint.
-    Deterministic; raises :class:`NumericError` if f is non-finite
-    anywhere it is probed.
-    """
-    info = _minimize_info(f, lo, hi, tol)
-    return info.x, info.fx
+    return x, _eval_checked(f, x)
 
 
 def _case1_lhs_log(c: float, n: int, sigma: float) -> float:
@@ -184,16 +190,6 @@ def critical_point_case1(n: int, sigma: float, tol: float = 1e-10) -> float:
     return math.exp(0.5 * (ua + ub))
 
 
-def _interior_start(spec: ProblemSpec, regime: Regime) -> Optional[float]:
-    """Minimizer of the bare criterion, when it is interior."""
-    if regime is Regime.BETA_NEG1_1D:
-        return _ONED_U_STAR / math.sqrt(spec.sigma)
-    p = spec.n - 1.0 - spec.beta
-    if p <= 0.0:
-        return None
-    return p / math.sqrt(2.0 * spec.n * spec.sigma)
-
-
 def finite_c_cap(sigma: float) -> float:
     """Largest c at which the criterion stays finite in double precision:
     it keeps sigma c^2 / 8, the criterion's growth, representable.  For
@@ -201,19 +197,140 @@ def finite_c_cap(sigma: float) -> float:
     return math.sqrt(min(8e307 / sigma, sys.float_info.max))
 
 
-def optimal_c(
-    spec: ProblemSpec, dc: DerivedConstants, tol: float = 1e-8
-) -> OptimalResult:
+def _oned_rate(t: float) -> float:
+    """D(t): the slope of the beta = -1, n = 1 criterion is
+    sqrt(sigma) D(c sqrt(sigma)).
+
+    D(t) = -1/(2t) + w (log M)'(t)/2, with w the weight of the M term in
+    log(1/ln 2 + 2 sqrt(3) M) and M as in
+    :func:`mqshape.criterion.log_h_beta_neg1_oned` at sigma = 1.
+    """
+    if t <= _ONED_BRANCH:
+        t2 = t * t
+        log_m = 1.0 - 1.0 / t2 if t2 > 0.0 else -math.inf
+    else:
+        x = 0.25 * (t + math.hypot(t, 2.0))
+        log_m = 0.5 * math.log(t * x) + t * x - x * x
+    z = _LOG_2_SQRT3 + log_m - _LOG_INV_LN2
+    if z >= 0.0:
+        w = 1.0 / (1.0 + math.exp(-z))
+    else:
+        w = math.exp(z) / (1.0 + math.exp(z))
+    if w == 0.0:
+        return -0.5 / t
+    d_log_m = 2.0 / (t * t * t) if t <= _ONED_BRANCH else 0.5 / t + x
+    return -0.5 / t + 0.5 * w * d_log_m
+
+
+def _bisect(f: Callable[[float], float], target: float, a: float, b: float) -> float:
+    """Where the increasing f reaches target in [a, b], f(a) <= target <=
+    f(b), to the last bit; geometric midpoints, since b/a may be huge."""
+    while True:
+        m = math.sqrt(a) * math.sqrt(b)
+        if not a < m < b:
+            return a
+        if f(m) < target:
+            a = m
+        else:
+            b = m
+
+
+def _oned_stationary(sigma: float, eta: float, lo: float, hi: float) -> List[float]:
+    """Local minima of log H - eta c for beta = -1, n = 1; for eta > 0
+    only those in [lo, hi] are sought."""
+    if eta == 0.0:
+        return [_ONED_U_STAR / math.sqrt(sigma)]
+    rs = math.sqrt(sigma)
+    r = eta / rs
+    roots = []
+    # the two stretches on which D rises through positive values
+    for a, b in ((_ONED_U_STAR, _ONED_T_PEAK), (_ONED_BRANCH, math.inf)):
+        a, b = max(a, lo * rs), min(b, hi * rs)
+        if a < b and _oned_rate(a) <= r <= _oned_rate(b):
+            roots.append(_bisect(_oned_rate, r, a, b) / rs)
+    return roots
+
+
+def _cubic_roots(b: float, c: float, d: float) -> List[float]:
+    """Real roots of t^3 + b t^2 + c t + d for c - b^2/3 < 0, which holds
+    for every cubic solved here."""
+    shift = b / 3.0
+    p = c - b * shift
+    q = d - shift * (c - 2.0 * shift * shift)
+    m = 2.0 * math.sqrt(-p / 3.0)
+    k = 3.0 * q / (p * m)
+    if abs(k) <= 1.0:
+        theta = math.acos(k) / 3.0
+        ys = [m * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3)]
+    else:
+        ys = [-math.copysign(m * math.cosh(math.acosh(abs(k)) / 3.0), q)]
+    return [y - shift for y in ys]
+
+
+def _core_slope(c: float, n: int, beta: float, sigma: float, eta: float) -> float:
+    """d/dc of log H_core - eta c, by the envelope theorem."""
+    return -(n - 1.0 - beta) / (4.0 * c) + 0.5 * xi_star(c, sigma, n + beta + 1.0) - eta
+
+
+def _core_stationary(n: int, beta: float, sigma: float, eta: float) -> List[float]:
+    """Stationary points of log H_core - eta c for the general core."""
+    p = n - 1.0 - beta
+    if eta == 0.0:
+        return [p / math.sqrt(2.0 * n * sigma)] if p > 0.0 else []
+    if not math.isfinite(eta):
+        return []
+    q = n + beta + 1.0
+    if p == 0.0:
+        # the cubic factors as (4 xi^2 - q sigma)(xi - 2 eta); the first
+        # factor's positive root is c = 0
+        c = 4.0 * eta / sigma - q / (4.0 * eta)
+        return [c] if c > 0.0 else []
+
+    def curvature(c: float) -> float:
+        xs = xi_star(c, sigma, q)
+        return p / (4.0 * c * c) + sigma / (4.0 + q * sigma / xs / xs)
+
+    # xi = s t keeps the coefficients bounded when eta is large
+    s = max(1.0, eta)
+    e = eta / s
+    roots = []
+    for t in _cubic_roots(-2.0 * e, -0.5 * n * sigma / s / s, 0.5 * e * q * sigma / s / s):
+        xi = s * t
+        if not xi > 0.0:
+            continue
+        # c = a - b, or p / (2 xi - 4 eta) where that cancels less
+        a = 2.0 * xi / sigma
+        c = a - q / (2.0 * xi)
+        if abs(t - 2.0 * e) * a > abs(c) * t:
+            c = p / (2.0 * s * (t - 2.0 * e))
+        if not (c > 0.0 and math.isfinite(c)):
+            continue
+        g = _core_slope(c, n, beta, sigma, eta)
+        for _ in range(8):  # Newton, kept only while |slope| falls
+            c_new = c - g / curvature(c)
+            if not (c_new > 0.0 and math.isfinite(c_new)):
+                break
+            g_new = _core_slope(c_new, n, beta, sigma, eta)
+            if not abs(g_new) < abs(g):
+                break
+            c, g = c_new, g_new
+        roots.append(c)
+    return roots
+
+
+def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     """Optimal shape parameter on the admissible interval.
 
-    Minimizes :func:`mqshape.criterion.log_h_unified` over
-    [c_min, C_HI], where C_HI caps the unbounded interval at
-    max(1000 * scale, 10 * c0 when defined, 10 * c_min), further limited
-    so the criterion stays finite in double precision.  In practical mode
-    the minimizer is max(c_min, the criterion's closed-form critical
-    point), found with no search (``iterations`` is 0); the other modes
-    scan the whole interval.  ``clamped_lower`` is set when the minimum
-    sits at c_min.
+    Minimizes :func:`mqshape.criterion.log_h_unified` over [c_min, cap],
+    cap = :func:`finite_c_cap`, by evaluating it at c_min, at the
+    stationary points given in closed form in the module docstring, and,
+    in fixed-b0 mode, at the knee c0; the least value wins, ties going to
+    the smaller c.  c_min is skipped when the criterion falls there.  In
+    practical mode the minimizer is max(c_min, the core's critical point).
+    ``iterations`` is always 0 and ``bracket`` is (c_min, cap);
+    ``clamped_lower`` is set when the minimum sits at c_min.  Raises
+    :class:`NumericError` when the criterion still falls at the cap, so
+    that its minimizer lies where it cannot be evaluated.
     """
     kind = kind_for(spec)
     if spec.b0 is not None:
@@ -230,35 +347,55 @@ def optimal_c(
             "only be inspected in the log domain"
         )
     c_min = dc.log_c_min.value
-
-    start = _interior_start(spec, kind.regime)
-    scale = max(1.0, start if start is not None else 1.0)
-    c_hi = max(1e3 * scale, 10.0 * c_min)
-    if dc.log_c0 is not None and dc.log_c0.log_value < math.log(1e306):
-        c_hi = max(c_hi, 10.0 * dc.log_c0.value)
-    c_hi = min(c_hi, finite_c_cap(spec.sigma))
-    if not c_hi > c_min * (1.0 + 1e-12):
+    cap = finite_c_cap(spec.sigma)
+    if not cap > c_min * (1.0 + 1e-12):
         raise NumericError(
-            f"admissible interval [{c_min:g}, {c_hi:g}] collapses under the "
+            f"admissible interval [{c_min:g}, {cap:g}] collapses under the "
             "finite-evaluation cap; delta is too large for this regime"
         )
+
+    # the pieces of [c_min, cap) and the rate eta of the factor's -eta c
+    eta = 0.0 if spec.mode is Mode.PRACTICAL else -dc.eta
+    pieces = [(c_min, cap, eta)]
+    if spec.mode is Mode.FIXED_B0 and dc.log_c0.log_value < math.log(cap):
+        c0 = dc.log_c0.value
+        pieces = [(c_min, c0, eta), (c0, cap, 0.0)] if c0 > c_min else [(c_min, cap, 0.0)]
+
+    n, beta, sigma = spec.n, spec.beta, spec.sigma
+    oned = kind.regime is Regime.BETA_NEG1_1D
+    rs = math.sqrt(sigma)
+
+    def slope(c: float, rate: float) -> float:
+        if oned:
+            return rs * _oned_rate(c * rs) - rate
+        return _core_slope(c, n, beta, sigma, rate)
+
+    if slope(cap, pieces[-1][2]) < 0.0:
+        raise NumericError(
+            f"the criterion still decreases at c = {cap:g}, beyond which it is "
+            "not finite in double precision; its minimizer lies past that cap"
+        )
+    candidates = {lo for lo, _, _ in pieces[1:]}
+    for lo, hi, rate in pieces:
+        if oned:
+            points = _oned_stationary(sigma, rate, lo, hi)
+        else:
+            points = _core_stationary(n, beta, sigma, rate)
+        candidates.update(c for c in points if lo <= c < hi)
+    # where the criterion falls at c_min, a point to its right is lower
+    if slope(c_min, pieces[0][2]) >= 0.0 or not candidates:
+        candidates.add(c_min)
 
     def objective(c: float) -> float:
         return log_h_unified(c, spec, dc, kind)
 
-    if spec.mode is Mode.PRACTICAL:
-        clamped = start is None or start <= c_min
-        c_star = c_min if clamped else start
-        iterations = 0
-    else:
-        info = _minimize_info(objective, c_min, c_hi, tol)
-        clamped = info.at_lower and info.x <= c_min * (1.0 + 8.0 * tol)
-        c_star = c_min if clamped else info.x
-        iterations = info.iterations
+    # ascending, so that min() sends ties to the smaller c
+    values = {c: _eval_checked(objective, c) for c in sorted(candidates)}
+    c_star = min(values, key=values.__getitem__)
     return OptimalResult(
         c_star=c_star,
-        log_h_star=objective(c_star),
-        clamped_lower=clamped,
-        iterations=iterations,
-        bracket=(c_min, c_hi),
+        log_h_star=values[c_star],
+        clamped_lower=c_star == c_min,
+        iterations=0,
+        bracket=(c_min, cap),
     )

@@ -147,10 +147,15 @@ def uniform_grid(corner, side: float, per_side: int, n: int) -> NodeSet:
     if per_side < 1:
         raise InputError(f"per_side must be >= 1, got {per_side}")
     corner = np.asarray(corner, dtype=float).reshape(-1)
+    return NodeSet(points=_tensor_grid(corner, side, per_side, n), cube=(corner, side))
+
+
+def _tensor_grid(corner: np.ndarray, side: float, per_side: int, n: int) -> np.ndarray:
+    """The per_side^n points of the tensor grid on the cube, endpoints
+    included, one row per point with the last axis varying fastest."""
     axes = [np.linspace(corner[i], corner[i] + side, per_side) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    return NodeSet(points=pts, cube=(corner, side))
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -31,7 +31,15 @@ import numpy as np
 from .constants import DerivedConstants, ProblemSpec, derive_constants
 from .criterion import log_h_beta_neg1_oned, log_h_general
 from .errors import InputError, PreconditionError, SpecError
-from .rbf import _EVAL_BLOCK_ENTRIES, Kernel, NodeSet, _sq_dists, evaluate, fit
+from .rbf import (
+    _EVAL_BLOCK_ENTRIES,
+    Kernel,
+    NodeSet,
+    _sq_dists,
+    _tensor_grid,
+    evaluate,
+    fit,
+)
 
 __all__ = [
     "GaussianBump",
@@ -131,11 +139,7 @@ def fill_distance(
         raise InputError(
             f"nodes have dimension {pts.shape[1]}, the cube has dimension {n}"
         )
-    axes = [
-        np.linspace(corner[i], corner[i] + side, grid_per_side) for i in range(n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
+    grid = _tensor_grid(corner, side, grid_per_side, n)
 
     pts = pts[np.argsort(pts[:, 0], kind="stable")]
     keys = pts[:, 0]
@@ -266,9 +270,7 @@ def run_bound_experiment(
     interp = fit(kern, nodes, f(nodes.points))
 
     corner, side = nodes.cube
-    axes = [np.linspace(corner[i], corner[i] + side, eval_grid) for i in range(spec.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
+    grid = _tensor_grid(corner, side, eval_grid, spec.n)
     err = float(np.max(np.abs(f(grid) - evaluate(interp, grid))))
 
     delta = fill_distance(nodes.cube, nodes, grid_per_side or eval_grid)

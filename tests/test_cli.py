@@ -151,6 +151,16 @@ class TestCriterionCommand:
         )
         assert code == 3 and out == "" and "--c-lo" in err
 
+    def test_explicit_range_start_beyond_the_finite_cap_is_refused(self, capsys):
+        # the message names the given start and the cap, not a range end
+        # the user never gave
+        code, out, err = run_cli(
+            capsys,
+            ["criterion", "--n", "2", "--beta", "1", "--delta", "1e-30", "--c-lo", "1e160"],
+        )
+        assert code == 3 and out == ""
+        assert "c_lo = 1e+160" in err and "8.94427e+153" in err and "--c-lo" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -20,7 +20,7 @@ from mqshape import (
     optimal_c,
     optimizer,
 )
-from mqshape.criterion import case2_sq_derivative
+from mqshape.criterion import case2_sq_derivative, xi_star
 
 # bounded-search oracles (independent high-precision runs)
 DI_ARGMIN = 12.377774689597498  # n=1, beta=-1, sigma=1, delta=1e-4
@@ -322,10 +322,13 @@ class TestPracticalClosedForm:
         n=st.integers(1, 3),
         beta=st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 3.0]),
         log_sigma=st.floats(math.log(0.25), math.log(4.0)),
-        log_c_min=st.floats(math.log(0.05), math.log(20.0)),
+        log_c_min=st.floats(math.log(1e-60), math.log(20.0)),
         mode=st.sampled_from(list(Mode)),
     )
     def test_no_grid_point_beats_the_optimum(self, n, beta, log_sigma, log_c_min, mode):
+        # c_min down to 1e-60 (delta down to ~1e-62) puts the minimizers of
+        # the two modes with a factor up to ~1e60, far above the 1e3 of the
+        # former search cap
         assume(abs(n + beta) >= 1.0 or (n, beta) == (1, -1.0))
         sigma = math.exp(log_sigma)
         unit = derive_constants(ProblemSpec(n=n, beta=beta, sigma=sigma, delta=1.0))
@@ -336,10 +339,104 @@ class TestPracticalClosedForm:
         r = optimal_c(spec, dc)
         assert r.bracket[0] <= r.c_star <= r.bracket[1]
         kind = kind_for(spec)
+        at_star = log_h_unified(r.c_star, spec, dc, kind)
         grid_min = min(
             log_h_unified(float(c), spec, dc, kind) for c in np.geomspace(*r.bracket, 2000)
         )
-        assert log_h_unified(r.c_star, spec, dc, kind) <= grid_min + 1e-9
+        assert at_star <= grid_min + 1e-9
+        # an interior minimizer is a local minimum to within rounding
+        if r.c_star in (dc.log_c_min.value, dc.log_c0.value):
+            return
+        slack = 1e-13 * max(1.0, abs(at_star))
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+            assert log_h_unified(r.c_star * factor, spec, dc, kind) >= at_star - slack
+
+
+class TestCandidateSet:
+    """Minimizers that the former scan over [c_min, max(1e3, 10 c_min,
+    10 c0)] missed, and the ways the candidate set can end."""
+
+    @staticmethod
+    def _dilation_invariant(n, beta, sigma, delta):
+        spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=delta, mode=Mode.DILATION_INVARIANT)
+        dc = derive_constants(spec)
+        return spec, dc, optimal_c(spec, dc)
+
+    @pytest.mark.parametrize(
+        "n, beta, sigma, delta, expected",
+        [(2, 1.0, 0.493, 1.2e-40, 1.9185e17), (1, -1.0, 1.0, 1e-6, 1237.73)],
+    )
+    def test_minimizer_above_the_former_cap(self, n, beta, sigma, delta, expected):
+        # the scan returned its cap c_hi = 1000 for both
+        spec, dc, r = self._dilation_invariant(n, beta, sigma, delta)
+        assert r.c_star == pytest.approx(expected, rel=1e-4)
+        assert not r.clamped_lower
+        assert _slope(r.c_star * (1.0 - 1e-12), spec, dc) < 0.0
+        assert _slope(r.c_star * (1.0 + 1e-12), spec, dc) > 0.0
+        kind = kind_for(spec)
+        assert r.log_h_star < log_h_unified(1000.0, spec, dc, kind)
+
+    @pytest.mark.parametrize(
+        "mode, b0, expected",
+        [(Mode.DILATION_INVARIANT, None, 2.6442), (Mode.FIXED_B0, 0.0042, 0.65742)],
+    )
+    def test_both_oned_minima_admissible(self, mode, b0, expected):
+        # eta/sqrt(sigma) = 0.62 lies between D's dip (0.0574) and its peak
+        # (0.6285), so log H - eta c has a local minimum on both stretches
+        # where D rises, near 0.6574 and 2.6442.  The second is lower; with
+        # the knee c0 = 0.688 between them, log H is flat beyond c0 and the
+        # first wins.
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=4.99083e-4, b0=b0, mode=mode)
+        dc = derive_constants(spec)
+        r = optimal_c(spec, dc)
+        kind = kind_for(spec)
+        cs = np.geomspace(dc.log_c_min.value, 10.0, 20001)
+        hs = np.array([log_h_unified(float(c), spec, dc, kind) for c in cs])
+        assert r.c_star == pytest.approx(expected, rel=1e-4)
+        assert r.log_h_star <= hs.min()
+        if mode is Mode.DILATION_INVARIANT:
+            dips = [i for i in range(1, len(cs) - 1) if hs[i] < hs[i - 1] and hs[i] < hs[i + 1]]
+            assert [round(float(cs[i]), 3) for i in dips] == [0.657, 2.644]
+
+    @pytest.mark.parametrize("mode", [Mode.FIXED_B0, Mode.DILATION_INVARIANT])
+    def test_stationary_point_when_p_is_zero(self, mode):
+        # beta = n - 1: the slope is xi*/2 - |eta|, zero at xi* = 2 |eta|,
+        # c = 4 |eta|/sigma - q/(4 |eta|), just above c_min = 1.545 here
+        spec = ProblemSpec(
+            n=2, beta=1.0, sigma=0.5920283548667656, delta=5.4077048472113586e-24,
+            b0=1.0, mode=mode,
+        )
+        dc = derive_constants(spec)
+        r = optimal_c(spec, dc)
+        eta = -dc.eta
+        assert r.c_star == pytest.approx(4.0 * eta / spec.sigma - 4.0 / (4.0 * eta), rel=1e-14)
+        assert r.c_star > dc.log_c_min.value and not r.clamped_lower
+        assert _slope(r.c_star * (1.0 - 1e-12), spec, dc) < 0.0
+        assert _slope(r.c_star * (1.0 + 1e-12), spec, dc) > 0.0
+
+    def test_minimizer_beyond_the_cap_is_refused(self):
+        # the minimizer ~4|eta|/sigma ~ 1e200 lies past the cap ~ 8.9e153,
+        # where the scan used to return c_hi = 1000 without a flag
+        with pytest.raises(NumericError, match="cap"):
+            self._dilation_invariant(1, 1.0, 1.0, 1e-200)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "n, beta, delta",
+        [(1, -1.0, 5e-6), (1, -1.0, 4.99083e-4), (2, 0.5, 1e-40), (3, 1.0, 1e-208), (1, 3.0, 1e-3)],
+    )
+    def test_at_most_six_criterion_evaluations(self, n, beta, delta, mode, monkeypatch):
+        calls = []
+
+        def counted(c, *args):
+            calls.append(c)
+            return log_h_unified(c, *args)
+
+        monkeypatch.setattr(optimizer, "log_h_unified", counted)
+        spec = ProblemSpec(n=n, beta=beta, sigma=1.0, delta=delta, b0=1.0, mode=mode)
+        r = optimal_c(spec, derive_constants(spec))
+        assert 1 <= len(calls) <= 6 and r.c_star in calls
+        assert len(set(calls)) == len(calls)
 
 
 def test_cap_stays_finite_for_small_sigma():
@@ -364,13 +461,15 @@ def test_multid_inverse_multiquadric_finite_up_to_the_cap():
 
 
 # Results of optimal_c recorded, as hex floats, from the numpy scan
-# (np.linspace points, np.argmin) that the pure-Python scan must reproduce
-# to the bit in the fixed-b0 and dilation-invariant modes.  Practical mode
-# was recorded from the same scan and is now checked against its closed
-# form.  Every (n, beta) and mode; sigma = 1.5, b0 = 1, and delta puts
-# c_min at 0.05 / sqrt(sigma) (interior optimum) or 20 / sqrt(sigma)
-# (clamped).  Columns: n, beta, mode, delta, c_star, log_h_star,
-# clamped_lower, iterations, bracket.
+# (np.linspace points, np.argmin) with golden-section refinement that
+# optimal_c once ran.  The minimizer is now found in closed form, so each
+# row is checked against its own closed form or stationary point and
+# against the recorded scan value within the scan's tolerance; the
+# iterations and the scan's c_hi are a record of the scan only.  Every
+# (n, beta) and mode; sigma = 1.5, b0 = 1, and delta puts c_min at
+# 0.05 / sqrt(sigma) (interior optimum) or 20 / sqrt(sigma) (clamped).
+# Columns: n, beta, mode, delta, c_star, log_h_star, clamped_lower,
+# iterations, bracket.
 OPTIMAL_C_PINS = [
     (1, -1.0, 'practical', '0x1.055a003125ea2p-15',
      '0x1.aff1b609022c9p-2', '0x1.5f77e3b4579f7p-1', False, 35, ('0x1.4e6fdf33cf02dp-5', '0x1.e2b7dddfefa67p+3')),
@@ -483,13 +582,35 @@ OPTIMAL_C_PINS = [
 ]
 
 
-# The cap c_hi does not depend on the mode, so the practical rows share the
-# bracket pinned for fixed-b0 at the same (n, beta, delta).
+# c_min does not depend on the mode, so every row takes the lower end of
+# its bracket from the fixed-b0 row at the same (n, beta, delta).
 _SCAN_BRACKETS = {
     (n, beta, delta): bracket
     for n, beta, mode, delta, *_, bracket in OPTIMAL_C_PINS
     if mode == "fixed-b0"
 }
+
+
+def _slope(c, spec, dc):
+    """d/dc log H below the factor's knee, from the envelope theorem:
+    -p/(4c) + xi*/2 for the core, and -1/(2c) + w (log M)'/2 in 1-D with w
+    the weight of the M term; the factor adds -|eta|."""
+    sigma = spec.sigma
+    if spec.n == 1 and spec.beta == -1.0:
+        if c * c * sigma <= 4.0 / 3.0:
+            log_m = 1.0 - 1.0 / (c * c * sigma)
+            d_log_m = 2.0 / (c ** 3 * sigma)
+        else:
+            xs = xi_star(c, sigma, 1.0)
+            log_m = 0.5 * math.log(c * xs) + c * xs - xs * xs / sigma
+            d_log_m = 0.5 / c + xs
+        z = -math.log(2.0 * math.sqrt(3.0) * math.log(2.0)) - log_m
+        w = 1.0 / (1.0 + math.exp(min(z, 700.0)))
+        core = -0.5 / c + 0.5 * w * d_log_m
+    else:
+        p, q = spec.n - 1.0 - spec.beta, spec.n + spec.beta + 1.0
+        core = -p / (4.0 * c) + 0.5 * xi_star(c, sigma, q)
+    return core if spec.mode is Mode.PRACTICAL else core + dc.eta
 
 
 @pytest.mark.parametrize(
@@ -520,18 +641,26 @@ def test_optimal_c_bitwise_pinned(
         assert result.c_star == max(dc.log_c_min.value, start)
         assert result.c_star == pytest.approx(float.fromhex(c_star), rel=5e-8)
         assert abs(result.log_h_star - (pinned - offset)) <= log_h_tol
-        assert result.clamped_lower is clamped
-        assert result.iterations == 0
-        assert tuple(b.hex() for b in result.bracket) == _SCAN_BRACKETS[n, beta, delta]
-        return
-    assert result.c_star.hex() == c_star
-    if offset:
-        assert abs(result.log_h_star - (pinned - offset)) <= log_h_tol
+    elif clamped:
+        assert result.c_star == dc.log_c_min.value
+        if offset:
+            assert abs(result.log_h_star - (pinned - offset)) <= log_h_tol
+        else:
+            assert result.log_h_star.hex() == log_h_star
     else:
-        assert result.log_h_star.hex() == log_h_star
+        # a stationary point below the knee, to the last few bits, and the
+        # scan's estimate of it within the scan's tolerance; log H is flat
+        # there, so the two values differ only by rounding
+        assert result.c_star < dc.log_c0.value
+        assert _slope(result.c_star * (1.0 - 1e-12), spec, dc) < 0.0
+        assert _slope(result.c_star * (1.0 + 1e-12), spec, dc) > 0.0
+        assert result.c_star == pytest.approx(float.fromhex(c_star), rel=5e-8)
+        assert abs(result.log_h_star - (pinned - offset)) <= 2.0 * log_h_tol
     assert result.clamped_lower is clamped
-    assert result.iterations == iterations
-    assert tuple(b.hex() for b in result.bracket) == bracket
+    assert result.iterations == 0
+    assert result.bracket == (
+        float.fromhex(_SCAN_BRACKETS[n, beta, delta][0]), optimizer.finite_c_cap(1.5)
+    )
 
 
 MINIMIZE_SCALAR_PINS = {
