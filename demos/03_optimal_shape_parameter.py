@@ -12,10 +12,10 @@ no search is made:
 * for beta = -1 in one dimension it is u*/sqrt(sigma), u* = 0.516622...
 
 The fixed-b0 and dilation-invariant modes add the convergence factor's
--eta c below its knee c0; their stationary points are closed-form too (a
-cubic's roots for the general core, a bisection on one fixed function in
-one dimension), so the optimizer compares log H at c_min, at those points
-and at c0, with no scan.
+-eta c below its knee c0; their local minima are where the slope of
+log H - eta c passes upward through 0, found to the last bit by bisection
+on each stretch where that slope rises, so the optimizer compares log H
+at c_min, at those points and at c0, with no scan.
 
 Run:  python demos/03_optimal_shape_parameter.py
 """

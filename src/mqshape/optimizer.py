@@ -10,20 +10,22 @@ The minimizer is found with no scan.  Below the knee c0 of the
 convergence factor (everywhere in dilation-invariant mode) the mode adds
 -eta c to log H, eta = |eta(delta)|; beyond c0, and in practical mode,
 it adds a constant (eta = 0).  The criterion is evaluated at c_min, at
-the stationary points of log H_core - eta c on each piece, and at c0;
-the least value wins.  The stationary points are known in closed form:
+the local minima of log H - eta c on each piece, and at c0; the least
+value wins.  A local minimum is where the slope passes upward through 0,
+so it is found by bisection, to the last bit, on each stretch on which
+the slope rises:
 
 * for the general core the slope is -p/(4c) + xi*(c)/2 - eta with
-  p = n - 1 - beta and q = n + beta + 1, whose zeros are
-  c = 2 xi/sigma - q/(2 xi) for the positive roots xi of
-  2 xi^3 - 4 eta xi^2 - n sigma xi + eta q sigma = 0; at eta = 0 the
-  only one is p / sqrt(2 n sigma), when p > 0;
+  p = n - 1 - beta and q = n + beta + 1.  It rises on all of (0, inf)
+  for p >= 0; for p < 0 it is convex and rises beyond the zero of its
+  own derivative, itself found by bisection.  At eta = 0 the only local
+  minimum is p / sqrt(2 n sigma), when p > 0;
 * for beta = -1, n = 1 the slope is sqrt(sigma) D(c sqrt(sigma)) - eta
   for one fixed function D, which rises from -inf through 0 at u*, peaks
   at t_peak, dips at the branch point 2/sqrt(3) and then grows like t/4;
-  the local minima are where D = eta/sqrt(sigma) on the two rising
-  stretches, and at eta = 0 the only one is u*/sqrt(sigma), u* the root
-  of -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2).
+  it rises on [u*, t_peak] and [2/sqrt(3), inf), and at eta = 0 the only
+  local minimum is u*/sqrt(sigma), u* the root of
+  -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2).
 
 Beyond the cap the slope only grows, so a criterion that still falls
 there has its minimizer beyond it, near 4 eta/sigma, where log H is about
@@ -66,6 +68,8 @@ _SCAN_POINTS = 64
 _ONED_U_STAR = 0.5166224863922065
 _ONED_T_PEAK = 0.6806753792204169
 _ONED_BRANCH = 2.0 / math.sqrt(3.0)
+# the stretches of t on which D rises
+_ONED_RISING = ((_ONED_U_STAR, _ONED_T_PEAK), (_ONED_BRANCH, math.inf))
 
 
 @dataclass(frozen=True)
@@ -235,98 +239,51 @@ def _bisect(f: Callable[[float], float], target: float, a: float, b: float) -> f
             b = m
 
 
-def _oned_stationary(sigma: float, eta: float, lo: float, hi: float) -> List[float]:
-    """Local minima of log H - eta c for beta = -1, n = 1; for eta > 0
-    only those in [lo, hi] are sought."""
-    if eta == 0.0:
-        return [_ONED_U_STAR / math.sqrt(sigma)]
-    rs = math.sqrt(sigma)
-    r = eta / rs
-    roots = []
-    # the two stretches on which D rises through positive values
-    for a, b in ((_ONED_U_STAR, _ONED_T_PEAK), (_ONED_BRANCH, math.inf)):
-        a, b = max(a, lo * rs), min(b, hi * rs)
-        if a < b and _oned_rate(a) <= r <= _oned_rate(b):
-            roots.append(_bisect(_oned_rate, r, a, b) / rs)
-    return roots
+def _local_minima(
+    slope: Callable[[float], float],
+    rate: float,
+    stretches: List[Tuple[float, float]],
+    lo: float,
+    hi: float,
+) -> List[float]:
+    """Local minima in [lo, hi] of a function with slope ``slope - rate``:
+    where ``slope`` passes through ``rate`` on each stretch on which it
+    rises."""
+    minima = []
+    for a, b in stretches:
+        a, b = max(a, lo), min(b, hi)
+        if a < b and slope(a) <= rate <= slope(b):
+            minima.append(_bisect(slope, rate, a, b))
+    return minima
 
 
-def _cubic_roots(b: float, c: float, d: float) -> List[float]:
-    """Real roots of t^3 + b t^2 + c t + d for c - b^2/3 < 0, which holds
-    for every cubic solved here."""
-    shift = b / 3.0
-    p = c - b * shift
-    q = d - shift * (c - 2.0 * shift * shift)
-    m = 2.0 * math.sqrt(-p / 3.0)
-    k = 3.0 * q / (p * m)
-    if abs(k) <= 1.0:
-        theta = math.acos(k) / 3.0
-        ys = [m * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3)]
-    else:
-        ys = [-math.copysign(m * math.cosh(math.acosh(abs(k)) / 3.0), q)]
-    return [y - shift for y in ys]
+def _core_rise_start(p: float, q: float, sigma: float) -> float:
+    """Where the core's slope -p/(4c) + xi*(c)/2 starts to rise for good.
 
-
-def _core_slope(c: float, n: int, beta: float, sigma: float, eta: float) -> float:
-    """d/dc of log H_core - eta c, by the envelope theorem."""
-    return -(n - 1.0 - beta) / (4.0 * c) + 0.5 * xi_star(c, sigma, n + beta + 1.0) - eta
-
-
-def _core_stationary(n: int, beta: float, sigma: float, eta: float) -> List[float]:
-    """Stationary points of log H_core - eta c for the general core."""
-    p = n - 1.0 - beta
-    if eta == 0.0:
-        return [p / math.sqrt(2.0 * n * sigma)] if p > 0.0 else []
-    if not math.isfinite(eta):
-        return []
-    q = n + beta + 1.0
-    if p == 0.0:
-        # the cubic factors as (4 xi^2 - q sigma)(xi - 2 eta); the first
-        # factor's positive root is c = 0
-        c = 4.0 * eta / sigma - q / (4.0 * eta)
-        return [c] if c > 0.0 else []
+    For p >= 0 both terms rise, from c = 0.  For p < 0 the slope is convex,
+    and it rises beyond the zero of its derivative p/(4c^2) + sigma/(4 + q
+    sigma/xi*^2); since xi*' lies in [sigma/4, sigma/2), that zero lies in
+    [sqrt(-p/sigma), sqrt(-2p/sigma)].
+    """
+    if p >= 0.0:
+        return 0.0
 
     def curvature(c: float) -> float:
         xs = xi_star(c, sigma, q)
         return p / (4.0 * c * c) + sigma / (4.0 + q * sigma / xs / xs)
 
-    # xi = s t keeps the coefficients bounded when eta is large
-    s = max(1.0, eta)
-    e = eta / s
-    roots = []
-    for t in _cubic_roots(-2.0 * e, -0.5 * n * sigma / s / s, 0.5 * e * q * sigma / s / s):
-        xi = s * t
-        if not xi > 0.0:
-            continue
-        # c = a - b, or p / (2 xi - 4 eta) where that cancels less
-        a = 2.0 * xi / sigma
-        c = a - q / (2.0 * xi)
-        if abs(t - 2.0 * e) * a > abs(c) * t:
-            c = p / (2.0 * s * (t - 2.0 * e))
-        if not (c > 0.0 and math.isfinite(c)):
-            continue
-        g = _core_slope(c, n, beta, sigma, eta)
-        for _ in range(8):  # Newton, kept only while |slope| falls
-            c_new = c - g / curvature(c)
-            if not (c_new > 0.0 and math.isfinite(c_new)):
-                break
-            g_new = _core_slope(c_new, n, beta, sigma, eta)
-            if not abs(g_new) < abs(g):
-                break
-            c, g = c_new, g_new
-        roots.append(c)
-    return roots
+    return _bisect(curvature, 0.0, math.sqrt(-p / sigma), math.sqrt(-2.0 * p / sigma))
 
 
 def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     """Optimal shape parameter on the admissible interval.
 
     Minimizes :func:`mqshape.criterion.log_h_unified` over [c_min, cap],
-    cap = :func:`finite_c_cap`, by evaluating it at c_min, at the
-    stationary points given in closed form in the module docstring, and,
-    in fixed-b0 mode, at the knee c0; the least value wins, ties going to
-    the smaller c.  c_min is skipped when the criterion falls there.  In
-    practical mode the minimizer is max(c_min, the core's critical point).
+    cap = :func:`finite_c_cap`, by evaluating it at c_min, at the local
+    minima found as in the module docstring, and, in fixed-b0 mode, at the
+    knee c0; the least value wins, ties going to the smaller c.  c_min is
+    skipped when the criterion falls there.  In practical mode the
+    minimizer is max(c_min, the core's critical point), in closed form.
     ``iterations`` is always 0 and ``bracket`` is (c_min, cap);
     ``clamped_lower`` is set when the minimum sits at c_min.  Raises
     :class:`NumericError` when the criterion still falls at the cap, so
@@ -361,29 +318,41 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
         c0 = dc.log_c0.value
         pieces = [(c_min, c0, eta), (c0, cap, 0.0)] if c0 > c_min else [(c_min, cap, 0.0)]
 
-    n, beta, sigma = spec.n, spec.beta, spec.sigma
+    n, sigma = spec.n, spec.sigma
+    p, q = n - 1.0 - spec.beta, n + spec.beta + 1.0
     oned = kind.regime is Regime.BETA_NEG1_1D
     rs = math.sqrt(sigma)
 
-    def slope(c: float, rate: float) -> float:
+    def slope(c: float) -> float:
+        """d/dc of log H without the factor; for the core by the envelope
+        theorem."""
         if oned:
-            return rs * _oned_rate(c * rs) - rate
-        return _core_slope(c, n, beta, sigma, rate)
+            return rs * _oned_rate(c * rs)
+        return -p / (4.0 * c) + 0.5 * xi_star(c, sigma, q)
 
-    if slope(cap, pieces[-1][2]) < 0.0:
+    if slope(cap) < pieces[-1][2]:
         raise NumericError(
             f"the criterion still decreases at c = {cap:g}, beyond which it is "
             "not finite in double precision; its minimizer lies past that cap"
         )
+    # the local minima where the rate is 0, in closed form
+    if oned:
+        at_rest = [_ONED_U_STAR / rs]
+    else:
+        at_rest = [p / math.sqrt(2.0 * n * sigma)] if p > 0.0 else []
     candidates = {lo for lo, _, _ in pieces[1:]}
     for lo, hi, rate in pieces:
-        if oned:
-            points = _oned_stationary(sigma, rate, lo, hi)
+        if rate == 0.0:
+            points = at_rest
         else:
-            points = _core_stationary(n, beta, sigma, rate)
+            if oned:
+                stretches = [(a / rs, b / rs) for a, b in _ONED_RISING]
+            else:
+                stretches = [(_core_rise_start(p, q, sigma), math.inf)]
+            points = _local_minima(slope, rate, stretches, lo, hi)
         candidates.update(c for c in points if lo <= c < hi)
     # where the criterion falls at c_min, a point to its right is lower
-    if slope(c_min, pieces[0][2]) >= 0.0 or not candidates:
+    if slope(c_min) >= pieces[0][2] or not candidates:
         candidates.add(c_min)
 
     def objective(c: float) -> float:

@@ -215,6 +215,20 @@ class TestOptimizeCommand:
         assert code == 3
         assert "log" in err
 
+    def test_minimum_at_the_knee_for_tiny_delta(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "optimize", "--n", "1", "--beta", "1", "--sigma", "1.93",
+                "--delta", "3.2e-249", "--b0", "1", "--mode", "fixed-b0",
+            ],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        # the knee c0 = 3 b0 rho sqrt(n) e^{2 n gamma_n} = 3 e^4 here
+        assert doc["c_star"] == pytest.approx(3.0 * math.exp(4.0), rel=1e-12)
+        assert doc["clamped_lower"] is False
+
 
 class TestFitCommand:
     def test_combined_csv(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mqshape import (
     Mode,
+    MqShapeError,
     NumericError,
     PreconditionError,
     ProblemSpec,
@@ -320,7 +321,7 @@ class TestPracticalClosedForm:
     @settings(deadline=None)
     @given(
         n=st.integers(1, 3),
-        beta=st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 3.0]),
+        beta=st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 3.0, 5.0, 9.0]),
         log_sigma=st.floats(math.log(0.25), math.log(4.0)),
         log_c_min=st.floats(math.log(1e-60), math.log(20.0)),
         mode=st.sampled_from(list(Mode)),
@@ -457,6 +458,41 @@ def test_multid_inverse_multiquadric_finite_up_to_the_cap():
     dc = derive_constants(spec)
     r = optimal_c(spec, dc)
     assert r.clamped_lower and r.c_star == dc.log_c_min.value
+    assert math.isfinite(r.log_h_star)
+
+
+@pytest.mark.parametrize("delta", [1e-200, 1e-300])
+@pytest.mark.parametrize("n, beta", [(1, 1.0), (1, 3.0), (2, 3.0), (2, 5.0)])
+def test_knee_wins_when_the_factor_falls_steeply(n, beta, delta):
+    # beta > n - 1 and a tiny delta: -eta c falls so steeply below the knee
+    # c0 that log H is least there, with c_min ~ 1e-297 .. 1e-177
+    spec = ProblemSpec(n=n, beta=beta, sigma=1.0, delta=delta, b0=1.0, mode=Mode.FIXED_B0)
+    dc = derive_constants(spec)
+    r = optimal_c(spec, dc)
+    assert r.c_star == dc.log_c0.value and not r.clamped_lower
+    assert math.isfinite(r.log_h_star)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 3),
+    beta=st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 3.0, 5.0, 9.0]),
+    log_sigma=st.floats(math.log(0.25), math.log(4.0)),
+    log_delta=st.floats(math.log(1e-300), 0.0),
+    mode=st.sampled_from(list(Mode)),
+)
+def test_optimal_c_raises_only_library_errors(n, beta, log_sigma, log_delta, mode):
+    # the grid oracle above cannot take delta this small: |log H| reaches
+    # ~1e306, where its 1e-9 absolute slack is far below rounding
+    assume(abs(n + beta) >= 1.0 or (n, beta) == (1, -1.0))
+    spec = ProblemSpec(
+        n=n, beta=beta, sigma=math.exp(log_sigma), delta=math.exp(log_delta), b0=1.0, mode=mode
+    )
+    try:
+        r = optimal_c(spec, derive_constants(spec))
+    except MqShapeError:
+        return
+    assert r.bracket[0] <= r.c_star <= r.bracket[1]
     assert math.isfinite(r.log_h_star)
 
 
