@@ -19,9 +19,16 @@ criterion and optimizer never load scipy.
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
 built in the same frame, scaled to [-1, 1]^n, so its coefficients refer
-to the cube and not to the origin.  :func:`evaluate` works through
-fixed-size row blocks (:func:`_row_reduce`), so its memory does not grow
-with the number of evaluation points.
+to the cube and not to the origin.
+
+Kernel values are formed in place, one row block of at most
+``_EVAL_BLOCK_ENTRIES`` entries at a time (:func:`_kernel_rows`): the
+squared distances, then + c^2, then the power (``sqrt`` for beta = 1,
+``sqrt`` and a reciprocal for beta = -1, ``pow`` otherwise), then the
+factor Gamma(-beta/2).  Assembly writes those blocks straight into the
+one saddle matrix it allocates; :func:`evaluate` reuses one block buffer
+and applies the factor once per evaluation point, so its memory does not
+grow with the number of evaluation points.
 """
 
 from __future__ import annotations
@@ -49,10 +56,16 @@ __all__ = [
     "uniform_grid",
 ]
 
-# Entries per row block in _row_reduce() and verify.fill_distance(): each
-# temporary is 512 KiB, so a block's working set stays in a core's L2
-# cache and memory does not grow with the number of evaluation points.
+# Entries per row block in _kernel_rows(), which serves both assembly and
+# evaluate(), and in verify.fill_distance(): each block is 512 KiB, so its
+# working set stays in a core's L2 cache and memory does not grow with the
+# number of evaluation points.
 _EVAL_BLOCK_ENTRIES = 1 << 16
+
+# Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may
+# overflow or underflow, and (c^2 + r^2)^(beta/2) may divide by zero.  The
+# solve reports such entries as ill-conditioning, so they raise nothing.
+_BEYOND_RANGE = dict(over="ignore", under="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -80,10 +93,27 @@ class Kernel:
     def radial(self, r2):
         """Kernel value as a function of squared distance (array-friendly).
         Values beyond double range are inf (or 0 for beta < 0), never an
-        exception: the solve reports them as ill-conditioning."""
-        with np.errstate(over="ignore"):
-            c2 = np.float64(self.c) ** 2
-            return self.gamma_factor * (c2 + np.asarray(r2)) ** (self.beta / 2.0)
+        exception or a warning: the solve reports them as ill-conditioning."""
+        t = np.array(r2, dtype=float)
+        with np.errstate(**_BEYOND_RANGE):
+            self._power(t)
+            t *= self.gamma_factor
+        return t[()]  # a scalar for a scalar r2
+
+    def _power(self, t: np.ndarray) -> np.ndarray:
+        """t <- (c^2 + t)^(beta/2) in place, for squared distances t; run
+        under ``np.errstate(**_BEYOND_RANGE)``.  numpy's ``pow`` has no
+        fast path for the exponent -1/2, so beta = -1 takes sqrt and a
+        reciprocal: two correctly rounded steps, within 2 ulp of ``pow``."""
+        t += np.float64(self.c) ** 2
+        if self.beta == 1.0:
+            np.sqrt(t, out=t)
+        elif self.beta == -1.0:
+            np.sqrt(t, out=t)
+            np.divide(1.0, t, out=t)
+        else:
+            np.power(t, self.beta / 2.0, out=t)
+        return t
 
 
 def kernel_eval(kernel: Kernel, x) -> float:
@@ -158,36 +188,42 @@ def _tensor_grid(corner: np.ndarray, side: float, per_side: int, n: int) -> np.n
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, y: np.ndarray, out=None, diff=None) -> np.ndarray:
     """Squared distances between the rows of x and of y, summed axis by
     axis from coordinate differences: the |x|^2 - 2 x.y + |y|^2 form
-    would cancel badly when the points are far from the origin."""
-    d2 = np.subtract.outer(x[:, 0], y[:, 0])
+    would cancel badly when the points are far from the origin.  Every
+    entry sums its axes in the same order, so the distances from a point
+    set to itself are symmetric to the bit.  ``out`` receives the result
+    and ``diff`` is scratch for the second and later axes; each is
+    allocated when not given."""
+    d2 = np.subtract.outer(x[:, 0], y[:, 0], out=out)
     d2 *= d2
     for axis in range(1, x.shape[1]):
-        diff = np.subtract.outer(x[:, axis], y[:, axis])
+        diff = np.subtract.outer(x[:, axis], y[:, axis], out=diff)
         diff *= diff
         d2 += diff
     return d2
 
 
-def _row_reduce(x: np.ndarray, y: np.ndarray, reduce) -> np.ndarray:
-    """``reduce`` applied to the squared distances from the rows of x to
-    the rows of y, one row block of at most _EVAL_BLOCK_ENTRIES entries
-    at a time; ``reduce`` maps a (rows, len(y)) block to one value per
-    row."""
+def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None):
+    """Yield (rows, block) for each row block of x of at most
+    _EVAL_BLOCK_ENTRIES entries: ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
+    for the rows ``rows`` of x and every row of y, without the factor
+    Gamma(-beta/2).  The blocks are the rows of ``out`` when it is given,
+    else one buffer that every block reuses: each fresh 512 KiB array
+    would be page-faulted in anew.  Run it under
+    ``np.errstate(**_BEYOND_RANGE)``."""
+    count = x.shape[0]
     step = max(1, _EVAL_BLOCK_ENTRIES // y.shape[0])
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], step):
-        out[start:start + step] = reduce(_sq_dists(x[start:start + step], y))
-    return out
-
-
-def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
-    """Squared distance matrix of the rows of pts.  (x_i - x_j)^2 and
-    (x_j - x_i)^2 are the same number and every entry sums its axes in
-    the same order, so the result is symmetric to the bit."""
-    return _sq_dists(pts, pts)
+    shape = (min(step, count), y.shape[0])
+    buffer = np.empty(shape) if out is None else None
+    diff = np.empty(shape)
+    for start in range(0, count, step):
+        rows = slice(start, min(start + step, count))
+        size = rows.stop - start
+        block = out[rows] if buffer is None else buffer[:size]
+        _sq_dists(x[rows], y, out=block, diff=diff[:size])
+        yield rows, kernel._power(block)
 
 
 def _centred(nodes: NodeSet, x: np.ndarray) -> np.ndarray:
@@ -258,7 +294,11 @@ def _factor(matrix: np.ndarray):
     import scipy.linalg
     from scipy.linalg.lapack import dgecon
 
-    anorm = np.linalg.norm(matrix, 1)  # a NaN or inf entry propagates here
+    # ||A||_1, the largest column sum of |A|, a row block at a time: a
+    # matrix-sized |A| would be page-faulted in on every fit
+    step = max(1, _EVAL_BLOCK_ENTRIES // matrix.shape[1])
+    col_sums = sum(np.abs(matrix[i:i + step]).sum(axis=0) for i in range(0, matrix.shape[0], step))
+    anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         raise ValueError("matrix has non-finite entries")
     with warnings.catch_warnings():
@@ -284,13 +324,20 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
         raise InputError(
             f"kernel dimension {kernel.n} does not match node dimension {nodes.dim}"
         )
-    a = kernel.radial(_pairwise_sq_dists(_centred(nodes, nodes.points)))
     exponents = tuple(poly_basis(cpd_order(kernel.beta), nodes.dim))
-    q = len(exponents)
+    count, q = nodes.count, len(exponents)
+    saddle = np.empty((count + q, count + q))
+    centred = _centred(nodes, nodes.points)
+    with np.errstate(**_BEYOND_RANGE):
+        for _, block in _kernel_rows(kernel, centred, centred, out=saddle[:count, :count]):
+            block *= kernel.gamma_factor
     if not q:
-        return a, None, exponents
+        return saddle, None, exponents
     p = _poly_matrix(exponents, nodes, nodes.points)
-    return np.block([[a, p], [p.T, np.zeros((q, q))]]), p, exponents
+    saddle[:count, count:] = p
+    saddle[count:, :count] = p.T
+    saddle[count:, count:] = 0.0
+    return saddle, p, exponents
 
 
 def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
@@ -363,14 +410,16 @@ def evaluate(interp: Interpolant, x) -> np.ndarray:
             f"evaluation points have dimension {pts.shape[1]}, "
             f"expected {interp.nodes.dim}"
         )
-    nodes = interp.nodes
-    s = _row_reduce(
-        _centred(nodes, pts),
-        _centred(nodes, nodes.points),
-        lambda d2: interp.kernel.radial(d2) @ interp.kernel_coeffs,
-    )
+    nodes, kernel = interp.nodes, interp.kernel
+    s = np.empty(pts.shape[0])
+    with np.errstate(**_BEYOND_RANGE):
+        for rows, block in _kernel_rows(
+            kernel, _centred(nodes, pts), _centred(nodes, nodes.points)
+        ):
+            np.matmul(block, interp.kernel_coeffs, out=s[rows])
+        s *= kernel.gamma_factor
     if interp.poly_exponents:
-        s = s + _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs
+        s += _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs
     return float(s[0]) if single else s
 
 

@@ -498,9 +498,11 @@ def test_optimal_c_raises_only_library_errors(n, beta, log_sigma, log_delta, mod
 
 # Results of optimal_c recorded, as hex floats, from the numpy scan
 # (np.linspace points, np.argmin) with golden-section refinement that
-# optimal_c once ran.  The minimizer is now found in closed form, so each
-# row is checked against its own closed form or stationary point and
-# against the recorded scan value within the scan's tolerance; the
+# optimal_c once ran.  The minimizer is now exact: a closed form in
+# practical mode, else the least of c_min, the slope's sign changes found
+# by bisection to the last bit, and the knee.  Each row is checked against
+# its own closed form or stationary point and against the recorded scan
+# value within the scan's tolerance; the
 # iterations and the scan's c_hi are a record of the scan only.  Every
 # (n, beta) and mode; sigma = 1.5, b0 = 1, and delta puts c_min at
 # 0.05 / sqrt(sigma) (interior optimum) or 20 / sqrt(sigma) (clamped).

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from mqshape import (
     poly_basis,
     uniform_grid,
 )
-from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _pairwise_sq_dists
+from mqshape.constants import cpd_order
+from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _saddle
 
 
 def perturbed_grid_1d(rng, count, spacing=0.5):
@@ -53,6 +56,34 @@ class TestKernel:
     def test_radial_symmetry(self):
         k = Kernel(c=0.7, beta=-1.0, n=2)
         assert kernel_eval(k, [0.3, 0.4]) == kernel_eval(k, [0.5, 0.0])
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    @pytest.mark.parametrize("c", [1e-100, 0.3, 1.0, 1e100])
+    def test_sqrt_path_matches_pow(self, beta, c):
+        # beta = +-1 take sqrt (and a reciprocal), not libm pow
+        rng = np.random.default_rng(5)
+        r2 = np.concatenate(
+            [[0.0], np.logspace(-300, 300, 601), 10.0 ** rng.uniform(-300, 300, 400)]
+        )
+        k = Kernel(c=c, beta=beta, n=1)
+        got = k.radial(r2)
+        ref = np.array([k.gamma_factor * math.pow(c * c + t, beta / 2.0) for t in r2])
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0, 3.0])
+    def test_radial_beyond_double_range(self, beta):
+        # c^2 overflows: inf of the prefactor's sign for beta > 0, 0 for beta < 0
+        g = Kernel(c=1.0, beta=beta, n=1).gamma_factor
+        with np.errstate(all="raise"):
+            big = Kernel(c=1e200, beta=beta, n=1).radial(np.array([0.0, 1.0]))
+            tiny = Kernel(c=1e-200, beta=beta, n=1).radial(0.0)  # c^2 underflows
+        assert np.all(big == (math.copysign(math.inf, g) if beta > 0 else 0.0))
+        assert tiny == (0.0 if beta > 0 else math.inf)
+
+    def test_radial_of_a_scalar_is_a_scalar(self):
+        v = Kernel(c=0.7, beta=-1.0, n=1).radial(2.0)
+        assert np.ndim(v) == 0
+        assert float(v) == Kernel(c=0.7, beta=-1.0, n=1).radial(np.array([2.0]))[0]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(SpecError):
@@ -178,6 +209,20 @@ class TestFit:
         with pytest.raises(ConditioningError):
             fit(kern, nodes, [1.0, 2.0, 3.0])
         assert condition_estimate(kern, nodes) == math.inf
+
+    @pytest.mark.parametrize("c, beta", [(1e-200, -1.0), (1e200, -1.0), (1e200, 1.0)])
+    def test_out_of_range_kernel_warns_nothing(self, c, beta):
+        # c^2 underflows (an infinite diagonal for beta < 0) or overflows:
+        # the one signal is the ConditioningError, not a numpy warning or
+        # FloatingPointError on the way
+        nodes = uniform_grid(np.zeros(1), 1.0, 3, 1)
+        kern = Kernel(c=c, beta=beta, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError):
+                fit(kern, nodes, [1.0, 2.0, 3.0])
+        with np.errstate(all="raise"), pytest.raises(ConditioningError):
+            fit(kern, nodes, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("beta", [-1.0, 1.0])
     @pytest.mark.parametrize("n", [1, 2])
@@ -315,6 +360,61 @@ class TestEvaluate:
         assert isinstance(evaluate(interp, np.array([0.5])), float)
 
 
+class TestAssembly:
+    @pytest.mark.parametrize("beta, q", [(-1.0, 0), (1.0, 1), (3.0, 3)])
+    def test_saddle_matches_dense_oracle(self, beta, q):
+        # 400 nodes take row blocks of 163, 163 and 74 rows
+        nodes = perturbed_grid_2d(np.random.default_rng(12), 20, spacing=0.05)
+        step = _EVAL_BLOCK_ENTRIES // nodes.count
+        assert 2 * step < nodes.count < 3 * step
+        kern = Kernel(c=0.1, beta=beta, n=2)
+        corner, side = nodes.cube
+        centred = nodes.points - (corner + 0.5 * side)
+        a = kern.radial(((centred[:, None, :] - centred[None, :, :]) ** 2).sum(axis=-1))
+        frame = centred / (0.5 * side)
+        exponents = poly_basis(cpd_order(beta), 2)
+        assert len(exponents) == q
+        p = np.ones((nodes.count, q))
+        for j, (i, k) in enumerate(exponents):
+            p[:, j] = frame[:, 0] ** i * frame[:, 1] ** k
+        oracle = np.block([[a, p], [p.T, np.zeros((q, q))]])
+        assert np.array_equal(_saddle(kern, nodes)[0], oracle)
+
+
+class TestMemory:
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    def test_fit_holds_the_saddle_and_its_lu(self, beta):
+        # the kernel rows are formed inside the one saddle matrix; the LU
+        # factors a copy, which the node residual needs
+        nodes = perturbed_grid_2d(np.random.default_rng(4), 25)
+        kern = Kernel(c=1.0, beta=beta, n=2)
+        vals = np.cos(nodes.points.sum(axis=1))
+        saddle_bytes = 8 * (nodes.count + len(poly_basis(cpd_order(beta), 2))) ** 2
+        fit(kern, nodes, vals)  # imports scipy.linalg before the trace
+        assert self.peak_bytes(lambda: fit(kern, nodes, vals)) <= 2.25 * saddle_bytes
+
+    def test_evaluate_peak_does_not_grow_with_points(self):
+        # the centred points and the result take 8 (n + 1) = 24 bytes a
+        # point; one kernel row per point would take 8 N = 5000
+        rng = np.random.default_rng(4)
+        nodes = perturbed_grid_2d(rng, 25)
+        interp = fit(Kernel(c=1.0, beta=-1.0, n=2), nodes, rng.normal(size=nodes.count))
+        small, large = (rng.uniform(0.0, nodes.cube[1], (k, 2)) for k in (4096, 40000))
+        grown = self.peak_bytes(lambda: evaluate(interp, large)) - self.peak_bytes(
+            lambda: evaluate(interp, small)
+        )
+        assert grown <= 32 * (len(large) - len(small))
+
+
 class TestTranslationInvariance:
     @settings(deadline=None, max_examples=60)
     @given(
@@ -348,11 +448,13 @@ class TestTranslationInvariance:
 
 class TestConditioning:
     def test_kernel_matrix_bitwise_symmetric(self):
+        # 300 nodes take two row blocks, the second one partial
         rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 1, (40, 2))
-        k = Kernel(c=0.8, beta=-1.0, n=2)
-        a = k.radial(_pairwise_sq_dists(pts))
-        assert np.array_equal(a, a.T)
+        nodes = NodeSet(points=rng.uniform(0, 1, (300, 2)), cube=(np.zeros(2), 1.0))
+        assert _EVAL_BLOCK_ENTRIES // nodes.count < nodes.count
+        for beta in (-1.0, 1.0):
+            saddle = _saddle(Kernel(c=0.8, beta=beta, n=2), nodes)[0]
+            assert np.array_equal(saddle, saddle.T)
 
     def test_identity_estimate(self):
         assert _cond1(np.eye(6)) == pytest.approx(1.0)
