@@ -214,9 +214,16 @@ def _cmd_criterion(args) -> str:
         )
     c_hi = args.c_hi
     if c_hi is None:
+        # past the knee c0 and the minimizer c*, so the curve shows both
         c_hi = 1e3 * max(1.0, c_lo)
         if dc.log_c0 is not None and dc.log_c0.log_value < math.log(1e306):
             c_hi = max(c_hi, 10.0 * dc.log_c0.value)
+        try:
+            c_hi = max(c_hi, 10.0 * optimal_c(spec, dc).c_star)
+        except NumericError:  # the criterion still falls at the cap
+            c_hi = cap
+        except PreconditionError:  # no c* to show; the curve is drawn all the same
+            pass
         c_hi = min(c_hi, cap)
     samples = sample_curve(spec, dc, kind, c_lo, c_hi, args.count)
     if args.format == "json":

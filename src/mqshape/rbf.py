@@ -9,12 +9,17 @@ reports as a :class:`ConditioningError`.  For beta > 0 the kernel is
 conditionally positive definite of order m = ceil(beta/2) and the
 interpolant carries a polynomial tail of degree m - 1 plus moment side
 conditions on the kernel coefficients; for beta < 0 the tail is empty.
-The saddle system is factored once by a partially pivoted LU and solved
-once.  That one factorization also gives the 1-norm condition estimate
-(LAPACK ``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 15).  ``scipy.linalg`` is
-imported on the first factorization, not with this module, so the
-criterion and optimizer never load scipy.
+The system is factored once and solved once.  For beta < 0 the kernel
+matrix is positive definite (Gamma(-beta/2) > 0), so it is factored by
+Cholesky; where Cholesky breaks down, the matrix is not positive definite
+in floating point (cond * eps >~ 1, the large-c regime) and it is
+factored by a partially pivoted LU instead, as is every beta > 0 saddle.
+:attr:`Interpolant.factorization` records which.  That one factorization
+also gives the 1-norm condition estimate (LAPACK ``dpocon`` or
+``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 15).  ``scipy.linalg`` is imported on the
+first factorization, not with this module, so the criterion and
+optimizer never load scipy.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -23,12 +28,15 @@ to the cube and not to the origin.
 
 Kernel values are formed in place, one row block of at most
 ``_EVAL_BLOCK_ENTRIES`` entries at a time (:func:`_kernel_rows`): the
-squared distances, then + c^2, then the power (``sqrt`` for beta = 1,
-``sqrt`` and a reciprocal for beta = -1, ``pow`` otherwise), then the
-factor Gamma(-beta/2).  Assembly writes those blocks straight into the
-one saddle matrix it allocates; :func:`evaluate` reuses one block buffer
-and applies the factor once per evaluation point, so its memory does not
-grow with the number of evaluation points.
+squared distances (each node coordinate copied down the block, the
+point's coordinate subtracted in place), then + c^2, then the power
+(``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
+otherwise), then the factor Gamma(-beta/2).  For beta < 0 assembly writes
+those blocks straight into the one saddle matrix it allocates; for
+beta > 0, whose kernel rows are strided within the saddle, it forms each
+block in one contiguous buffer and copies it in.  :func:`evaluate`
+reuses one block buffer and applies the factor once per evaluation
+point, so its memory does not grow with the number of evaluation points.
 """
 
 from __future__ import annotations
@@ -188,18 +196,28 @@ def _tensor_grid(corner: np.ndarray, side: float, per_side: int, n: int) -> np.n
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray, out=None, diff=None) -> np.ndarray:
-    """Squared distances between the rows of x and of y, summed axis by
-    axis from coordinate differences: the |x|^2 - 2 x.y + |y|^2 form
-    would cancel badly when the points are far from the origin.  Every
-    entry sums its axes in the same order, so the distances from a point
-    set to itself are symmetric to the bit.  ``out`` receives the result
-    and ``diff`` is scratch for the second and later axes; each is
-    allocated when not given."""
-    d2 = np.subtract.outer(x[:, 0], y[:, 0], out=out)
+def _sq_dists(x: np.ndarray, y_axes: np.ndarray, out=None, diff=None) -> np.ndarray:
+    """Squared distances between the rows of x, a (k, n) array, and the
+    points whose coordinates are the rows of ``y_axes``, an (n, M) array
+    (contiguous rows make it fastest).  They are summed axis by axis from
+    coordinate differences: the |x|^2 - 2 x.y + |y|^2 form would cancel
+    badly when the points are far from the origin.  Each difference is
+    formed by copying y's coordinate down the rows and subtracting x's in
+    place, which is faster than a broadcast ``np.subtract.outer`` and
+    gives the same squares to the bit.  Every entry sums its axes in the
+    same order, so the distances from a point set to itself are symmetric
+    to the bit.  ``out`` receives the result and ``diff`` is scratch for
+    the second and later axes; each is allocated when not given."""
+    shape = (x.shape[0], y_axes.shape[1])
+    d2 = np.empty(shape) if out is None else out
+    d2[...] = y_axes[0]
+    d2 -= x[:, :1]
     d2 *= d2
+    if diff is None and x.shape[1] > 1:
+        diff = np.empty(shape)
     for axis in range(1, x.shape[1]):
-        diff = np.subtract.outer(x[:, axis], y[:, axis], out=diff)
+        diff[...] = y_axes[axis]
+        diff -= x[:, axis:axis + 1]
         diff *= diff
         d2 += diff
     return d2
@@ -210,10 +228,13 @@ def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None):
     _EVAL_BLOCK_ENTRIES entries: ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
     for the rows ``rows`` of x and every row of y, without the factor
     Gamma(-beta/2).  The blocks are the rows of ``out`` when it is given,
-    else one buffer that every block reuses: each fresh 512 KiB array
-    would be page-faulted in anew.  Run it under
-    ``np.errstate(**_BEYOND_RANGE)``."""
+    else one contiguous buffer that every block reuses: each fresh
+    512 KiB array would be page-faulted in anew, and numpy's in-place
+    steps run at half speed on rows strided within a wider matrix.  y's
+    coordinates are made contiguous once, as an (n, M) array of axes.
+    Run it under ``np.errstate(**_BEYOND_RANGE)``."""
     count = x.shape[0]
+    y_axes = np.ascontiguousarray(y.T)
     step = max(1, _EVAL_BLOCK_ENTRIES // y.shape[0])
     shape = (min(step, count), y.shape[0])
     buffer = np.empty(shape) if out is None else None
@@ -222,7 +243,7 @@ def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None):
         rows = slice(start, min(start + step, count))
         size = rows.stop - start
         block = out[rows] if buffer is None else buffer[:size]
-        _sq_dists(x[rows], y, out=block, diff=diff[:size])
+        _sq_dists(x[rows], y_axes, out=block, diff=diff[:size])
         yield rows, kernel._power(block)
 
 
@@ -282,17 +303,22 @@ class Interpolant:
     side_condition_residual: float
     node_residual: float
     condition_estimate: float
+    factorization: str  # "cholesky" or "lu", see _factor()
 
 
-def _factor(matrix: np.ndarray):
-    """(solve, cond) for a square matrix: ``solve(b)`` solves A x = b from
-    one LU factorization, and cond is the 1-norm condition estimate
-    ||A||_1 / rcond with rcond from LAPACK dgecon on those same factors.
-    An exactly singular matrix estimates inf.  Raises ValueError when the
-    matrix has non-finite entries.  scipy is imported here, on the first
+def _factor(matrix: np.ndarray, positive_definite: bool):
+    """(solve, cond, factorization) for a square matrix: ``solve(b)``
+    solves A x = b from one factorization, cond is the 1-norm condition
+    estimate ||A||_1 / rcond with rcond from LAPACK on those same factors,
+    and factorization names them.  A matrix known to be positive definite
+    is factored by Cholesky (``dpocon``); where that breaks down, A is not
+    positive definite in floating point, and it is factored, like any
+    other matrix, by a partially pivoted LU (``dgecon``).  An exactly
+    singular matrix estimates inf.  Raises ValueError when the matrix has
+    non-finite entries.  scipy is imported here, on the first
     factorization, so that importing this module does not load it."""
     import scipy.linalg
-    from scipy.linalg.lapack import dgecon
+    from scipy.linalg.lapack import dgecon, dpocon
 
     # ||A||_1, the largest column sum of |A|, a row block at a time: a
     # matrix-sized |A| would be page-faulted in on every fit
@@ -301,18 +327,33 @@ def _factor(matrix: np.ndarray):
     anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         raise ValueError("matrix has non-finite entries")
+    if positive_definite:
+        try:
+            factors = scipy.linalg.cho_factor(matrix, check_finite=False)
+        except np.linalg.LinAlgError:  # scipy raises numpy's
+            # the failed copy is freed on leaving the handler, before the
+            # LU makes its own: the two are never held at once
+            pass
+        else:
+            rcond, info = dpocon(factors[0], anorm)  # both default to the upper triangle
+            solve = partial(scipy.linalg.cho_solve, factors, check_finite=False)
+            return solve, _from_rcond(rcond, info), "cholesky"
     with warnings.catch_warnings():
         # conditioning is reported explicitly, as an estimate or an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu_piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     rcond, info = dgecon(lu_piv[0], anorm, norm="1")
-    cond = 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
-    return partial(scipy.linalg.lu_solve, lu_piv), cond
+    return partial(scipy.linalg.lu_solve, lu_piv), _from_rcond(rcond, info), "lu"
 
 
-def _cond1(matrix: np.ndarray) -> float:
+def _from_rcond(rcond: float, info: int) -> float:
+    """The condition estimate 1/rcond from a LAPACK estimator's output."""
+    return 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
+
+
+def _cond1(matrix: np.ndarray, positive_definite: bool = False) -> float:
     try:
-        return _factor(matrix)[1]
+        return _factor(matrix, positive_definite)[1]
     except ValueError:
         return math.inf
 
@@ -329,8 +370,13 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     saddle = np.empty((count + q, count + q))
     centred = _centred(nodes, nodes.points)
     with np.errstate(**_BEYOND_RANGE):
-        for _, block in _kernel_rows(kernel, centred, centred, out=saddle[:count, :count]):
+        # with a tail, the kernel rows are strided within the saddle: form
+        # each block in the contiguous buffer and copy it in
+        out = None if q else saddle
+        for rows, block in _kernel_rows(kernel, centred, centred, out=out):
             block *= kernel.gamma_factor
+            if q:
+                saddle[rows, :count] = block
     if not q:
         return saddle, None, exponents
     p = _poly_matrix(exponents, nodes, nodes.points)
@@ -367,10 +413,10 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
                 "polynomial tail"
             )
 
-    # One LU serves the solve and the condition estimate.
+    # One factorization serves the solve and the condition estimate.
     cond = math.inf
     try:
-        solve, cond = _factor(saddle)
+        solve, cond, factorization = _factor(saddle, positive_definite=not q)
         solution = solve(np.concatenate([values, np.zeros(q)]))
     except (np.linalg.LinAlgError, ValueError) as exc:  # scipy raises numpy's
         raise ConditioningError(
@@ -397,6 +443,7 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
         side_condition_residual=side_residual,
         node_residual=node_residual,
         condition_estimate=cond,
+        factorization=factorization,
     )
 
 
@@ -426,4 +473,5 @@ def evaluate(interp: Interpolant, x) -> np.ndarray:
 def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:
     """1-norm condition estimate of the full saddle matrix, the same
     number :func:`fit` reports for these nodes."""
-    return _cond1(_saddle(kernel, nodes)[0])
+    saddle, p, _ = _saddle(kernel, nodes)
+    return _cond1(saddle, positive_definite=p is None)

@@ -141,8 +141,8 @@ def fill_distance(
         )
     grid = _tensor_grid(corner, side, grid_per_side, n)
 
-    pts = pts[np.argsort(pts[:, 0], kind="stable")]
-    keys = pts[:, 0]
+    axes = np.ascontiguousarray(pts[np.argsort(pts[:, 0], kind="stable")].T)
+    keys = axes[0]
 
     def nearest_sq(block: np.ndarray, radius: float) -> np.ndarray:
         lo, hi = block[:, 0].min(), block[:, 0].max()
@@ -153,7 +153,7 @@ def fill_distance(
         j = np.searchsorted(keys, hi + pad, side="right")
         if i == j:  # no node within the radius: scan them all
             i, j = 0, len(keys)
-        return _sq_dists(block, pts[i:j]).min(axis=1)
+        return _sq_dists(block, axes[:, i:j]).min(axis=1)
 
     step = max(1, _EVAL_BLOCK_ENTRIES // len(keys))
     radius = math.inf

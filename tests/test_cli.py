@@ -11,6 +11,7 @@ import pytest
 
 from mqshape import Mode, ProblemSpec, derive_constants
 from mqshape.cli import main
+from mqshape.optimizer import finite_c_cap
 
 
 def run_cli(capsys, argv):
@@ -142,6 +143,36 @@ class TestCriterionCommand:
         assert len(rows) == 200 and all(math.isfinite(float(h)) for _, h in rows)
         code, out, _ = run_cli(capsys, ["optimize", *flags])
         assert code == 0 and float(rows[-1][0]) == json.loads(out)["bracket"][1]
+
+    def test_default_range_covers_the_minimizer(self, capsys):
+        # c* ~ 1.9e17, far past both 1e3 * c_lo and 10 * c0
+        flags = ["--n", "2", "--beta", "1", "--sigma", "0.493", "--delta", "1.2e-40",
+                 "--mode", "dilation-invariant"]
+        code, out, _ = run_cli(capsys, ["criterion", *flags])
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert all(math.isfinite(float(c)) and math.isfinite(float(h)) for c, h in rows)
+        code, out, _ = run_cli(capsys, ["optimize", *flags])
+        assert code == 0 and float(rows[-1][0]) >= json.loads(out)["c_star"]
+
+    def test_default_range_ends_at_the_cap_when_the_criterion_still_falls(self, capsys):
+        # the minimizer ~1e200 lies past the cap, so optimize refuses it;
+        # near the cap log H ~ -eta c is below -1e308 and prints as -inf
+        flags = ["--n", "1", "--beta", "1", "--delta", "1e-200", "--mode", "dilation-invariant"]
+        code, _, err = run_cli(capsys, ["optimize", *flags])
+        assert code == 3 and "cap" in err
+        code, out, _ = run_cli(capsys, ["criterion", *flags])
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert float(rows[-1][0]) == finite_c_cap(1.0)
+        assert not any(math.isnan(float(h)) for _, h in rows)
+
+    def test_default_range_without_a_minimizer_still_draws(self, capsys):
+        # delta = 0.3 breaks optimize's fixed-b0 precondition (delta < 0.125)
+        flags = ["--n", "1", "--beta", "-1", "--delta", "0.3", "--b0", "1", "--mode", "fixed-b0"]
+        assert run_cli(capsys, ["optimize", *flags])[0] == 4
+        code, out, _ = run_cli(capsys, ["criterion", *flags, "--count", "5"])
+        assert code == 0 and len(out.strip().splitlines()) == 6
 
     def test_default_range_beyond_the_finite_cap_is_refused(self, capsys):
         # c_min ~ 5.8e166 lies past the cap ~ 8.9e153

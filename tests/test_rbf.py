@@ -20,7 +20,7 @@ from mqshape import (
     uniform_grid,
 )
 from mqshape.constants import cpd_order
-from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _saddle
+from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _saddle, _sq_dists
 
 
 def perturbed_grid_1d(rng, count, spacing=0.5):
@@ -262,6 +262,56 @@ class TestFit:
         fit(Kernel(c=1.0, beta=3.0, n=2), nodes, np.ones(nodes.count))
         assert calls == {"lu_factor": 1, "lu_solve": 1}
 
+    @staticmethod
+    def count_factor_calls(monkeypatch):
+        """Count the scipy.linalg factor and solve calls, the failed ones too."""
+        import scipy.linalg
+
+        calls = dict.fromkeys(["cho_factor", "cho_solve", "lu_factor", "lu_solve"], 0)
+        failed = {"cho_factor": 0}
+        for name in calls:
+            real = getattr(scipy.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                try:
+                    return _real(*args, **kwargs)
+                except np.linalg.LinAlgError:
+                    failed[_name] += 1
+                    raise
+
+            monkeypatch.setattr(scipy.linalg, name, counted)
+        return calls, failed
+
+    def test_positive_definite_system_takes_cholesky(self, monkeypatch):
+        calls, failed = self.count_factor_calls(monkeypatch)
+        nodes = perturbed_grid_2d(np.random.default_rng(3), 6)
+        kern = Kernel(c=0.2, beta=-1.0, n=2)
+        interp = fit(kern, nodes, np.cos(nodes.points.sum(axis=1)))
+        assert calls == {"cho_factor": 1, "cho_solve": 1, "lu_factor": 0, "lu_solve": 0}
+        assert failed == {"cho_factor": 0}
+        assert interp.factorization == "cholesky"
+        assert interp.node_residual < 1e-12
+        assert condition_estimate(kern, nodes) == interp.condition_estimate
+
+    def test_cholesky_breakdown_falls_back_to_lu(self, monkeypatch):
+        # the 41-node system of the mpmath oracle test, cond ~3e19: not
+        # positive definite in floating point
+        import scipy.linalg
+
+        nodes = uniform_grid(np.zeros(1), 1.0, 41, 1)
+        kern = Kernel(c=20.0, beta=-1.0, n=1)
+        vals = np.exp(-0.25 * (nodes.points[:, 0] - 0.5) ** 2)
+        saddle = _saddle(kern, nodes)[0]
+        direct = scipy.linalg.lu_solve(scipy.linalg.lu_factor(saddle), vals)
+        calls, failed = self.count_factor_calls(monkeypatch)
+        interp = fit(kern, nodes, vals)
+        assert calls == {"cho_factor": 1, "cho_solve": 0, "lu_factor": 1, "lu_solve": 1}
+        assert failed == {"cho_factor": 1}
+        assert interp.factorization == "lu"
+        assert np.array_equal(interp.kernel_coeffs, direct)
+        assert condition_estimate(kern, nodes) == interp.condition_estimate
+
     @pytest.mark.parametrize("offset", [1e4, 1e5, 1e8])
     def test_tail_in_cube_frame(self, offset):
         # on raw coordinates the tail grows cond ~1000-fold by offset 1e4
@@ -361,6 +411,22 @@ class TestEvaluate:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    def test_sq_dists_match_subtract_outer(self, n, offset):
+        # copying y down and subtracting x gives the squares of the
+        # broadcast differences to the bit, summed in the same order
+        rng = np.random.default_rng(20 + n)
+        corner = np.full(n, offset)
+        x, y = (rng.uniform(0.0, 1.0, (k, n)) + corner - (corner + 0.5) for k in (37, 53))
+        ref = np.subtract.outer(x[:, 0], y[:, 0]) ** 2
+        for axis in range(1, n):
+            ref += np.subtract.outer(x[:, axis], y[:, axis]) ** 2
+        out, diff = np.empty_like(ref), np.empty_like(ref)
+        assert np.array_equal(_sq_dists(x, np.ascontiguousarray(y.T)), ref)
+        assert np.array_equal(_sq_dists(x, y.T, out=out, diff=diff), ref)
+        assert np.array_equal(out, ref)
+
     @pytest.mark.parametrize("beta, q", [(-1.0, 0), (1.0, 1), (3.0, 3)])
     def test_saddle_matches_dense_oracle(self, beta, q):
         # 400 nodes take row blocks of 163, 163 and 74 rows
@@ -391,16 +457,27 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    @pytest.mark.parametrize("beta", [-1.0, 1.0, 3.0])
     def test_fit_holds_the_saddle_and_its_lu(self, beta):
-        # the kernel rows are formed inside the one saddle matrix; the LU
-        # factors a copy, which the node residual needs
+        # the kernel rows are formed inside the one saddle matrix, or in
+        # one block buffer when a tail makes them strided; Cholesky or the
+        # LU factors a copy, which the node residual needs
         nodes = perturbed_grid_2d(np.random.default_rng(4), 25)
         kern = Kernel(c=1.0, beta=beta, n=2)
         vals = np.cos(nodes.points.sum(axis=1))
         saddle_bytes = 8 * (nodes.count + len(poly_basis(cpd_order(beta), 2))) ** 2
         fit(kern, nodes, vals)  # imports scipy.linalg before the trace
         assert self.peak_bytes(lambda: fit(kern, nodes, vals)) <= 2.25 * saddle_bytes
+
+    def test_cholesky_breakdown_holds_one_factor_copy(self):
+        # at c = 30 Cholesky breaks down (cond ~6e19); its copy is freed
+        # before the LU makes its own
+        nodes = perturbed_grid_2d(np.random.default_rng(4), 25)
+        kern = Kernel(c=30.0, beta=-1.0, n=2)
+        vals = np.cos(nodes.points.sum(axis=1))
+        assert fit(kern, nodes, vals).factorization == "lu"
+        peak = self.peak_bytes(lambda: fit(kern, nodes, vals))
+        assert peak <= 2.25 * 8 * nodes.count**2
 
     def test_evaluate_peak_does_not_grow_with_points(self):
         # the centred points and the result take 8 (n + 1) = 24 bytes a
@@ -487,8 +564,11 @@ class TestConditioning:
             a = np.block([[a, ones], [ones.T, np.zeros((1, 1))]])
         oracle = np.linalg.cond(a, 1)
         est = condition_estimate(k, nodes)
-        assert fit(k, nodes, rng.normal(size=nodes.count)).condition_estimate == est
+        interp = fit(k, nodes, rng.normal(size=nodes.count))
+        assert interp.condition_estimate == est
         assert oracle / 3.0 <= est <= 3.0 * oracle
+        # the beta < 0 cases check the dpocon estimate, the others dgecon
+        assert interp.factorization == ("cholesky" if beta < 0 else "lu")
 
     def test_estimate_rejects_dimension_mismatch(self):
         nodes = uniform_grid(np.zeros(2), 1.0, 3, 2)
