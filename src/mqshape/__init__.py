@@ -10,7 +10,8 @@ Importing the package loads neither numpy nor scipy: the selection layers
 (constants, criterion, optimizer) are pure ``math`` code.  The exports of
 :mod:`mqshape.rbf` and :mod:`mqshape.verify`, and those two submodules,
 are resolved on first use, which imports numpy; the first factorization
-in :func:`fit` imports ``scipy.linalg``.
+in :func:`fit` loads scipy's LAPACK extension, but not the
+``scipy.linalg`` package.
 """
 
 import importlib

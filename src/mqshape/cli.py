@@ -9,7 +9,8 @@ stderr).  Exit codes: 0 ok, 2 usage or input error, 3 numeric failure,
 The selection commands (``constants``, ``criterion``, ``optimize``) are
 pure ``math`` code and load neither numpy nor scipy; ``fit`` and
 ``verify`` import numpy, :mod:`mqshape.rbf` and :mod:`mqshape.verify`
-when they run, and the first factorization imports ``scipy.linalg``.
+when they run, and the first factorization loads scipy's LAPACK
+extension without the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ factored by a partially pivoted LU instead, as is every beta > 0 saddle.
 :attr:`Interpolant.factorization` records which.  That one factorization
 also gives the 1-norm condition estimate (LAPACK ``dpocon`` or
 ``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and Stability
-of Numerical Algorithms*, ch. 15).  ``scipy.linalg`` is imported on the
-first factorization, not with this module, so the criterion and
-optimizer never load scipy.
+of Numerical Algorithms*, ch. 15).  The LAPACK routines are called
+directly from scipy's f2py extension ``scipy.linalg._flapack``, which is
+loaded on the first factorization without the ``scipy.linalg`` package
+(:func:`_lapack`), so the criterion and optimizer never load scipy and a
+fit loads only that one extension.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -41,10 +43,12 @@ point, so its memory does not grow with the number of evaluation points.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
+import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -306,20 +310,48 @@ class Interpolant:
     factorization: str  # "cholesky" or "lu", see _factor()
 
 
+def _lapack():
+    """scipy's f2py LAPACK extension, ``scipy.linalg._flapack``.  It is
+    loaded from its file and registered under its own name, which skips
+    ``scipy/linalg/__init__.py``: that package costs ~0.25 s a process
+    (its array-API layer imports ``numpy.testing`` and ``numpy.f2py``),
+    against ~25 ms for ``import scipy`` and the extension.  A module
+    already in ``sys.modules`` is reused, and a later ``import scipy.linalg``
+    finds this one, so a process holds one copy either way.  Where the
+    extension is not a file on scipy's path, the package imports it."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy  # scipy's own start-up checks run; scipy.linalg's do not
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")]
+    )
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _factor(matrix: np.ndarray, positive_definite: bool):
     """(solve, cond, factorization) for a square matrix: ``solve(b)``
     solves A x = b from one factorization, cond is the 1-norm condition
     estimate ||A||_1 / rcond with rcond from LAPACK on those same factors,
     and factorization names them.  A matrix known to be positive definite
-    is factored by Cholesky (``dpocon``); where that breaks down, A is not
-    positive definite in floating point, and it is factored, like any
-    other matrix, by a partially pivoted LU (``dgecon``).  An exactly
-    singular matrix estimates inf.  Raises ValueError when the matrix has
-    non-finite entries.  scipy is imported here, on the first
-    factorization, so that importing this module does not load it."""
-    import scipy.linalg
-    from scipy.linalg.lapack import dgecon, dpocon
-
+    is factored by Cholesky (``dpotrf``, ``dpocon``); where that breaks
+    down (``info > 0``), A is not positive definite in floating point, and
+    it is factored, like any other matrix, by a partially pivoted LU
+    (``dgetrf``, ``dgecon``).  An exactly singular matrix estimates inf.
+    Raises ValueError when the matrix has non-finite entries.  The calls
+    and their arguments are those of scipy.linalg's ``cho_factor``,
+    ``cho_solve``, ``lu_factor`` and ``lu_solve`` without the finiteness
+    checks, so the factors and solutions are theirs to the bit."""
+    lapack = _lapack()
     # ||A||_1, the largest column sum of |A|, a row block at a time: a
     # matrix-sized |A| would be page-faulted in on every fit
     step = max(1, _EVAL_BLOCK_ENTRIES // matrix.shape[1])
@@ -328,22 +360,20 @@ def _factor(matrix: np.ndarray, positive_definite: bool):
     if not math.isfinite(anorm):
         raise ValueError("matrix has non-finite entries")
     if positive_definite:
-        try:
-            factors = scipy.linalg.cho_factor(matrix, check_finite=False)
-        except np.linalg.LinAlgError:  # scipy raises numpy's
-            # the failed copy is freed on leaving the handler, before the
-            # LU makes its own: the two are never held at once
-            pass
-        else:
-            rcond, info = dpocon(factors[0], anorm)  # both default to the upper triangle
-            solve = partial(scipy.linalg.cho_solve, factors, check_finite=False)
+        # the upper triangle, left uncleaned below, as in cho_factor
+        factor, info = lapack.dpotrf(matrix, clean=0)
+        if info == 0:
+            rcond, info = lapack.dpocon(factor, anorm)
+            solve = lambda b: lapack.dpotrs(factor, b)[0]
             return solve, _from_rcond(rcond, info), "cholesky"
-    with warnings.catch_warnings():
-        # conditioning is reported explicitly, as an estimate or an error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu_piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    rcond, info = dgecon(lu_piv[0], anorm, norm="1")
-    return partial(scipy.linalg.lu_solve, lu_piv), _from_rcond(rcond, info), "lu"
+        # the failed copy is freed before the LU makes its own: the two
+        # are never held at once
+        del factor
+    # info > 0 is an exactly zero pivot, which estimates inf
+    lu, piv, info = lapack.dgetrf(matrix)
+    rcond, info = lapack.dgecon(lu, anorm, norm="1")
+    solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
+    return solve, _from_rcond(rcond, info), "lu"
 
 
 def _from_rcond(rcond: float, info: int) -> float:
@@ -391,9 +421,10 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     The system is [[A, P], [P^T, 0]] [coef; poly] = [values; 0] with
     A the kernel matrix and P the polynomial block.  Raises
-    :class:`InputError` for mismatched data or a node set that cannot
-    determine the polynomial tail, and :class:`ConditioningError` when the
-    factorization breaks down (expected behaviour for very large c).
+    :class:`InputError` for mismatched or non-finite data or a node set
+    that cannot determine the polynomial tail, and
+    :class:`ConditioningError` when the factorization breaks down
+    (expected behaviour for very large c).
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     n_nodes = nodes.count
@@ -401,6 +432,8 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
         raise InputError(
             f"got {values.shape[0]} values for {n_nodes} nodes"
         )
+    if not np.isfinite(values).all():
+        raise InputError("data values must be finite")
 
     saddle, p, exponents = _saddle(kernel, nodes)
     q = len(exponents)
@@ -418,7 +451,7 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     try:
         solve, cond, factorization = _factor(saddle, positive_definite=not q)
         solution = solve(np.concatenate([values, np.zeros(q)]))
-    except (np.linalg.LinAlgError, ValueError) as exc:  # scipy raises numpy's
+    except ValueError as exc:
         raise ConditioningError(
             f"saddle system is numerically singular (cond ~ {cond:.3e})",
             condition_estimate=cond,

@@ -316,6 +316,24 @@ class TestFitCommand:
         assert out == ""
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize(
+        "beta, count, c", [("-1", 11, "0.5"), ("-1", 41, "20"), ("1", 11, "0.5")]
+    )
+    def test_non_finite_value_is_an_input_error(self, capsys, tmp_path, beta, count, c):
+        # well-conditioned systems (and a Cholesky breakdown for 41 nodes
+        # at c = 20): exit 2 for bad data, not 3 for conditioning
+        path = tmp_path / "nodes.csv"
+        xs = np.linspace(0.0, 1.0, count)
+        rows = [f"{x},{math.sin(x)}\n" for x in xs]
+        rows[count // 2] = f"{xs[count // 2]},nan\n"
+        path.write_text("".join(rows))
+        code, out, err = run_cli(
+            capsys, ["fit", "--n", "1", "--beta", beta, "--c", c, "--nodes", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -440,22 +458,31 @@ def test_selection_commands_load_no_scipy(argv):
     assert modules == set()
 
 
-def test_verify_loads_only_scipy_linalg(tmp_path):
-    path = tmp_path / "nodes.csv"
-    path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
-    argv = [
-        "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0", "--b0", "1.0",
-        "--gauss-a", "0.25", "--c", str(24.0 * math.exp(4.0) * 0.06),
-        "--nodes", str(path), "--eval-grid", "101",
-    ]
-    code, modules = scipy_modules_after(argv)
-    assert code == "0"
-    assert "scipy.linalg" in modules
+VERIFY_ARGV = [
+    "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0", "--b0", "1.0",
+    "--gauss-a", "0.25", "--c", str(24.0 * math.exp(4.0) * 0.06),
+    "--eval-grid", "101",
+]
+
+
+def assert_lapack_without_scipy_linalg(modules):
+    """The LAPACK extension is loaded, and neither the ``scipy.linalg``
+    package nor scipy.special or scipy.spatial is."""
+    assert "scipy.linalg._flapack" in modules
+    assert "scipy.linalg" not in modules
     assert not {m for m in modules if m.startswith(("scipy.special", "scipy.spatial"))}
 
 
+def test_verify_loads_lapack_but_not_scipy_linalg(tmp_path):
+    path = tmp_path / "nodes.csv"
+    path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
+    code, modules = scipy_modules_after([*VERIFY_ARGV, "--nodes", str(path)])
+    assert code == "0"
+    assert_lapack_without_scipy_linalg(modules)
+
+
 @pytest.mark.parametrize("command", ["fit", "verify"])
-def test_rbf_commands_load_numpy_and_only_scipy_linalg(tmp_path, command):
+def test_rbf_commands_load_numpy_and_lapack_but_not_scipy_linalg(tmp_path, command):
     path = tmp_path / "nodes.csv"
     xs = np.linspace(0.0, 1.0, 11)
     if command == "fit":
@@ -463,15 +490,68 @@ def test_rbf_commands_load_numpy_and_only_scipy_linalg(tmp_path, command):
         argv = ["fit", "--n", "1", "--beta", "-1", "--c", "0.5", "--nodes", str(path)]
     else:
         path.write_text("".join(f"{x}\n" for x in xs))
-        argv = [
-            "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0", "--b0", "1.0",
-            "--gauss-a", "0.25", "--c", str(24.0 * math.exp(4.0) * 0.06),
-            "--nodes", str(path), "--eval-grid", "101",
-        ]
+        argv = [*VERIFY_ARGV, "--nodes", str(path)]
     code, modules = scipy_modules_after(argv)
     assert code == "0"
-    assert {"numpy", "scipy.linalg"} <= modules
-    assert not {m for m in modules if m.startswith(("scipy.special", "scipy.spatial"))}
+    assert "numpy" in modules
+    assert_lapack_without_scipy_linalg(modules)
+
+
+FIT_PROBE = """
+from mqshape import rbf
+nodes = rbf.uniform_grid([0.0], 1.0, 11, 1)
+interp = rbf.fit(rbf.Kernel(c=0.5, beta=1.0, n=1), nodes, np.sin(nodes.points[:, 0]))
+assert interp.factorization == 'lu'
+used = rbf._lapack()
+"""
+
+SCIPY_LINALG_PROBE = """
+import scipy.linalg
+"""
+
+SAME_LAPACK_PROBE = """
+assert sys.modules['scipy.linalg._flapack'] is used
+assert scipy.linalg.lapack.dgetrf is used.dgetrf
+a = np.array([[4.0, 1.0], [2.0, 3.0]])
+x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0])
+assert np.allclose(a @ x, [1.0, 2.0])
+print('ok')
+"""
+
+
+# hides the extension file from the first lookup of it, which is rbf's
+NO_SPEC_PROBE = """
+import importlib.machinery
+real_find_spec = importlib.machinery.PathFinder.find_spec
+hidden = []
+def find_spec(name, path=None, target=None):
+    if name == 'scipy.linalg._flapack' and not hidden:
+        hidden.append(name)
+        return None
+    return real_find_spec(name, path, target)
+importlib.machinery.PathFinder.find_spec = staticmethod(find_spec)
+"""
+
+FELL_BACK_PROBE = """
+assert 'scipy.linalg' in sys.modules
+"""
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [FIT_PROBE, SCIPY_LINALG_PROBE],
+        [SCIPY_LINALG_PROBE, FIT_PROBE],
+        [NO_SPEC_PROBE, FIT_PROBE, FELL_BACK_PROBE, SCIPY_LINALG_PROBE],
+    ],
+    ids=["fit-first", "scipy-linalg-first", "no-spec-fallback"],
+)
+def test_one_lapack_module_with_scipy_linalg(steps):
+    # mqshape's loader and an import of scipy.linalg, in either order,
+    # share one copy of the extension, and scipy.linalg still works; where
+    # no extension file is found, the loader imports the package
+    source = "import sys\nimport numpy as np\n" + "".join(steps) + SAME_LAPACK_PROBE
+    assert run_fresh(source).split() == ["ok"]
 
 
 LAZY_EXPORTS_PROBE = """

@@ -20,7 +20,7 @@ from mqshape import (
     uniform_grid,
 )
 from mqshape.constants import cpd_order
-from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _saddle, _sq_dists
+from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _lapack, _saddle, _sq_dists
 
 
 def perturbed_grid_1d(rng, count, spacing=0.5):
@@ -246,50 +246,39 @@ class TestFit:
                 rel = np.abs(p.T @ coef) / max(np.sum(np.abs(coef)), 1e-300)
                 assert np.max(rel) < 1e-9
 
-    def test_one_factorization_one_solve(self, monkeypatch):
-        import scipy.linalg
-
-        calls = {"lu_factor": 0, "lu_solve": 0}
-        for name in calls:
-            real = getattr(scipy.linalg, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.linalg, name, counted)
-        nodes = perturbed_grid_2d(np.random.default_rng(3), 5)
-        fit(Kernel(c=1.0, beta=3.0, n=2), nodes, np.ones(nodes.count))
-        assert calls == {"lu_factor": 1, "lu_solve": 1}
-
     @staticmethod
-    def count_factor_calls(monkeypatch):
-        """Count the scipy.linalg factor and solve calls, the failed ones too."""
-        import scipy.linalg
-
-        calls = dict.fromkeys(["cho_factor", "cho_solve", "lu_factor", "lu_solve"], 0)
-        failed = {"cho_factor": 0}
+    def count_lapack_calls(monkeypatch):
+        """Count the factor and solve calls on the LAPACK module, and the
+        dpotrf calls that report a breakdown (info > 0)."""
+        lapack = _lapack()
+        calls = dict.fromkeys(["dpotrf", "dpotrs", "dgetrf", "dgetrs"], 0)
+        failed = {"dpotrf": 0}
         for name in calls:
-            real = getattr(scipy.linalg, name)
+            real = getattr(lapack, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
-                try:
-                    return _real(*args, **kwargs)
-                except np.linalg.LinAlgError:
+                out = _real(*args, **kwargs)
+                if _name in failed and out[-1] > 0:
                     failed[_name] += 1
-                    raise
+                return out
 
-            monkeypatch.setattr(scipy.linalg, name, counted)
+            monkeypatch.setattr(lapack, name, counted)
         return calls, failed
 
+    def test_one_factorization_one_solve(self, monkeypatch):
+        calls, _ = self.count_lapack_calls(monkeypatch)
+        nodes = perturbed_grid_2d(np.random.default_rng(3), 5)
+        fit(Kernel(c=1.0, beta=3.0, n=2), nodes, np.ones(nodes.count))
+        assert calls == {"dpotrf": 0, "dpotrs": 0, "dgetrf": 1, "dgetrs": 1}
+
     def test_positive_definite_system_takes_cholesky(self, monkeypatch):
-        calls, failed = self.count_factor_calls(monkeypatch)
+        calls, failed = self.count_lapack_calls(monkeypatch)
         nodes = perturbed_grid_2d(np.random.default_rng(3), 6)
         kern = Kernel(c=0.2, beta=-1.0, n=2)
         interp = fit(kern, nodes, np.cos(nodes.points.sum(axis=1)))
-        assert calls == {"cho_factor": 1, "cho_solve": 1, "lu_factor": 0, "lu_solve": 0}
-        assert failed == {"cho_factor": 0}
+        assert calls == {"dpotrf": 1, "dpotrs": 1, "dgetrf": 0, "dgetrs": 0}
+        assert failed == {"dpotrf": 0}
         assert interp.factorization == "cholesky"
         assert interp.node_residual < 1e-12
         assert condition_estimate(kern, nodes) == interp.condition_estimate
@@ -304,13 +293,28 @@ class TestFit:
         vals = np.exp(-0.25 * (nodes.points[:, 0] - 0.5) ** 2)
         saddle = _saddle(kern, nodes)[0]
         direct = scipy.linalg.lu_solve(scipy.linalg.lu_factor(saddle), vals)
-        calls, failed = self.count_factor_calls(monkeypatch)
+        calls, failed = self.count_lapack_calls(monkeypatch)
         interp = fit(kern, nodes, vals)
-        assert calls == {"cho_factor": 1, "cho_solve": 0, "lu_factor": 1, "lu_solve": 1}
-        assert failed == {"cho_factor": 1}
+        assert calls == {"dpotrf": 1, "dpotrs": 0, "dgetrf": 1, "dgetrs": 1}
+        assert failed == {"dpotrf": 1}
         assert interp.factorization == "lu"
         assert np.array_equal(interp.kernel_coeffs, direct)
         assert condition_estimate(kern, nodes) == interp.condition_estimate
+
+    @pytest.mark.parametrize(
+        "beta, count, c, factorization",
+        [(-1.0, 11, 0.5, "cholesky"), (-1.0, 41, 20.0, "lu"), (1.0, 11, 0.5, "lu")],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_input_errors(self, beta, count, c, factorization, bad):
+        # the system itself is fine: the data, not the conditioning, is at fault
+        nodes = uniform_grid(np.zeros(1), 1.0, count, 1)
+        kern = Kernel(c=c, beta=beta, n=1)
+        vals = np.sin(3.0 * nodes.points[:, 0])
+        assert fit(kern, nodes, vals).factorization == factorization
+        vals[count // 2] = bad
+        with pytest.raises(InputError, match="finite"):
+            fit(kern, nodes, vals)
 
     @pytest.mark.parametrize("offset", [1e4, 1e5, 1e8])
     def test_tail_in_cube_frame(self, offset):
@@ -466,7 +470,7 @@ class TestMemory:
         kern = Kernel(c=1.0, beta=beta, n=2)
         vals = np.cos(nodes.points.sum(axis=1))
         saddle_bytes = 8 * (nodes.count + len(poly_basis(cpd_order(beta), 2))) ** 2
-        fit(kern, nodes, vals)  # imports scipy.linalg before the trace
+        fit(kern, nodes, vals)  # loads the LAPACK extension before the trace
         assert self.peak_bytes(lambda: fit(kern, nodes, vals)) <= 2.25 * saddle_bytes
 
     def test_cholesky_breakdown_holds_one_factor_copy(self):
