@@ -9,15 +9,23 @@ reports as a :class:`ConditioningError`.  For beta > 0 the kernel is
 conditionally positive definite of order m = ceil(beta/2) and the
 interpolant carries a polynomial tail of degree m - 1 plus moment side
 conditions on the kernel coefficients; for beta < 0 the tail is empty.
-The system is factored once and solved once.  For beta < 0 the kernel
-matrix is positive definite (Gamma(-beta/2) > 0), so it is factored by
-Cholesky; where Cholesky breaks down, the matrix is not positive definite
-in floating point (cond * eps >~ 1, the large-c regime) and it is
-factored by a partially pivoted LU instead, as is every beta > 0 saddle.
-:attr:`Interpolant.factorization` records which.  That one factorization
-also gives the 1-norm condition estimate (LAPACK ``dpocon`` or
-``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and Stability
-of Numerical Algorithms*, ch. 15).  The LAPACK routines are called
+The system is factored once and solved once, in place: the saddle is
+bitwise symmetric, so its transpose is the same matrix in LAPACK's column
+order, and LAPACK overwrites it without the transposing copy that a
+row-ordered argument costs.  For beta < 0 the kernel matrix is positive
+definite (Gamma(-beta/2) > 0), so it is factored by Cholesky; where
+Cholesky breaks down, the matrix is not positive definite in floating
+point (cond * eps >~ 1, the large-c regime) and a copy of it is factored
+by a partially pivoted LU instead.  Every beta > 0 saddle is indefinite
+and is factored by a symmetric indefinite LDL^T (Bunch-Kaufman pivoting:
+Bunch & Kaufman, *Math. Comp.* 31 (1977) 163-179), at half the LU's
+flops.  :attr:`Interpolant.factorization` records which.  That one
+factorization also gives the 1-norm condition estimate of the whole
+saddle (LAPACK ``dpocon``, ``dsycon`` or ``dgecon``, the Hager/Higham
+estimator: Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 15).  Cholesky and LDL^T overwrite one triangle and the diagonal, so
+:func:`fit` keeps a copy of the diagonal and reads its residuals from the
+other triangle: the system is held once.  The LAPACK routines are called
 directly from scipy's f2py extension ``scipy.linalg._flapack``, which is
 loaded on the first factorization without the ``scipy.linalg`` package
 (:func:`_lapack`), so the criterion and optimizer never load scipy and a
@@ -36,9 +44,11 @@ point's coordinate subtracted in place), then + c^2, then the power
 otherwise), then the factor Gamma(-beta/2).  For beta < 0 assembly writes
 those blocks straight into the one saddle matrix it allocates; for
 beta > 0, whose kernel rows are strided within the saddle, it forms each
-block in one contiguous buffer and copies it in.  :func:`evaluate`
-reuses one block buffer and applies the factor once per evaluation
-point, so its memory does not grow with the number of evaluation points.
+block in one contiguous buffer, with blocks of half the size so that the
+buffer and its scratch add no more than one full block would, and copies
+it in.  :func:`evaluate` reuses one block buffer and applies the factor
+once per evaluation point, so its memory does not grow with the number
+of evaluation points.
 """
 
 from __future__ import annotations
@@ -227,9 +237,11 @@ def _sq_dists(x: np.ndarray, y_axes: np.ndarray, out=None, diff=None) -> np.ndar
     return d2
 
 
-def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None):
-    """Yield (rows, block) for each row block of x of at most
-    _EVAL_BLOCK_ENTRIES entries: ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
+def _kernel_rows(
+    kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None, entries=_EVAL_BLOCK_ENTRIES
+):
+    """Yield (rows, block) for each row block of x of at most ``entries``
+    entries: ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
     for the rows ``rows`` of x and every row of y, without the factor
     Gamma(-beta/2).  The blocks are the rows of ``out`` when it is given,
     else one contiguous buffer that every block reuses: each fresh
@@ -239,7 +251,7 @@ def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None):
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
     count = x.shape[0]
     y_axes = np.ascontiguousarray(y.T)
-    step = max(1, _EVAL_BLOCK_ENTRIES // y.shape[0])
+    step = max(1, entries // y.shape[0])
     shape = (min(step, count), y.shape[0])
     buffer = np.empty(shape) if out is None else None
     diff = np.empty(shape)
@@ -307,7 +319,7 @@ class Interpolant:
     side_condition_residual: float
     node_residual: float
     condition_estimate: float
-    factorization: str  # "cholesky" or "lu", see _factor()
+    factorization: str  # "cholesky", "ldl" or "lu", see _factor()
 
 
 def _lapack():
@@ -338,39 +350,63 @@ def _lapack():
     return module
 
 
+def _row_blocks(size: int):
+    """Slices of the rows of a square matrix of order ``size``, each of at
+    most _EVAL_BLOCK_ENTRIES entries: a matrix-sized temporary would be
+    page-faulted in on every fit."""
+    step = max(1, _EVAL_BLOCK_ENTRIES // size)
+    for start in range(0, size, step):
+        yield slice(start, min(start + step, size))
+
+
 def _factor(matrix: np.ndarray, positive_definite: bool):
-    """(solve, cond, factorization) for a square matrix: ``solve(b)``
-    solves A x = b from one factorization, cond is the 1-norm condition
-    estimate ||A||_1 / rcond with rcond from LAPACK on those same factors,
-    and factorization names them.  A matrix known to be positive definite
-    is factored by Cholesky (``dpotrf``, ``dpocon``); where that breaks
-    down (``info > 0``), A is not positive definite in floating point, and
-    it is factored, like any other matrix, by a partially pivoted LU
-    (``dgetrf``, ``dgecon``).  An exactly singular matrix estimates inf.
-    Raises ValueError when the matrix has non-finite entries.  The calls
-    and their arguments are those of scipy.linalg's ``cho_factor``,
-    ``cho_solve``, ``lu_factor`` and ``lu_solve`` without the finiteness
-    checks, so the factors and solutions are theirs to the bit."""
+    """(solve, cond, factorization) for a bitwise symmetric matrix, which
+    it consumes: ``solve(b)`` solves A x = b from one factorization, cond
+    is the 1-norm condition estimate ||A||_1 / rcond with rcond from
+    LAPACK on those same factors, and factorization names them.
+
+    ``matrix.T`` is column-major and, A being symmetric, equal to A, so
+    LAPACK factors it in place, with no transposing copy.  A matrix known
+    to be positive definite is factored by Cholesky (``dpotrf``,
+    ``dpocon``); where that breaks down (``info > 0``), A is not positive
+    definite in floating point, and a copy of it, rebuilt from the intact
+    triangle, is factored by a partially pivoted LU (``dgetrf``,
+    ``dgecon``).  Any other matrix is factored by the symmetric indefinite
+    LDL^T (``dsytrf``, ``dsycon``).  Cholesky and LDL^T overwrite the lower
+    triangle and the diagonal of ``matrix`` and leave its strict upper
+    triangle as it was; :func:`_symmetric_product` reads A back from that
+    triangle and a copy of the diagonal taken beforehand.  An exactly
+    singular matrix estimates inf.  Raises ValueError when the matrix has
+    non-finite entries.  The Cholesky and LU calls and their arguments are
+    those of scipy.linalg's ``cho_factor``, ``cho_solve``, ``lu_factor``
+    and ``lu_solve`` without the finiteness checks, so the factors and
+    solutions are theirs to the bit."""
     lapack = _lapack()
-    # ||A||_1, the largest column sum of |A|, a row block at a time: a
-    # matrix-sized |A| would be page-faulted in on every fit
-    step = max(1, _EVAL_BLOCK_ENTRIES // matrix.shape[1])
-    col_sums = sum(np.abs(matrix[i:i + step]).sum(axis=0) for i in range(0, matrix.shape[0], step))
+    size = matrix.shape[0]
+    # ||A||_1, the largest column sum of |A|, a row block at a time
+    col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size))
     anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         raise ValueError("matrix has non-finite entries")
-    if positive_definite:
-        # the upper triangle, left uncleaned below, as in cho_factor
-        factor, info = lapack.dpotrf(matrix, clean=0)
-        if info == 0:
-            rcond, info = lapack.dpocon(factor, anorm)
-            solve = lambda b: lapack.dpotrs(factor, b)[0]
-            return solve, _from_rcond(rcond, info), "cholesky"
-        # the failed copy is freed before the LU makes its own: the two
-        # are never held at once
-        del factor
+    if not positive_definite:
+        lwork, _ = lapack.dsytrf_lwork(size)  # the default runs unblocked
+        ldl, ipiv, info = lapack.dsytrf(matrix.T, lwork=int(lwork), overwrite_a=1)
+        # info > 0 is an exactly zero pivot, which dsycon estimates as inf
+        rcond, info = lapack.dsycon(ldl, ipiv, anorm)
+        solve = lambda b: lapack.dsytrs(ldl, ipiv, b)[0]
+        return solve, _from_rcond(rcond, info), "ldl"
+    diagonal = matrix.diagonal().copy()
+    # LAPACK's upper triangle is the lower one of ``matrix``; clean=0, as
+    # in cho_factor, leaves the other triangle as it was
+    factor, info = lapack.dpotrf(matrix.T, clean=0, overwrite_a=1)
+    if info == 0:
+        rcond, info = lapack.dpocon(factor, anorm)
+        solve = lambda b: lapack.dpotrs(factor, b)[0]
+        return solve, _from_rcond(rcond, info), "cholesky"
+    # the LU overwrites all of its matrix, and the caller still reads the
+    # strict upper triangle of this one
+    lu, piv, info = lapack.dgetrf(_symmetric_copy(matrix, diagonal).T, overwrite_a=1)
     # info > 0 is an exactly zero pivot, which estimates inf
-    lu, piv, info = lapack.dgetrf(matrix)
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
     return solve, _from_rcond(rcond, info), "lu"
@@ -382,15 +418,52 @@ def _from_rcond(rcond: float, info: int) -> float:
 
 
 def _cond1(matrix: np.ndarray, positive_definite: bool = False) -> float:
+    """The 1-norm condition estimate of a symmetric matrix, which it
+    consumes (:func:`_factor`); inf for non-finite entries."""
     try:
         return _factor(matrix, positive_definite)[1]
     except ValueError:
         return math.inf
 
 
+def _diagonal_block(upper: np.ndarray, diagonal: np.ndarray, rows: slice) -> np.ndarray:
+    """The symmetric block A[rows, rows] of the matrix A whose strict upper
+    triangle is that of ``upper`` and whose diagonal is ``diagonal``."""
+    strict = np.triu(upper[rows, rows], 1)
+    block = strict + strict.T
+    np.fill_diagonal(block, diagonal[rows])
+    return block
+
+
+def _symmetric_copy(upper: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose strict upper triangle is that of
+    ``upper`` and whose diagonal is ``diagonal``, built a row block at a
+    time: every entry is copied, so it equals the original to the bit."""
+    full = np.empty_like(upper)
+    for rows in _row_blocks(upper.shape[0]):
+        full[rows, :rows.start] = upper[:rows.start, rows].T
+        full[rows, rows] = _diagonal_block(upper, diagonal, rows)
+        full[rows, rows.stop:] = upper[rows, rows.stop:]
+    return full
+
+
+def _symmetric_product(upper: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the symmetric A whose strict upper triangle is that of
+    ``upper`` and whose diagonal is ``diagonal``, a row block at a time:
+    each block's part right of the diagonal serves its own rows and,
+    transposed, the rows below it."""
+    y = np.zeros_like(x)
+    for rows in _row_blocks(upper.shape[0]):
+        right = upper[rows, rows.stop:]
+        y[rows] += _diagonal_block(upper, diagonal, rows) @ x[rows] + right @ x[rows.stop:]
+        y[rows.stop:] += right.T @ x[rows]
+    return y
+
+
 def _saddle(kernel: Kernel, nodes: NodeSet):
-    """(saddle matrix, polynomial block or None, exponents) of the
-    interpolation system on ``nodes``."""
+    """(saddle matrix, exponents) of the interpolation system on
+    ``nodes``: [[A, P], [P^T, 0]], with A the kernel matrix and P the
+    polynomial block.  It is bitwise symmetric."""
     if kernel.n != nodes.dim:
         raise InputError(
             f"kernel dimension {kernel.n} does not match node dimension {nodes.dim}"
@@ -400,31 +473,34 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     saddle = np.empty((count + q, count + q))
     centred = _centred(nodes, nodes.points)
     with np.errstate(**_BEYOND_RANGE):
-        # with a tail, the kernel rows are strided within the saddle: form
-        # each block in the contiguous buffer and copy it in
-        out = None if q else saddle
-        for rows, block in _kernel_rows(kernel, centred, centred, out=out):
-            block *= kernel.gamma_factor
-            if q:
-                saddle[rows, :count] = block
-    if not q:
-        return saddle, None, exponents
+        if not q:
+            for _, block in _kernel_rows(kernel, centred, centred, out=saddle):
+                block *= kernel.gamma_factor
+            return saddle, exponents
+        # the kernel rows are strided within the saddle: form each block
+        # in a contiguous buffer and copy it in; the buffer and its
+        # scratch take half a block each
+        blocks = _kernel_rows(kernel, centred, centred, entries=_EVAL_BLOCK_ENTRIES // 2)
+        for rows, block in blocks:
+            np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])
     p = _poly_matrix(exponents, nodes, nodes.points)
     saddle[:count, count:] = p
     saddle[count:, :count] = p.T
     saddle[count:, count:] = 0.0
-    return saddle, p, exponents
+    return saddle, exponents
 
 
 def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     """Solve the interpolation saddle system for the given data.
 
     The system is [[A, P], [P^T, 0]] [coef; poly] = [values; 0] with
-    A the kernel matrix and P the polynomial block.  Raises
-    :class:`InputError` for mismatched or non-finite data or a node set
-    that cannot determine the polynomial tail, and
-    :class:`ConditioningError` when the factorization breaks down
-    (expected behaviour for very large c).
+    A the kernel matrix and P the polynomial block.  It is held once:
+    the factorization overwrites one triangle and the diagonal
+    (:func:`_factor`), and the residuals are read from the other
+    triangle and a copy of the diagonal.  Raises :class:`InputError` for
+    mismatched or non-finite data or a node set that cannot determine
+    the polynomial tail, and :class:`ConditioningError` when the
+    factorization breaks down (expected behaviour for very large c).
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     n_nodes = nodes.count
@@ -435,11 +511,10 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     if not np.isfinite(values).all():
         raise InputError("data values must be finite")
 
-    saddle, p, exponents = _saddle(kernel, nodes)
+    saddle, exponents = _saddle(kernel, nodes)
     q = len(exponents)
-    a = saddle[:n_nodes, :n_nodes]
     if q:
-        svals = np.linalg.svd(p, compute_uv=False)
+        svals = np.linalg.svd(saddle[:n_nodes, n_nodes:], compute_uv=False)
         if svals[-1] <= 1e-10 * svals[0]:
             raise InputError(
                 f"node set is not unisolvent for the degree-{cpd_order(kernel.beta) - 1} "
@@ -447,10 +522,12 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
             )
 
     # One factorization serves the solve and the condition estimate.
+    rhs = np.concatenate([values, np.zeros(q)])
+    diagonal = saddle.diagonal().copy()
     cond = math.inf
     try:
         solve, cond, factorization = _factor(saddle, positive_definite=not q)
-        solution = solve(np.concatenate([values, np.zeros(q)]))
+        solution = solve(rhs)
     except ValueError as exc:
         raise ConditioningError(
             f"saddle system is numerically singular (cond ~ {cond:.3e})",
@@ -462,19 +539,15 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
             condition_estimate=cond,
         )
 
-    coef = solution[:n_nodes]
-    poly = solution[n_nodes:]
-    fitted = a @ coef + (p @ poly if q else 0.0)
-    node_residual = float(np.max(np.abs(fitted - values)))
-    side_residual = float(np.max(np.abs(p.T @ coef))) if q else 0.0
+    residual = np.abs(_symmetric_product(saddle, diagonal, solution) - rhs)
     return Interpolant(
         kernel=kernel,
         nodes=nodes,
-        kernel_coeffs=coef,
-        poly_coeffs=poly,
+        kernel_coeffs=solution[:n_nodes],
+        poly_coeffs=solution[n_nodes:],
         poly_exponents=exponents,
-        side_condition_residual=side_residual,
-        node_residual=node_residual,
+        side_condition_residual=float(residual[n_nodes:].max()) if q else 0.0,
+        node_residual=float(residual[:n_nodes].max()),
         condition_estimate=cond,
         factorization=factorization,
     )
@@ -506,5 +579,5 @@ def evaluate(interp: Interpolant, x) -> np.ndarray:
 def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:
     """1-norm condition estimate of the full saddle matrix, the same
     number :func:`fit` reports for these nodes."""
-    saddle, p, _ = _saddle(kernel, nodes)
-    return _cond1(saddle, positive_definite=p is None)
+    saddle, exponents = _saddle(kernel, nodes)
+    return _cond1(saddle, positive_definite=not exponents)

@@ -501,7 +501,7 @@ FIT_PROBE = """
 from mqshape import rbf
 nodes = rbf.uniform_grid([0.0], 1.0, 11, 1)
 interp = rbf.fit(rbf.Kernel(c=0.5, beta=1.0, n=1), nodes, np.sin(nodes.points[:, 0]))
-assert interp.factorization == 'lu'
+assert interp.factorization == 'ldl'
 used = rbf._lapack()
 """
 
@@ -511,7 +511,7 @@ import scipy.linalg
 
 SAME_LAPACK_PROBE = """
 assert sys.modules['scipy.linalg._flapack'] is used
-assert scipy.linalg.lapack.dgetrf is used.dgetrf
+assert scipy.linalg.lapack.dsytrf is used.dsytrf
 a = np.array([[4.0, 1.0], [2.0, 3.0]])
 x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0])
 assert np.allclose(a @ x, [1.0, 2.0])

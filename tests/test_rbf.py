@@ -20,7 +20,15 @@ from mqshape import (
     uniform_grid,
 )
 from mqshape.constants import cpd_order
-from mqshape.rbf import _EVAL_BLOCK_ENTRIES, _cond1, _lapack, _saddle, _sq_dists
+from mqshape.rbf import (
+    _EVAL_BLOCK_ENTRIES,
+    _cond1,
+    _factor,
+    _lapack,
+    _saddle,
+    _sq_dists,
+    _symmetric_product,
+)
 
 
 def perturbed_grid_1d(rng, count, spacing=0.5):
@@ -194,11 +202,14 @@ class TestFit:
             fit(Kernel(c=0.5, beta=3.0, n=2), nodes, np.ones(8))
 
     def test_exactly_singular_system(self):
-        # at c = 1e150 the squared distances vanish below the ulp of c^2,
-        # so every kernel entry collapses to the same number
-        nodes = uniform_grid(np.zeros(1), 1.0, 3, 1)
-        with pytest.raises(ConditioningError):
-            fit(Kernel(c=1e150, beta=-1.0, n=1), nodes, [1.0, 2.0, 3.0])
+        # the squared distances vanish below the ulp of c^2, so every
+        # kernel entry collapses to the same number; for beta > 0 the
+        # LDL^T meets an exactly zero pivot
+        for beta, c, count in [(-1.0, 1e150, 3), (1.0, 1e100, 11), (3.0, 1e100, 11)]:
+            nodes = uniform_grid(np.zeros(1), 1.0, count, 1)
+            with pytest.raises(ConditioningError) as caught:
+                fit(Kernel(c=c, beta=beta, n=1), nodes, np.arange(count, dtype=float))
+            assert caught.value.condition_estimate == math.inf
 
     @pytest.mark.parametrize("beta", [-1.0, 1.0, 3.0])
     def test_overflowing_shape_parameter_is_ill_conditioned(self, beta):
@@ -246,12 +257,15 @@ class TestFit:
                 rel = np.abs(p.T @ coef) / max(np.sum(np.abs(coef)), 1e-300)
                 assert np.max(rel) < 1e-9
 
+    ROUTINES = ("dpotrf", "dpotrs", "dsytrf", "dsytrs", "dgetrf", "dgetrs")
+
     @staticmethod
-    def count_lapack_calls(monkeypatch):
-        """Count the factor and solve calls on the LAPACK module, and the
-        dpotrf calls that report a breakdown (info > 0)."""
+    def count_lapack_calls(monkeypatch, names=("dpotrf", "dpotrs", "dgetrf", "dgetrs")):
+        """Count the calls of the named factor and solve routines on the
+        LAPACK module, and the dpotrf calls that report a breakdown
+        (info > 0)."""
         lapack = _lapack()
-        calls = dict.fromkeys(["dpotrf", "dpotrs", "dgetrf", "dgetrs"], 0)
+        calls = dict.fromkeys(names, 0)
         failed = {"dpotrf": 0}
         for name in calls:
             real = getattr(lapack, name)
@@ -267,17 +281,22 @@ class TestFit:
         return calls, failed
 
     def test_one_factorization_one_solve(self, monkeypatch):
-        calls, _ = self.count_lapack_calls(monkeypatch)
+        calls, _ = self.count_lapack_calls(monkeypatch, self.ROUTINES)
         nodes = perturbed_grid_2d(np.random.default_rng(3), 5)
-        fit(Kernel(c=1.0, beta=3.0, n=2), nodes, np.ones(nodes.count))
-        assert calls == {"dpotrf": 0, "dpotrs": 0, "dgetrf": 1, "dgetrs": 1}
+        interp = fit(Kernel(c=1.0, beta=3.0, n=2), nodes, np.ones(nodes.count))
+        assert calls == {
+            "dpotrf": 0, "dpotrs": 0, "dsytrf": 1, "dsytrs": 1, "dgetrf": 0, "dgetrs": 0
+        }
+        assert interp.factorization == "ldl"
 
     def test_positive_definite_system_takes_cholesky(self, monkeypatch):
-        calls, failed = self.count_lapack_calls(monkeypatch)
+        calls, failed = self.count_lapack_calls(monkeypatch, self.ROUTINES)
         nodes = perturbed_grid_2d(np.random.default_rng(3), 6)
         kern = Kernel(c=0.2, beta=-1.0, n=2)
         interp = fit(kern, nodes, np.cos(nodes.points.sum(axis=1)))
-        assert calls == {"dpotrf": 1, "dpotrs": 1, "dgetrf": 0, "dgetrs": 0}
+        assert calls == {
+            "dpotrf": 1, "dpotrs": 1, "dsytrf": 0, "dsytrs": 0, "dgetrf": 0, "dgetrs": 0
+        }
         assert failed == {"dpotrf": 0}
         assert interp.factorization == "cholesky"
         assert interp.node_residual < 1e-12
@@ -303,7 +322,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "beta, count, c, factorization",
-        [(-1.0, 11, 0.5, "cholesky"), (-1.0, 41, 20.0, "lu"), (1.0, 11, 0.5, "lu")],
+        [(-1.0, 11, 0.5, "cholesky"), (-1.0, 41, 20.0, "lu"), (1.0, 11, 0.5, "ldl")],
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_input_errors(self, beta, count, c, factorization, bad):
@@ -315,6 +334,37 @@ class TestFit:
         vals[count // 2] = bad
         with pytest.raises(InputError, match="finite"):
             fit(kern, nodes, vals)
+
+    @pytest.mark.parametrize(
+        "beta, c, factorization",
+        [(-1.0, 1.0, "cholesky"), (1.0, 1.0, "ldl"), (3.0, 1.0, "ldl"), (-1.0, 30.0, "lu")],
+    )
+    def test_residuals_against_the_assembled_saddle(self, beta, c, factorization):
+        # fit reads its residuals from the triangle the factorization left
+        # intact, a row block at a time; 400 nodes take three blocks
+        rng = np.random.default_rng(13)
+        nodes = perturbed_grid_2d(rng, 20)
+        kern = Kernel(c=c, beta=beta, n=2)
+        vals = rng.normal(size=nodes.count)
+        interp = fit(kern, nodes, vals)
+        assert interp.factorization == factorization
+        saddle = _saddle(kern, nodes)[0]
+        eps = np.finfo(float).eps
+        x = np.concatenate([interp.kernel_coeffs, interp.poly_coeffs])
+        residual = np.abs(saddle @ x - np.concatenate([vals, np.zeros(len(interp.poly_coeffs))]))
+        side = residual[nodes.count:].max() if interp.poly_exponents else 0.0
+        ulps = 8.0 * eps * np.abs(saddle).sum(axis=1).max() * np.abs(x).max()
+        assert abs(interp.node_residual - residual[:nodes.count].max()) <= ulps
+        assert abs(interp.side_condition_residual - side) <= ulps
+        # a residual is itself of the order of those ulps, so check the
+        # product on a factored saddle also where it is not small
+        factored = _saddle(kern, nodes)[0]
+        diagonal = factored.diagonal().copy()
+        assert _factor(factored, positive_definite=beta < 0)[2] == factorization
+        assert not np.array_equal(np.tril(factored), np.tril(saddle))
+        y = rng.normal(size=x.shape[0])
+        error = np.abs(_symmetric_product(factored, diagonal, y) - saddle @ y)
+        assert np.all(error <= 8.0 * eps * (np.abs(saddle) @ np.abs(y)))
 
     @pytest.mark.parametrize("offset", [1e4, 1e5, 1e8])
     def test_tail_in_cube_frame(self, offset):
@@ -462,16 +512,16 @@ class TestMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("beta", [-1.0, 1.0, 3.0])
-    def test_fit_holds_the_saddle_and_its_lu(self, beta):
-        # the kernel rows are formed inside the one saddle matrix, or in
-        # one block buffer when a tail makes them strided; Cholesky or the
-        # LU factors a copy, which the node residual needs
+    def test_fit_holds_one_saddle(self, beta):
+        # the factorization overwrites the saddle in place, and the
+        # residuals are read from the triangle it leaves intact
         nodes = perturbed_grid_2d(np.random.default_rng(4), 25)
         kern = Kernel(c=1.0, beta=beta, n=2)
         vals = np.cos(nodes.points.sum(axis=1))
         saddle_bytes = 8 * (nodes.count + len(poly_basis(cpd_order(beta), 2))) ** 2
-        fit(kern, nodes, vals)  # loads the LAPACK extension before the trace
-        assert self.peak_bytes(lambda: fit(kern, nodes, vals)) <= 2.25 * saddle_bytes
+        # the first fit also loads the LAPACK extension before the trace
+        assert fit(kern, nodes, vals).factorization != "lu"
+        assert self.peak_bytes(lambda: fit(kern, nodes, vals)) <= 1.25 * saddle_bytes
 
     def test_cholesky_breakdown_holds_one_factor_copy(self):
         # at c = 30 Cholesky breaks down (cond ~6e19); its copy is freed
@@ -529,13 +579,15 @@ class TestTranslationInvariance:
 
 class TestConditioning:
     def test_kernel_matrix_bitwise_symmetric(self):
+        # the factorization reads one triangle and the residual the other;
         # 300 nodes take two row blocks, the second one partial
         rng = np.random.default_rng(9)
-        nodes = NodeSet(points=rng.uniform(0, 1, (300, 2)), cube=(np.zeros(2), 1.0))
-        assert _EVAL_BLOCK_ENTRIES // nodes.count < nodes.count
-        for beta in (-1.0, 1.0):
-            saddle = _saddle(Kernel(c=0.8, beta=beta, n=2), nodes)[0]
-            assert np.array_equal(saddle, saddle.T)
+        for n in (1, 2, 3):
+            nodes = NodeSet(points=rng.uniform(0, 1, (300, n)), cube=(np.zeros(n), 1.0))
+            assert _EVAL_BLOCK_ENTRIES // nodes.count < nodes.count
+            for beta in (-1.0, 1.0, 3.0):
+                saddle = _saddle(Kernel(c=0.8, beta=beta, n=n), nodes)[0]
+                assert np.array_equal(saddle, saddle.T)
 
     def test_identity_estimate(self):
         assert _cond1(np.eye(6)) == pytest.approx(1.0)
@@ -571,8 +623,8 @@ class TestConditioning:
         interp = fit(k, nodes, rng.normal(size=nodes.count))
         assert interp.condition_estimate == est
         assert oracle / 3.0 <= est <= 3.0 * oracle
-        # the beta < 0 cases check the dpocon estimate, the others dgecon
-        assert interp.factorization == ("cholesky" if beta < 0 else "lu")
+        # the beta < 0 cases check the dpocon estimate, the others dsycon
+        assert interp.factorization == ("cholesky" if beta < 0 else "ldl")
 
     def test_estimate_rejects_dimension_mismatch(self):
         nodes = uniform_grid(np.zeros(2), 1.0, 3, 2)
