@@ -7,8 +7,8 @@ no search is made:
 
 * for the general core (every (n, beta) but beta = -1 in one dimension)
   the dip is at (n - 1 - beta)/sqrt(2 n sigma) when 1 + beta - n < 0; for
-  beta = -1 in n >= 2 dimensions that is sqrt(n/(2 sigma)), which also
-  solves a monotone scalar equation (cross-checked below),
+  beta = -1 in n >= 2 dimensions that is sqrt(n/(2 sigma)) (compared
+  below with what the optimizer returns),
 * for beta = -1 in one dimension it is u*/sqrt(sigma), u* = 0.516622...
 
 The fixed-b0 and dilation-invariant modes add the convergence factor's
@@ -25,7 +25,6 @@ import math
 from mqshape import (
     Mode,
     ProblemSpec,
-    critical_point_case1,
     derive_constants,
     optimal_c,
 )
@@ -56,8 +55,10 @@ for label, spec in CASES:
 
 print()
 print("Closed-form cross-checks:")
-print(f"  2D critical point at sigma=1: {critical_point_case1(2, 1.0):.9f} (sqrt(2/2) = 1)")
-print(f"  3D critical point at sigma=1: {critical_point_case1(3, 1.0):.9f} (sqrt(3/2) = {math.sqrt(1.5):.9f})")
+for n, delta in ((2, 1e-30), (3, 1e-208)):
+    spec = ProblemSpec(n=n, beta=-1.0, sigma=1.0, delta=delta)
+    c_star = optimal_c(spec, derive_constants(spec)).c_star
+    print(f"  {n}D inverse MQ practical c* at sigma=1: {c_star:.9f} (sqrt({n}/2) = {math.sqrt(n / 2):.9f})")
 print(f"  3D MQ dip: (3-1-1)/sqrt(6) = {1.0 / math.sqrt(6.0):.9f}")
 print()
 print("The admissible interval matters: with delta = 0.01 in one dimension the")

@@ -52,7 +52,6 @@ from .errors import (
 )
 from .optimizer import (
     OptimalResult,
-    critical_point_case1,
     minimize_scalar,
     optimal_c,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "SpecError",
     "condition_estimate",
     "cpd_order",
-    "critical_point_case1",
     "d0_constant",
     "derive_constants",
     "e_sigma_norm",

@@ -206,6 +206,15 @@ def _cmd_criterion(args) -> str:
     dc = derive_constants(spec)
     kind = kind_for(spec)
     cap = finite_c_cap(spec.sigma)
+    # below the knee c0, and everywhere in dilation-invariant mode, the
+    # factor e^{-eta c} is -inf once eta c overflows; the margin covers
+    # the rounding of log(exp(.))
+    log_eta_cap = 709.0 - dc.eta_log_abs - 1e-9
+    if log_eta_cap < math.log(cap) and (
+        spec.mode is Mode.DILATION_INVARIANT
+        or (spec.mode is Mode.FIXED_B0 and dc.log_c0.log_value > log_eta_cap)
+    ):
+        cap = math.exp(log_eta_cap)
     c_lo = dc.log_c_min.value if args.c_lo is None else args.c_lo
     if c_lo >= cap:
         raise NumericError(

@@ -298,11 +298,6 @@ class DerivedConstants:
             return branch
         return max(branch, _LN2 - _LN3 - math.log(self.spec.b0))
 
-    def log_big_constant(self, c: float) -> float:
-        if not c > 0.0:
-            raise SpecError(f"shape parameter c must be positive, got {c}")
-        return self.log_big_constant_at_log_c(math.log(c))
-
     def log_fill_cap_at_log_c(self, log_c: float) -> float:
         """log of the largest admissible fill distance, 1/(6 C gamma_n (m+1))."""
         return -(

@@ -8,7 +8,10 @@ which covers every other admissible (beta, n); for beta = -1, n >= 2 the
 core differs from the explicit product form only by a c-independent
 constant.  This module evaluates log H(c) with the formula that applies,
 together with the exponential convergence factor lambda^(1/delta) that
-the two non-practical modes add.
+the two non-practical modes add.  That sum is the one formula for the
+c-dependent part of the error bound: :mod:`mqshape.optimizer` minimizes
+it and :mod:`mqshape.verify` adds the bound's c-independent constants
+to it.
 
 Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
@@ -27,10 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import List, Optional
 
 from .constants import DerivedConstants, Mode, ProblemSpec
-from .errors import NumericError, SpecError
+from .errors import SpecError
 
 __all__ = [
     "Regime",
@@ -47,7 +50,6 @@ __all__ = [
     "log_h_unified",
     "sample_curve",
     "oned_threshold",
-    "case2_sq_derivative",
 ]
 
 _LOG_INV_LN2 = -math.log(math.log(2.0))
@@ -263,23 +265,32 @@ def log_lambda_pow(c: float, spec: ProblemSpec, dc: DerivedConstants) -> float:
     return _neg_exp(dc.eta_log_abs + math.log(c))
 
 
-def log_h_unified(
-    c: float, spec: ProblemSpec, dc: DerivedConstants, kind: CriterionKind
-) -> float:
-    """log H(c) for the problem's criterion, including the mode's factor.
-
-    ``kind`` must equal :func:`kind_for` of ``spec``.  Practical mode
-    evaluates the bare criterion; the other two modes add
-    :func:`log_lambda_pow`.  Constant prefactors of the error bound that do
-    not depend on c are deliberately excluded here (they do not move the
-    minimizer); the verification module carries them.
-    """
-    regime = regime_for(spec.n, spec.beta)
+def _check_kind(kind: CriterionKind, regime: Regime, spec: ProblemSpec) -> None:
     if kind.regime is not regime or kind.mode is not spec.mode:
         raise SpecError(
             f"criterion {kind.regime.name}, {kind.mode.value!r} does not match "
             f"the problem's {regime.name}, {spec.mode.value!r}"
         )
+
+
+def log_h_unified(
+    c: float,
+    spec: ProblemSpec,
+    dc: DerivedConstants,
+    kind: Optional[CriterionKind] = None,
+) -> float:
+    """log H(c) for the problem's criterion, including the mode's factor.
+
+    This is the c-dependent part of the error bound: the optimizer
+    minimizes it, and :func:`mqshape.verify.error_bound` adds to it the
+    c-independent constants.  The formula and the mode are those of
+    ``spec``; a ``kind``, when given, must equal :func:`kind_for` of
+    ``spec``.  Practical mode evaluates the bare criterion; the other two
+    modes add :func:`log_lambda_pow`.
+    """
+    regime = regime_for(spec.n, spec.beta)
+    if kind is not None:
+        _check_kind(kind, regime, spec)
     if regime is Regime.BETA_NEG1_1D:
         core = log_h_beta_neg1_oned(c, spec.sigma)
     else:
@@ -299,38 +310,20 @@ def sample_curve(
 ) -> List[CurveSample]:
     """Log-spaced samples of the criterion curve on [c_lo, c_hi].
 
-    Deterministic; the endpoints are hit exactly and the points in between
-    are exp(log c_lo + i * step), evenly spaced in log c.  The range is not
-    clamped to the admissible interval so curves may be plotted beyond it.
+    ``kind`` must equal :func:`kind_for` of ``spec``; it is checked once,
+    before any point is evaluated, and each point is then
+    :func:`log_h_unified` of ``spec``.  Deterministic; the endpoints are
+    hit exactly and the points in between are exp(log c_lo + i * step),
+    evenly spaced in log c.  The range is not clamped to the admissible
+    interval so curves may be plotted beyond it.
     """
     if not (0.0 < c_lo < c_hi) or not math.isfinite(c_hi):
         raise SpecError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
     if count < 2:
         raise SpecError(f"need at least 2 samples, got {count}")
+    _check_kind(kind, regime_for(spec.n, spec.beta), spec)
     c_lo, c_hi = float(c_lo), float(c_hi)
     u_lo = math.log(c_lo)
     step = (math.log(c_hi) - u_lo) / (count - 1)
     cs = [c_lo, *(math.exp(u_lo + i * step) for i in range(1, count - 1)), c_hi]
-    return [CurveSample(c, log_h_unified(c, spec, dc, kind)) for c in cs]
-
-
-def case2_sq_derivative(c: float, sigma: float) -> float:
-    """Derivative of H(c)^2 for beta=-1, n=1 on the small-c branch.
-
-    d/dc H^2 = -1/(log(2) c^2)
-               + 2 sqrt(3) e^{1 - 1/(c^2 sigma)} (2 - c^2 sigma)/(c^4 sigma).
-    Only valid for 0 < c < 2/sqrt(3 sigma).  Near c = 1/sqrt(3 sigma) this
-    is a small positive multiple of sigma, which is why the minimum sits a
-    little to the left of that heuristic location.
-    """
-    c = _require_positive_c(c)
-    if c >= oned_threshold(sigma):
-        raise SpecError(
-            f"derivative formula only applies below the branch point, got c={c}"
-        )
-    c2s = c * c * sigma
-    if c2s == 0.0:
-        raise NumericError(f"c={c} is too small for the derivative formula")
-    return -1.0 / (math.log(2.0) * c * c) + (
-        2.0 * math.sqrt(3.0) * math.exp(1.0 - 1.0 / c2s) * (2.0 - c2s) / (c2s * c * c)
-    )
+    return [CurveSample(c, log_h_unified(c, spec, dc)) for c in cs]

@@ -30,10 +30,7 @@ the slope rises:
 Beyond the cap the slope only grows, so a criterion that still falls
 there has its minimizer beyond it, near 4 eta/sigma, where log H is about
 -2 eta^2/sigma, far below any value under the cap; it cannot be
-evaluated, and is refused.  For beta = -1, n >= 2 the
-critical point is also the unique root of an explicit monotone equation,
-solved by bisection in :func:`critical_point_case1` as an independent
-check.
+evaluated, and is refused.
 """
 
 from __future__ import annotations
@@ -48,8 +45,8 @@ from .criterion import (
     _LOG_2_SQRT3,
     _LOG_INV_LN2,
     Regime,
-    kind_for,
     log_h_unified,
+    regime_for,
     xi_star,
 )
 from .errors import NumericError, PreconditionError, SpecError
@@ -57,7 +54,6 @@ from .errors import NumericError, PreconditionError, SpecError
 __all__ = [
     "OptimalResult",
     "minimize_scalar",
-    "critical_point_case1",
     "finite_c_cap",
     "optimal_c",
 ]
@@ -89,8 +85,8 @@ class OptimalResult:
     bracket: Tuple[float, float]
 
 
-def _eval_checked(f: Callable[[float], float], x: float) -> float:
-    v = f(x)
+def _eval_checked(f: Callable[..., float], x: float, *args) -> float:
+    v = f(x, *args)
     if not math.isfinite(v):
         raise NumericError(f"criterion evaluated to a non-finite value at c={x!r}")
     return v
@@ -142,56 +138,6 @@ def minimize_scalar(
     if i == 0 and (x - lo) <= 4.0 * tol * lo:
         x = lo
     return x, _eval_checked(f, x)
-
-
-def _case1_lhs_log(c: float, n: int, sigma: float) -> float:
-    r = math.hypot(c, 2.0 * math.sqrt(n / sigma))
-    return (
-        2.0 * math.log(sigma)
-        - math.log(16.0)
-        + math.log(c)
-        + math.log(r)
-        + math.log(c + r)
-        + math.log(2.0 * c + r + c * c / r)
-    )
-
-
-def critical_point_case1(n: int, sigma: float, tol: float = 1e-10) -> float:
-    """Unique critical point of the beta=-1, n>=2 criterion.
-
-    Solves, by bisection on a strictly increasing left side,
-
-        (sigma^2/16) c R (c + R) (2c + R + c^2/R) = n^2,
-        R = sqrt(c^2 + 4n/sigma).
-
-    The left side tends to 0 as c -> 0+ and to infinity as c -> infinity,
-    so the root exists and is unique; it is the interior minimizer of the
-    criterion before admissibility clamping.
-    """
-    if n < 2:
-        raise SpecError(f"requires n >= 2, got n={n}")
-    if sigma <= 0.0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
-    if tol <= 0.0:
-        raise SpecError(f"tolerance must be positive, got {tol}")
-    target = 2.0 * math.log(n)
-    lo, hi = 1e-6, 1.0
-    while _case1_lhs_log(lo, n, sigma) > target:
-        lo *= 0.1
-        if lo < 1e-300:
-            raise NumericError("bracket growth exhausted toward zero")
-    while _case1_lhs_log(hi, n, sigma) < target:
-        hi *= 10.0
-        if hi > 1e300:
-            raise NumericError("bracket growth exhausted toward infinity")
-    ua, ub = math.log(lo), math.log(hi)
-    while (ub - ua) > tol:
-        um = 0.5 * (ua + ub)
-        if _case1_lhs_log(math.exp(um), n, sigma) < target:
-            ua = um
-        else:
-            ub = um
-    return math.exp(0.5 * (ua + ub))
 
 
 def finite_c_cap(sigma: float) -> float:
@@ -289,7 +235,7 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     :class:`NumericError` when the criterion still falls at the cap, so
     that its minimizer lies where it cannot be evaluated.
     """
-    kind = kind_for(spec)
+    regime = regime_for(spec.n, spec.beta)
     if spec.b0 is not None:
         bound = spec.b0 / (4.0 * dc.gamma_n * (dc.m + 1))
         if not spec.delta < bound:
@@ -320,7 +266,7 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
 
     n, sigma = spec.n, spec.sigma
     p, q = n - 1.0 - spec.beta, n + spec.beta + 1.0
-    oned = kind.regime is Regime.BETA_NEG1_1D
+    oned = regime is Regime.BETA_NEG1_1D
     rs = math.sqrt(sigma)
 
     def slope(c: float) -> float:
@@ -355,11 +301,8 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     if slope(c_min) >= pieces[0][2] or not candidates:
         candidates.add(c_min)
 
-    def objective(c: float) -> float:
-        return log_h_unified(c, spec, dc, kind)
-
     # ascending, so that min() sends ties to the smaller c
-    values = {c: _eval_checked(objective, c) for c in sorted(candidates)}
+    values = {c: _eval_checked(log_h_unified, c, spec, dc) for c in sorted(candidates)}
     c_star = min(values, key=values.__getitem__)
     return OptimalResult(
         c_star=c_star,

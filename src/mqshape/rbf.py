@@ -247,19 +247,20 @@ def _kernel_rows(
     else one contiguous buffer that every block reuses: each fresh
     512 KiB array would be page-faulted in anew, and numpy's in-place
     steps run at half speed on rows strided within a wider matrix.  y's
-    coordinates are made contiguous once, as an (n, M) array of axes.
+    coordinates are made contiguous once, as an (n, M) array of axes, and
+    the scratch for the second and later axes is allocated only for n > 1.
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
     count = x.shape[0]
     y_axes = np.ascontiguousarray(y.T)
     step = max(1, entries // y.shape[0])
     shape = (min(step, count), y.shape[0])
     buffer = np.empty(shape) if out is None else None
-    diff = np.empty(shape)
+    diff = np.empty(shape) if x.shape[1] > 1 else None
     for start in range(0, count, step):
         rows = slice(start, min(start + step, count))
         size = rows.stop - start
         block = out[rows] if buffer is None else buffer[:size]
-        _sq_dists(x[rows], y_axes, out=block, diff=diff[:size])
+        _sq_dists(x[rows], y_axes, out=block, diff=None if diff is None else diff[:size])
         yield rows, kernel._power(block)
 
 

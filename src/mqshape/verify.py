@@ -11,6 +11,13 @@ of :func:`mqshape.rbf.evaluate`, that skips the nodes too far along the
 first axis to be nearest; it is exact, needs no spatial index and, like
 the rest of the package apart from the linear solve, no scipy.
 
+The bound is c-independent constants plus the criterion log H(c) of
+:mod:`mqshape.criterion`, the formula the optimizer minimizes.  Its
+convergence factor, from the bound's constant
+C(c) = max(2 (rho/c) sqrt(n) e^{2 n gamma_n}, 2/(3 b0)), is the fixed-b0
+one when a cube side b0 is given and the dilation-invariant one
+otherwise.
+
 Target functions are gaussian bumps.  Under the Fourier convention
 fhat(xi) = integral f(x) e^{-i <x, xi>} dx, the bump e^{-a|x|^2} has
 fhat(xi) = (pi/a)^(n/2) e^{-|xi|^2/(4a)}, so its squared weighted norm
@@ -28,8 +35,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .constants import DerivedConstants, ProblemSpec, derive_constants
-from .criterion import log_h_beta_neg1_oned, log_h_general
+from .constants import DerivedConstants, Mode, ProblemSpec, derive_constants
+from .criterion import log_h_unified
 from .errors import InputError, PreconditionError, SpecError
 from .rbf import (
     _EVAL_BLOCK_ENTRIES,
@@ -168,30 +175,18 @@ def fill_distance(
     return math.sqrt(worst_sq)
 
 
-def _log_lambda_pow_bound(dc: DerivedConstants, c: float) -> float:
-    """log of the convergence factor at the instance's delta, using the
-    bound's constant C(c) = max(2 (rho/c) sqrt(n) e^{2 n gamma_n}, 2/(3 b0))."""
-    log_abs = (
-        math.log(math.log(1.5))
-        - math.log(6.0)
-        - dc.log_big_constant(c)
-        - math.log(dc.gamma_n)
-        - math.log(dc.spec.delta)
-    )
-    if log_abs > 709.0:
-        return -math.inf
-    return -math.exp(log_abs)
-
-
 def error_bound(
     spec: ProblemSpec, dc: DerivedConstants, c: float, f_norm: float
 ) -> float:
     """log of the full worst-case error bound at shape parameter c.
 
-    Includes every constant prefactor, the convergence factor at the
-    instance's fill distance, and the target-function norm; this is the
-    quantity the measured interpolation error is compared against.
-    Raises :class:`PreconditionError` when the fill distance exceeds the
+    The c-independent constant prefactors and the log of the
+    target-function norm, plus :func:`mqshape.criterion.log_h_unified` at
+    the instance's fill distance: with the fixed-b0 factor, whose knee is
+    c0, when ``spec.b0`` is set, else with the dilation-invariant one,
+    whatever ``spec.mode`` says.  This is the quantity the measured
+    interpolation error is compared against.  Raises
+    :class:`PreconditionError` when the fill distance exceeds the
     admissible cap for this c.
     """
     if not c > 0.0:
@@ -199,18 +194,17 @@ def error_bound(
     if f_norm < 0.0:
         raise SpecError(f"function norm must be >= 0, got {f_norm}")
 
-    n, beta, sigma = spec.n, spec.beta, spec.sigma
+    n, beta = spec.n, spec.beta
     if n == 1 and beta == -1.0:
         const = ((beta - 3.0) / 4.0) * _LN2 - 0.5 * _LNPI
-        core = log_h_beta_neg1_oned(c, sigma)
     elif beta > 0.0:
         const = ((n + beta + 1.0) / 4.0) * _LN2 + ((n + 1.0) / 4.0) * _LNPI + dc.log_d0
-        core = log_h_general(c, n, beta, sigma)
     else:
         # beta = -1 in n >= 2 and the other negative exponents share one
-        # bound shape; the core rejects (n, beta) that no criterion covers
+        # bound shape; the criterion rejects (n, beta) that none covers
         const = -(3.0 * n / 4.0) * (_LN2 + _LNPI)
-        core = log_h_general(c, n, beta, sigma)
+    mode = Mode.DILATION_INVARIANT if spec.b0 is None else Mode.FIXED_B0
+    log_h = log_h_unified(c, replace(spec, mode=mode), dc)
 
     # c = c_min makes delta equal to the cap exactly; the 1e-12 slack in
     # log domain keeps that admissible boundary case from failing on
@@ -226,14 +220,7 @@ def error_bound(
     half_log_nalpha = 0.5 * (math.log(n) + dc.log_alpha_n)
     half_log_delta_prod = 0.5 * dc.log_delta_product
     log_norm = math.log(f_norm) if f_norm > 0.0 else -math.inf
-    return (
-        const
-        + half_log_nalpha
-        + half_log_delta_prod
-        + core
-        + _log_lambda_pow_bound(dc, c)
-        + log_norm
-    )
+    return const + half_log_nalpha + half_log_delta_prod + log_h + log_norm
 
 
 @dataclass(frozen=True)

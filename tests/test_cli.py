@@ -157,15 +157,34 @@ class TestCriterionCommand:
 
     def test_default_range_ends_at_the_cap_when_the_criterion_still_falls(self, capsys):
         # the minimizer ~1e200 lies past the cap, so optimize refuses it;
-        # near the cap log H ~ -eta c is below -1e308 and prints as -inf
+        # eta c overflows from c ~ 4.7e111, below the cap, so the range
+        # ends there
         flags = ["--n", "1", "--beta", "1", "--delta", "1e-200", "--mode", "dilation-invariant"]
         code, _, err = run_cli(capsys, ["optimize", *flags])
         assert code == 3 and "cap" in err
         code, out, _ = run_cli(capsys, ["criterion", *flags])
         assert code == 0
         rows = list(csv.reader(out.splitlines()))[1:]
-        assert float(rows[-1][0]) == finite_c_cap(1.0)
-        assert not any(math.isnan(float(h)) for _, h in rows)
+        assert len(rows) == 200 and all(math.isfinite(float(h)) for _, h in rows)
+        eta_log_abs = derive_constants(ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=1e-200)).eta_log_abs
+        assert math.exp(708.0 - eta_log_abs) < float(rows[-1][0]) <= math.exp(709.0 - eta_log_abs)
+        assert float(rows[-1][0]) < finite_c_cap(1.0)
+
+    @pytest.mark.parametrize("b0", ["1e150", "1e100"])
+    def test_fixed_b0_default_range_ends_where_eta_c_is_finite(self, capsys, b0):
+        # below the knee c0 ~ 3 e^4 b0 the factor is e^{-eta c}, whose eta c
+        # overflows from c ~ 4.7e111; beyond the knee it is a constant
+        flags = ["--n", "1", "--beta", "1", "--delta", "1e-200", "--b0", b0, "--mode", "fixed-b0"]
+        code, out, _ = run_cli(capsys, ["criterion", *flags])
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert len(rows) == 200 and all(math.isfinite(float(h)) for _, h in rows)
+        dc = derive_constants(ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=1e-200, b0=float(b0)))
+        end = float(rows[-1][0])
+        if b0 == "1e100":  # the knee comes first: the range is 10 c0 as before
+            assert end == pytest.approx(10.0 * dc.log_c0.value, rel=1e-12)
+        else:
+            assert math.exp(708.0 - dc.eta_log_abs) < end <= math.exp(709.0 - dc.eta_log_abs)
 
     def test_default_range_without_a_minimizer_still_draws(self, capsys):
         # delta = 0.3 breaks optimize's fixed-b0 precondition (delta < 0.125)

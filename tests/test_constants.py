@@ -231,7 +231,9 @@ def test_fill_cap_matches_direct_formula():
     dc = derive_constants(spec)
     c = 13.2
     big_c = max(2.0 * (1.0 / c) * math.exp(4.0), 2.0 / 3.0)
-    assert dc.log_big_constant(c) == pytest.approx(math.log(big_c), rel=1e-13)
+    assert dc.log_big_constant_at_log_c(math.log(c)) == pytest.approx(
+        math.log(big_c), rel=1e-13
+    )
     cap = 1.0 / (6.0 * big_c * 2.0 * 1.0)
     assert dc.log_fill_cap(c) == pytest.approx(math.log(cap), rel=1e-13)
 

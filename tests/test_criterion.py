@@ -21,11 +21,8 @@ from mqshape import (
     sample_curve,
     xi_star,
 )
-from mqshape.criterion import (
-    case2_sq_derivative,
-    log_h_beta_neg1_multid_simplified,
-    oned_threshold,
-)
+from mqshape.criterion import log_h_beta_neg1_multid_simplified, oned_threshold
+from oracles import case2_sq_derivative
 
 ONE_D_ARGMIN_SIGMA1 = 0.5166224878150684  # bounded-search oracle
 
@@ -322,6 +319,16 @@ class TestUnified:
         with pytest.raises(SpecError):
             log_h_unified(1.0, spec, dc, CriterionKind(Regime.GENERAL, Mode.PRACTICAL))
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, beta", [(1, -1.0), (2, -1.0), (1, 1.0), (2, 1.5)])
+    def test_kind_changes_no_bit(self, n, beta, mode):
+        spec = ProblemSpec(n=n, beta=beta, sigma=0.7, delta=1e-3, b0=2.0, mode=mode)
+        dc = derive_constants(spec)
+        kind = kind_for(spec)
+        for c in np.geomspace(dc.log_c_min.value, 1e4 * dc.log_c0.value, 40):
+            with_kind = log_h_unified(float(c), spec, dc, kind)
+            assert with_kind.hex() == log_h_unified(float(c), spec, dc).hex()
+
     @pytest.mark.parametrize(
         "n, beta, mode",
         [
@@ -392,6 +399,21 @@ class TestSampleCurve:
         samples = sample_curve(spec, dc, kind_for(spec), c_min, 10.0 * c0, 4000)
         best = min(samples, key=lambda s: s.log_h)
         assert best.c < c0
+
+    @pytest.mark.parametrize(
+        "kind",
+        [CriterionKind(Regime.BETA_NEG1_1D, Mode.PRACTICAL), CriterionKind(Regime.GENERAL, Mode.FIXED_B0)],
+    )
+    def test_mismatched_kind_rejected_before_any_point(self, monkeypatch, kind):
+        from mqshape import criterion
+
+        evaluated = []
+        monkeypatch.setattr(criterion, "log_h_unified", lambda *args: evaluated.append(args))
+        spec = _spec(n=2, delta=1e-3)
+        dc = derive_constants(spec)
+        with pytest.raises(SpecError):
+            sample_curve(spec, dc, kind, 0.5, 7.0, 100)
+        assert evaluated == []
 
     def test_invalid_ranges_rejected(self):
         spec = _spec(n=2, delta=1e-3)

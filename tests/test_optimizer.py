@@ -11,7 +11,6 @@ from mqshape import (
     PreconditionError,
     ProblemSpec,
     SpecError,
-    critical_point_case1,
     derive_constants,
     kind_for,
     log_h_beta_neg1_multid,
@@ -21,7 +20,8 @@ from mqshape import (
     optimal_c,
     optimizer,
 )
-from mqshape.criterion import case2_sq_derivative, xi_star
+from mqshape.criterion import xi_star
+from oracles import case2_sq_derivative, critical_point_case1
 
 # bounded-search oracles (independent high-precision runs)
 DI_ARGMIN = 12.377774689597498  # n=1, beta=-1, sigma=1, delta=1e-4

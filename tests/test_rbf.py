@@ -21,9 +21,11 @@ from mqshape import (
 )
 from mqshape.constants import cpd_order
 from mqshape.rbf import (
+    _BEYOND_RANGE,
     _EVAL_BLOCK_ENTRIES,
     _cond1,
     _factor,
+    _kernel_rows,
     _lapack,
     _saddle,
     _sq_dists,
@@ -532,6 +534,19 @@ class TestMemory:
         assert fit(kern, nodes, vals).factorization == "lu"
         peak = self.peak_bytes(lambda: fit(kern, nodes, vals))
         assert peak <= 2.25 * 8 * nodes.count**2
+
+    def test_one_dimensional_kernel_rows_hold_one_block(self):
+        # 1-D squared distances need no scratch for the later axes; the
+        # broadcast subtraction of x's coordinates takes one ufunc buffer
+        x = np.linspace(0.0, 1.0, 625)[:, None]
+        kern = Kernel(c=1.0, beta=-1.0, n=1)
+
+        def consume():
+            with np.errstate(**_BEYOND_RANGE):
+                for _ in _kernel_rows(kern, x, x):
+                    pass
+
+        assert self.peak_bytes(consume) <= 8 * (_EVAL_BLOCK_ENTRIES + x.size + np.getbufsize())
 
     def test_evaluate_peak_does_not_grow_with_points(self):
         # the centred points and the result take 8 (n + 1) = 24 bytes a

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from mqshape import (
@@ -15,6 +17,8 @@ from mqshape import (
     e_sigma_norm,
     error_bound,
     fill_distance,
+    log_h_unified,
+    log_lambda_pow,
     optimal_c,
     run_bound_experiment,
     uniform_grid,
@@ -193,14 +197,13 @@ class TestErrorBound:
     def test_convergence_factor_formula(self):
         # n=1, beta=-1, b0=1, delta=0.01, c=13.2:
         # log lambda^(1/delta) = (100/(12 C)) log(2/3), C = 2 e^4 / c
-        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0)
+        # the factor the bound takes, that of the fixed-b0 mode
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0, mode=Mode.FIXED_B0)
         dc = derive_constants(spec)
-        from mqshape.verify import _log_lambda_pow_bound
-
         c = 13.2
         big_c = 2.0 * math.exp(4.0) / c
         expected = (100.0 / (12.0 * big_c)) * math.log(2.0 / 3.0)
-        assert _log_lambda_pow_bound(dc, c) == pytest.approx(expected, rel=1e-12)
+        assert log_lambda_pow(c, spec, dc) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_function_norm(self):
         spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0)
@@ -215,6 +218,39 @@ class TestErrorBound:
         with pytest.raises(PreconditionError) as err:
             error_bound(spec, dc, 1.0, 1.0)  # cap at c=1 is ~7.6e-4
         assert "delta0" in str(err.value)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        problem=st.sampled_from([(1, -1.0), (2, -1.0), (1, 1.0), (2, 1.5), (3, -0.5), (2, -3.0)]),
+        mode=st.sampled_from(list(Mode)),
+        sigma=st.floats(0.1, 10.0),
+        log_c_min=st.floats(-5.0, 50.0),
+        log_knee=st.one_of(st.none(), st.floats(0.01, 30.0)),
+        log_c=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+    )
+    def test_c_dependence_is_the_criterion(self, problem, mode, sigma, log_c_min, log_knee, log_c):
+        # the paper's premise: the bound is H(c) lambda^(1/delta) times
+        # constants, so minimizing the criterion minimizes the bound.
+        # The bound takes the fixed-b0 factor when b0 is set, whatever the
+        # mode, with its knee at c0 = c_min e^log_knee
+        n, beta = problem
+        unit = derive_constants(ProblemSpec(n=n, beta=beta, sigma=sigma, delta=1.0))
+        delta = math.exp(log_c_min - unit.log_c_min.log_value)
+        assume(log_knee is not None or mode is not Mode.FIXED_B0)
+        b0 = None
+        if log_knee is not None:
+            b0 = 4.0 * unit.gamma_n * (unit.m + 1) * delta * math.exp(log_knee)
+        spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=delta, b0=b0, mode=mode)
+        bound_spec = replace(spec, mode=Mode.DILATION_INVARIANT if b0 is None else Mode.FIXED_B0)
+        dc = derive_constants(spec)
+        rests, terms = [], [1.0]
+        for u in log_c:
+            c = math.exp(dc.log_c_min.log_value + u)
+            log_bound = error_bound(spec, dc, c, 1.0)
+            rests.append(log_bound - log_h_unified(c, bound_spec, dc))
+            core = log_h_unified(c, replace(spec, mode=Mode.PRACTICAL), dc)
+            terms += [log_bound, core, log_lambda_pow(c, bound_spec, dc)]
+        assert abs(rests[0] - rests[1]) <= 1e-12 * max(abs(t) for t in terms)
 
     def test_positive_beta_bound_finite(self):
         spec = ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=0.01, b0=1.0)
