@@ -265,7 +265,9 @@ def log_lambda_pow(c: float, spec: ProblemSpec, dc: DerivedConstants) -> float:
     return _neg_exp(dc.eta_log_abs + math.log(c))
 
 
-def _check_kind(kind: CriterionKind, regime: Regime, spec: ProblemSpec) -> None:
+def _check_kind(kind: Optional[CriterionKind], regime: Regime, spec: ProblemSpec) -> None:
+    if kind is None:
+        return
     if kind.regime is not regime or kind.mode is not spec.mode:
         raise SpecError(
             f"criterion {kind.regime.name}, {kind.mode.value!r} does not match "
@@ -289,8 +291,7 @@ def log_h_unified(
     modes add :func:`log_lambda_pow`.
     """
     regime = regime_for(spec.n, spec.beta)
-    if kind is not None:
-        _check_kind(kind, regime, spec)
+    _check_kind(kind, regime, spec)
     if regime is Regime.BETA_NEG1_1D:
         core = log_h_beta_neg1_oned(c, spec.sigma)
     else:
@@ -303,15 +304,15 @@ def log_h_unified(
 def sample_curve(
     spec: ProblemSpec,
     dc: DerivedConstants,
-    kind: CriterionKind,
+    kind: Optional[CriterionKind],
     c_lo: float,
     c_hi: float,
     count: int,
 ) -> List[CurveSample]:
     """Log-spaced samples of the criterion curve on [c_lo, c_hi].
 
-    ``kind`` must equal :func:`kind_for` of ``spec``; it is checked once,
-    before any point is evaluated, and each point is then
+    A ``kind``, when not None, must equal :func:`kind_for` of ``spec``; it
+    is checked once, before any point is evaluated, and each point is then
     :func:`log_h_unified` of ``spec``.  Deterministic; the endpoints are
     hit exactly and the points in between are exp(log c_lo + i * step),
     evenly spaced in log c.  The range is not clamped to the admissible

@@ -38,8 +38,8 @@ to the cube and not to the origin.
 
 Kernel values are formed in place, one row block of at most
 ``_EVAL_BLOCK_ENTRIES`` entries at a time (:func:`_kernel_rows`): the
-squared distances (each node coordinate copied down the block, the
-point's coordinate subtracted in place), then + c^2, then the power
+squared distances (each coordinate difference one exact K = 2 matrix
+product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
 otherwise), then the factor Gamma(-beta/2).  For beta < 0 assembly writes
 those blocks straight into the one saddle matrix it allocates; for
@@ -210,29 +210,45 @@ def _tensor_grid(corner: np.ndarray, side: float, per_side: int, n: int) -> np.n
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _sq_dists(x: np.ndarray, y_axes: np.ndarray, out=None, diff=None) -> np.ndarray:
-    """Squared distances between the rows of x, a (k, n) array, and the
-    points whose coordinates are the rows of ``y_axes``, an (n, M) array
-    (contiguous rows make it fastest).  They are summed axis by axis from
-    coordinate differences: the |x|^2 - 2 x.y + |y|^2 form would cancel
-    badly when the points are far from the origin.  Each difference is
-    formed by copying y's coordinate down the rows and subtracting x's in
-    place, which is faster than a broadcast ``np.subtract.outer`` and
-    gives the same squares to the bit.  Every entry sums its axes in the
-    same order, so the distances from a point set to itself are symmetric
-    to the bit.  ``out`` receives the result and ``diff`` is scratch for
-    the second and later axes; each is allocated when not given."""
-    shape = (x.shape[0], y_axes.shape[1])
+def _difference_rhs(y: np.ndarray) -> np.ndarray:
+    """The (n, 2, M) right-hand sides [y_a; -1], one per axis a, of the
+    products that :func:`_sq_dists` forms its coordinate differences with,
+    for the M rows of y, an (M, n) array."""
+    rhs = np.empty((y.shape[1], 2, y.shape[0]))
+    rhs[:, 0] = y.T
+    rhs[:, 1] = -1.0
+    return rhs
+
+
+def _sq_dists(x: np.ndarray, rhs: np.ndarray, out=None, diff=None, lhs=None) -> np.ndarray:
+    """Squared distances between the rows of x, a (k, n) array, and the M
+    points of ``rhs``, their :func:`_difference_rhs`.  They are summed axis
+    by axis from coordinate differences: the |x|^2 - 2 x.y + |y|^2 form
+    would cancel badly when the points are far from the origin.  Each
+    difference y_a - x_a is the K = 2 matrix product [1, x_a] @ [y_a; -1].
+    Both of its products are exact, since each multiplies by 1 or -1, and
+    their sum is rounded once whatever order or fused multiply-add the
+    BLAS kernel takes, so it equals the subtraction to the bit, overflow
+    and infinities included.  One product per axis, with no zero padding,
+    keeps 0 * inf out; it runs faster than the broadcast subtraction.
+    Every entry sums its axes in the same order, so the distances from a
+    point set to itself are symmetric to the bit.
+    ``out`` receives the result, ``diff`` is scratch for the second and
+    later axes and ``lhs`` is (k, 2) scratch whose first column is ones;
+    each is allocated when not given."""
+    shape = (x.shape[0], rhs.shape[2])
     d2 = np.empty(shape) if out is None else out
-    d2[...] = y_axes[0]
-    d2 -= x[:, :1]
-    d2 *= d2
+    if lhs is None:
+        lhs = np.ones((x.shape[0], 2))
+    lhs[:, 1] = x[:, 0]
+    np.matmul(lhs, rhs[0], out=d2)
+    np.square(d2, out=d2)
     if diff is None and x.shape[1] > 1:
         diff = np.empty(shape)
     for axis in range(1, x.shape[1]):
-        diff[...] = y_axes[axis]
-        diff -= x[:, axis:axis + 1]
-        diff *= diff
+        lhs[:, 1] = x[:, axis]
+        np.matmul(lhs, rhs[axis], out=diff)
+        np.square(diff, out=diff)
         d2 += diff
     return d2
 
@@ -247,20 +263,24 @@ def _kernel_rows(
     else one contiguous buffer that every block reuses: each fresh
     512 KiB array would be page-faulted in anew, and numpy's in-place
     steps run at half speed on rows strided within a wider matrix.  y's
-    coordinates are made contiguous once, as an (n, M) array of axes, and
-    the scratch for the second and later axes is allocated only for n > 1.
+    :func:`_difference_rhs` is built once, and so is the (rows, 2)
+    left-hand side of :func:`_sq_dists`; the scratch for the second and
+    later axes is allocated only for n > 1.
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
     count = x.shape[0]
-    y_axes = np.ascontiguousarray(y.T)
+    rhs = _difference_rhs(y)
     step = max(1, entries // y.shape[0])
     shape = (min(step, count), y.shape[0])
     buffer = np.empty(shape) if out is None else None
     diff = np.empty(shape) if x.shape[1] > 1 else None
+    lhs = np.ones((shape[0], 2))
     for start in range(0, count, step):
         rows = slice(start, min(start + step, count))
         size = rows.stop - start
         block = out[rows] if buffer is None else buffer[:size]
-        _sq_dists(x[rows], y_axes, out=block, diff=None if diff is None else diff[:size])
+        _sq_dists(
+            x[rows], rhs, out=block, diff=None if diff is None else diff[:size], lhs=lhs[:size]
+        )
         yield rows, kernel._power(block)
 
 

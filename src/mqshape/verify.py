@@ -37,11 +37,13 @@ import numpy as np
 
 from .constants import DerivedConstants, Mode, ProblemSpec, derive_constants
 from .criterion import log_h_unified
-from .errors import InputError, PreconditionError, SpecError
+from .errors import InputError, NumericError, PreconditionError, SpecError
+from .optimizer import finite_c_cap
 from .rbf import (
     _EVAL_BLOCK_ENTRIES,
     Kernel,
     NodeSet,
+    _difference_rhs,
     _sq_dists,
     _tensor_grid,
     evaluate,
@@ -148,8 +150,10 @@ def fill_distance(
         )
     grid = _tensor_grid(corner, side, grid_per_side, n)
 
-    axes = np.ascontiguousarray(pts[np.argsort(pts[:, 0], kind="stable")].T)
-    keys = axes[0]
+    rhs = _difference_rhs(pts[np.argsort(pts[:, 0], kind="stable")])
+    keys = rhs[0, 0]
+    step = max(1, _EVAL_BLOCK_ENTRIES // len(keys))
+    lhs = np.ones((min(step, grid.shape[0]), 2))
 
     def nearest_sq(block: np.ndarray, radius: float) -> np.ndarray:
         lo, hi = block[:, 0].min(), block[:, 0].max()
@@ -160,9 +164,8 @@ def fill_distance(
         j = np.searchsorted(keys, hi + pad, side="right")
         if i == j:  # no node within the radius: scan them all
             i, j = 0, len(keys)
-        return _sq_dists(block, axes[:, i:j]).min(axis=1)
+        return _sq_dists(block, rhs[:, :, i:j], lhs=lhs[:len(block)]).min(axis=1)
 
-    step = max(1, _EVAL_BLOCK_ENTRIES // len(keys))
     radius = math.inf
     worst_sq = 0.0
     for start in range(0, grid.shape[0], step):
@@ -186,8 +189,9 @@ def error_bound(
     c0, when ``spec.b0`` is set, else with the dilation-invariant one,
     whatever ``spec.mode`` says.  This is the quantity the measured
     interpolation error is compared against.  Raises
-    :class:`PreconditionError` when the fill distance exceeds the
-    admissible cap for this c.
+    :class:`NumericError` for c past :func:`mqshape.optimizer.finite_c_cap`,
+    where the criterion is not finite, and :class:`PreconditionError` when
+    the fill distance exceeds the admissible cap for this c.
     """
     if not c > 0.0:
         raise SpecError(f"shape parameter c must be positive, got {c}")
@@ -205,6 +209,12 @@ def error_bound(
         const = -(3.0 * n / 4.0) * (_LN2 + _LNPI)
     mode = Mode.DILATION_INVARIANT if spec.b0 is None else Mode.FIXED_B0
     log_h = log_h_unified(c, replace(spec, mode=mode), dc)
+    cap = finite_c_cap(spec.sigma)
+    if c > cap:
+        raise NumericError(
+            f"shape parameter c={c:g} lies past the finite cap c={cap:g}, "
+            "beyond which the criterion overflows"
+        )
 
     # c = c_min makes delta equal to the cap exactly; the 1e-12 slack in
     # log domain keeps that admissible boundary case from failing on

@@ -400,6 +400,18 @@ class TestSampleCurve:
         best = min(samples, key=lambda s: s.log_h)
         assert best.c < c0
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, beta", [(1, -1.0), (2, -1.0), (1, 1.0), (2, 1.5)])
+    def test_no_kind_changes_no_sample(self, n, beta, mode):
+        spec = ProblemSpec(n=n, beta=beta, sigma=0.7, delta=1e-3, b0=2.0, mode=mode)
+        dc = derive_constants(spec)
+        c_lo, c_hi = dc.log_c_min.value, 1e4 * dc.log_c0.value
+        with_kind = sample_curve(spec, dc, kind_for(spec), c_lo, c_hi, 40)
+        without = sample_curve(spec, dc, None, c_lo, c_hi, 40)
+        assert [(s.c.hex(), s.log_h.hex()) for s in without] == [
+            (s.c.hex(), s.log_h.hex()) for s in with_kind
+        ]
+
     @pytest.mark.parametrize(
         "kind",
         [CriterionKind(Regime.BETA_NEG1_1D, Mode.PRACTICAL), CriterionKind(Regime.GENERAL, Mode.FIXED_B0)],

@@ -24,6 +24,7 @@ from mqshape.rbf import (
     _BEYOND_RANGE,
     _EVAL_BLOCK_ENTRIES,
     _cond1,
+    _difference_rhs,
     _factor,
     _kernel_rows,
     _lapack,
@@ -479,9 +480,31 @@ class TestAssembly:
         for axis in range(1, n):
             ref += np.subtract.outer(x[:, axis], y[:, axis]) ** 2
         out, diff = np.empty_like(ref), np.empty_like(ref)
-        assert np.array_equal(_sq_dists(x, np.ascontiguousarray(y.T)), ref)
-        assert np.array_equal(_sq_dists(x, y.T, out=out, diff=diff), ref)
+        assert np.array_equal(_sq_dists(x, _difference_rhs(y)), ref)
+        assert np.array_equal(_sq_dists(x, _difference_rhs(y), out=out, diff=diff), ref)
         assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k, m", [(11, 9), (1, 9), (11, 1), (1, 1)])
+    def test_sq_dists_match_subtract_outer_at_the_edges(self, n, k, m):
+        # signed zeros, infinite evaluation coordinates, differences that
+        # overflow and subnormal ones: the K = 2 product rounds as the
+        # subtraction does, and the NaN left in the scratch reaches no entry
+        tiny = np.finfo(float).smallest_subnormal
+        normal = np.finfo(float).tiny
+        xs = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 3 * tiny, -2 * tiny, 1.5, np.nan, normal]
+        ys = [0.0, -0.0, 1e308, -1e308, tiny, -tiny, 5 * tiny, 1.0, np.nextafter(normal, 0.0)]
+        rng = np.random.default_rng(30 + n)
+        x = np.column_stack([rng.permutation(xs)[:k] for _ in range(n)])
+        y = np.column_stack([rng.permutation(ys)[:m] for _ in range(n)])
+        with np.errstate(**_BEYOND_RANGE, invalid="ignore"):
+            ref = np.subtract.outer(x[:, 0], y[:, 0]) ** 2
+            for axis in range(1, n):
+                ref += np.subtract.outer(x[:, axis], y[:, axis]) ** 2
+            out, diff = np.full_like(ref, np.nan), np.full_like(ref, np.nan)
+            got = _sq_dists(x, _difference_rhs(y), out=out, diff=diff)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(_sq_dists(x, _difference_rhs(y)), ref, equal_nan=True)
 
     @pytest.mark.parametrize("beta, q", [(-1.0, 0), (1.0, 1), (3.0, 3)])
     def test_saddle_matches_dense_oracle(self, beta, q):
@@ -589,6 +612,43 @@ class TestTranslationInvariance:
         a = evaluate(ref, ys)
         b = evaluate(shifted, ys + offset)
         tol = 2.0 * np.finfo(float).eps * ref.condition_estimate * np.max(np.abs(a))
+        assert np.max(np.abs(a - b)) <= tol
+
+
+class TestScalingInvariance:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        beta=st.sampled_from([-1.0, 1.0, 3.0]),
+        n=st.sampled_from([1, 2]),
+        c=st.floats(0.25, 2.0),
+        k=st.integers(-8, 8),
+        data=st.data(),
+    )
+    def test_scaled_cube_gives_the_same_interpolant(self, beta, n, c, k, data):
+        # Scaling the nodes, the cube, the evaluation points and c by 2^k
+        # scales every distance and c exactly, so the kernel matrix scales
+        # by 2^(k beta) and the tail, in the cube frame, not at all; the
+        # interpolant is the same, and each fit may differ from it only by
+        # the rounding of its own solve, ~cond * eps.
+        ticks = [
+            data.draw(st.lists(st.integers(0, 64), min_size=2, max_size=6 // n + 1, unique=True))
+            for _ in range(n)
+        ]
+        mesh = np.meshgrid(*[np.array(t) / 64.0 for t in ticks], indexing="ij")
+        local = np.column_stack([m.ravel() for m in mesh])
+        vals = np.cos(3.0 * local.sum(axis=1))
+        ys = np.column_stack([m.ravel() for m in np.meshgrid(*[np.linspace(0, 1, 17)] * n)])
+        scale = 2.0**k
+        ref = fit(Kernel(c=c, beta=beta, n=n), NodeSet(points=local, cube=(np.zeros(n), 1.0)), vals)
+        scaled = fit(
+            Kernel(c=c * scale, beta=beta, n=n),
+            NodeSet(points=local * scale, cube=(np.zeros(n), scale)),
+            vals,
+        )
+        a = evaluate(ref, ys)
+        b = evaluate(scaled, ys * scale)
+        cond = max(ref.condition_estimate, scaled.condition_estimate)
+        tol = 2.0 * np.finfo(float).eps * cond * np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= tol
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from mqshape import (
     InputError,
     Mode,
     NodeSet,
+    NumericError,
     PreconditionError,
     ProblemSpec,
     derive_constants,
@@ -23,6 +25,7 @@ from mqshape import (
     run_bound_experiment,
     uniform_grid,
 )
+from mqshape.optimizer import finite_c_cap
 from mqshape.rbf import Kernel, evaluate, fit
 
 
@@ -251,6 +254,19 @@ class TestErrorBound:
             core = log_h_unified(c, replace(spec, mode=Mode.PRACTICAL), dc)
             terms += [log_bound, core, log_lambda_pow(c, bound_spec, dc)]
         assert abs(rests[0] - rests[1]) <= 1e-12 * max(abs(t) for t in terms)
+
+    def test_past_the_finite_cap_raises(self):
+        # past finite_c_cap, c xi* and xi*^2 / sigma overflow and the
+        # criterion is nan; the bound names the cap instead
+        spec = ProblemSpec(
+            n=3, beta=-0.5, sigma=16.8, delta=4.8e-56, mode=Mode.DILATION_INVARIANT
+        )
+        dc = derive_constants(spec)
+        cap = finite_c_cap(spec.sigma)
+        assert math.isnan(log_h_unified(6.2e160, spec, dc))
+        with pytest.raises(NumericError, match=re.escape(f"{cap:g}")):
+            error_bound(spec, dc, 6.2e160, 1.0)
+        assert error_bound(spec, dc, cap, 1.0) == -math.inf
 
     def test_positive_beta_bound_finite(self):
         spec = ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=0.01, b0=1.0)
