@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from .constants import Mode, ProblemSpec, derive_constants
-from .criterion import kind_for, sample_curve
+from .criterion import regime_for, sample_curve
 from .errors import (
     ConditioningError,
     InputError,
@@ -42,10 +42,7 @@ __all__ = ["main", "build_parser"]
 # ``cli.fit`` and the like, as the traced benchmark pass does, resolves
 # them here on first access.
 _LAZY = {
-    "Kernel": ".rbf",
-    "NodeSet": ".rbf",
     "fit": ".rbf",
-    "GaussianBump": ".verify",
     "run_bound_experiment": ".verify",
 }
 
@@ -204,7 +201,7 @@ def _cmd_constants(args) -> str:
 def _cmd_criterion(args) -> str:
     spec = _spec_from_args(args)
     dc = derive_constants(spec)
-    kind = kind_for(spec)
+    regime_for(spec.n, spec.beta)  # a spec no criterion covers is refused first
     cap = finite_c_cap(spec.sigma)
     # below the knee c0, and everywhere in dilation-invariant mode, the
     # factor e^{-eta c} is -inf once eta c overflows; the margin covers
@@ -235,7 +232,7 @@ def _cmd_criterion(args) -> str:
         except PreconditionError:  # no c* to show; the curve is drawn all the same
             pass
         c_hi = min(c_hi, cap)
-    samples = sample_curve(spec, dc, kind, c_lo, c_hi, args.count)
+    samples = sample_curve(spec, dc, None, c_lo, c_hi, args.count)
     if args.format == "json":
         return _json([{"c": s.c, "logH": s.log_h} for s in samples])
     out = io.StringIO()

@@ -252,17 +252,13 @@ def log_lambda_pow(c: float, spec: ProblemSpec, dc: DerivedConstants) -> float:
     mode = spec.mode
     if mode is Mode.PRACTICAL:
         raise SpecError("the convergence factor is undefined in practical mode")
+    log_c = math.log(c)
     if mode is Mode.FIXED_B0:
         if dc.log_c0 is None:
             raise SpecError("fixed-b0 mode requires derived constants with b0")
-        if math.log(c) >= dc.log_c0.log_value:
-            log_abs = (
-                math.log(math.log(1.5))
-                + math.log(spec.b0)
-                - math.log(4.0 * dc.gamma_n * spec.delta)
-            )
-            return _neg_exp(log_abs)
-    return _neg_exp(dc.eta_log_abs + math.log(c))
+        # |eta| c0 = ln(3/2) b0 / (4 gamma_n delta): the constant beyond c0
+        log_c = min(log_c, dc.log_c0.log_value)
+    return _neg_exp(dc.eta_log_abs + log_c)
 
 
 def _check_kind(kind: Optional[CriterionKind], regime: Regime, spec: ProblemSpec) -> None:

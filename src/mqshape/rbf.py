@@ -24,12 +24,12 @@ factorization also gives the 1-norm condition estimate of the whole
 saddle (LAPACK ``dpocon``, ``dsycon`` or ``dgecon``, the Hager/Higham
 estimator: Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 15).  Cholesky and LDL^T overwrite one triangle and the diagonal, so
-:func:`fit` keeps a copy of the diagonal and reads its residuals from the
-other triangle: the system is held once.  The LAPACK routines are called
-directly from scipy's f2py extension ``scipy.linalg._flapack``, which is
-loaded on the first factorization without the ``scipy.linalg`` package
-(:func:`_lapack`), so the criterion and optimizer never load scipy and a
-fit loads only that one extension.
+:func:`_factor` keeps a copy of the diagonal and forms the residuals of
+:func:`fit` from it and the other triangle: the system is held once.  The
+LAPACK routines are called directly from scipy's f2py extension
+``scipy.linalg._flapack``, which is loaded on the first factorization
+without the ``scipy.linalg`` package (:func:`_lapack`), so the criterion
+and optimizer never load scipy and a fit loads only that one extension.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -381,10 +381,11 @@ def _row_blocks(size: int):
 
 
 def _factor(matrix: np.ndarray, positive_definite: bool):
-    """(solve, cond, factorization) for a bitwise symmetric matrix, which
-    it consumes: ``solve(b)`` solves A x = b from one factorization, cond
-    is the 1-norm condition estimate ||A||_1 / rcond with rcond from
-    LAPACK on those same factors, and factorization names them.
+    """(solve, cond, factorization, product) for a bitwise symmetric
+    matrix A, which it consumes: ``solve(b)`` solves A x = b from one
+    factorization, cond is the 1-norm condition estimate ||A||_1 / rcond
+    with rcond from LAPACK on those same factors, factorization names
+    them and ``product(x)`` is A @ x (:func:`_symmetric_product`).
 
     ``matrix.T`` is column-major and, A being symmetric, equal to A, so
     LAPACK factors it in place, with no transposing copy.  A matrix known
@@ -395,42 +396,44 @@ def _factor(matrix: np.ndarray, positive_definite: bool):
     ``dgecon``).  Any other matrix is factored by the symmetric indefinite
     LDL^T (``dsytrf``, ``dsycon``).  Cholesky and LDL^T overwrite the lower
     triangle and the diagonal of ``matrix`` and leave its strict upper
-    triangle as it was; :func:`_symmetric_product` reads A back from that
-    triangle and a copy of the diagonal taken beforehand.  An exactly
-    singular matrix estimates inf.  Raises ValueError when the matrix has
-    non-finite entries.  The Cholesky and LU calls and their arguments are
-    those of scipy.linalg's ``cho_factor``, ``cho_solve``, ``lu_factor``
-    and ``lu_solve`` without the finiteness checks, so the factors and
-    solutions are theirs to the bit."""
+    triangle as it was; the one copy of the diagonal taken beforehand
+    and that triangle give A back, to the LU and to ``product``.  An
+    exactly singular matrix estimates inf; non-finite entries raise
+    :class:`ConditioningError` with estimate inf.  The Cholesky and LU
+    calls and their arguments are those of scipy.linalg's ``cho_factor``,
+    ``cho_solve``, ``lu_factor`` and ``lu_solve`` without the finiteness
+    checks, so the factors and solutions are theirs to the bit."""
     lapack = _lapack()
     size = matrix.shape[0]
     # ||A||_1, the largest column sum of |A|, a row block at a time
     col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size))
     anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
-        raise ValueError("matrix has non-finite entries")
+        message = "saddle system is numerically singular (cond ~ inf)"
+        raise ConditioningError(message, condition_estimate=math.inf)
+    diagonal = matrix.diagonal().copy()
+    product = lambda x: _symmetric_product(matrix, diagonal, x)
     if not positive_definite:
         lwork, _ = lapack.dsytrf_lwork(size)  # the default runs unblocked
         ldl, ipiv, info = lapack.dsytrf(matrix.T, lwork=int(lwork), overwrite_a=1)
         # info > 0 is an exactly zero pivot, which dsycon estimates as inf
         rcond, info = lapack.dsycon(ldl, ipiv, anorm)
         solve = lambda b: lapack.dsytrs(ldl, ipiv, b)[0]
-        return solve, _from_rcond(rcond, info), "ldl"
-    diagonal = matrix.diagonal().copy()
+        return solve, _from_rcond(rcond, info), "ldl", product
     # LAPACK's upper triangle is the lower one of ``matrix``; clean=0, as
     # in cho_factor, leaves the other triangle as it was
     factor, info = lapack.dpotrf(matrix.T, clean=0, overwrite_a=1)
     if info == 0:
         rcond, info = lapack.dpocon(factor, anorm)
         solve = lambda b: lapack.dpotrs(factor, b)[0]
-        return solve, _from_rcond(rcond, info), "cholesky"
-    # the LU overwrites all of its matrix, and the caller still reads the
+        return solve, _from_rcond(rcond, info), "cholesky", product
+    # the LU overwrites all of its matrix, and product still reads the
     # strict upper triangle of this one
     lu, piv, info = lapack.dgetrf(_symmetric_copy(matrix, diagonal).T, overwrite_a=1)
     # info > 0 is an exactly zero pivot, which estimates inf
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
-    return solve, _from_rcond(rcond, info), "lu"
+    return solve, _from_rcond(rcond, info), "lu", product
 
 
 def _from_rcond(rcond: float, info: int) -> float:
@@ -443,7 +446,7 @@ def _cond1(matrix: np.ndarray, positive_definite: bool = False) -> float:
     consumes (:func:`_factor`); inf for non-finite entries."""
     try:
         return _factor(matrix, positive_definite)[1]
-    except ValueError:
+    except ConditioningError:
         return math.inf
 
 
@@ -493,8 +496,12 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     count, q = nodes.count, len(exponents)
     saddle = np.empty((count + q, count + q))
     centred = _centred(nodes, nodes.points)
+    # Two paths, each the faster on its own half: at N = 1024 in 2-D on
+    # one BLAS thread, buffering the beta < 0 rows costs up to 0.5 ms more
+    # than ~5 ms, and forming the strided beta > 0 rows in place 2.5-3.3 ms.
     with np.errstate(**_BEYOND_RANGE):
         if not q:
+            # the kernel rows are the saddle's rows: form them in place
             for _, block in _kernel_rows(kernel, centred, centred, out=saddle):
                 block *= kernel.gamma_factor
             return saddle, exponents
@@ -516,12 +523,11 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     The system is [[A, P], [P^T, 0]] [coef; poly] = [values; 0] with
     A the kernel matrix and P the polynomial block.  It is held once:
-    the factorization overwrites one triangle and the diagonal
-    (:func:`_factor`), and the residuals are read from the other
-    triangle and a copy of the diagonal.  Raises :class:`InputError` for
-    mismatched or non-finite data or a node set that cannot determine
-    the polynomial tail, and :class:`ConditioningError` when the
-    factorization breaks down (expected behaviour for very large c).
+    :func:`_factor` factors it in place and forms the products the
+    residuals are read from.  Raises :class:`InputError` for mismatched
+    or non-finite data or a node set that cannot determine the
+    polynomial tail, and :class:`ConditioningError` for non-finite
+    system entries or coefficients (expected behaviour for very large c).
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     n_nodes = nodes.count
@@ -542,25 +548,17 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
                 "polynomial tail"
             )
 
-    # One factorization serves the solve and the condition estimate.
+    # One factorization serves the solve, the estimate and the residuals.
     rhs = np.concatenate([values, np.zeros(q)])
-    diagonal = saddle.diagonal().copy()
-    cond = math.inf
-    try:
-        solve, cond, factorization = _factor(saddle, positive_definite=not q)
-        solution = solve(rhs)
-    except ValueError as exc:
-        raise ConditioningError(
-            f"saddle system is numerically singular (cond ~ {cond:.3e})",
-            condition_estimate=cond,
-        ) from exc
+    solve, cond, factorization, product = _factor(saddle, positive_definite=not q)
+    solution = solve(rhs)
     if not np.isfinite(solution).all():
         raise ConditioningError(
             f"saddle solve produced non-finite coefficients (cond ~ {cond:.3e})",
             condition_estimate=cond,
         )
 
-    residual = np.abs(_symmetric_product(saddle, diagonal, solution) - rhs)
+    residual = np.abs(product(solution) - rhs)
     return Interpolant(
         kernel=kernel,
         nodes=nodes,

@@ -30,6 +30,7 @@ everywhere in this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
@@ -259,10 +260,14 @@ def run_bound_experiment(
     uniform evaluation grid, measures the fill distance on a grid of
     ``grid_per_side`` points per axis (defaults to the evaluation grid),
     and evaluates :func:`error_bound` with delta replaced by the measured
-    value.
+    value.  Both grid sizes must be integers >= 2 (:class:`InputError`).
     """
     if f.n != nodes.dim or spec.n != nodes.dim:
         raise InputError("dimension mismatch between spec, target, and nodes")
+    grid_per_side = eval_grid if grid_per_side is None else grid_per_side
+    for name, size in (("eval_grid", eval_grid), ("grid_per_side", grid_per_side)):
+        if not (isinstance(size, numbers.Integral) and size >= 2):
+            raise InputError(f"{name} must be an integer >= 2, got {size!r}")
     kern = Kernel(c=c, beta=spec.beta, n=spec.n)
     interp = fit(kern, nodes, f(nodes.points))
 
@@ -270,7 +275,7 @@ def run_bound_experiment(
     grid = _tensor_grid(corner, side, eval_grid, spec.n)
     err = float(np.max(np.abs(f(grid) - evaluate(interp, grid))))
 
-    delta = fill_distance(nodes.cube, nodes, grid_per_side or eval_grid)
+    delta = fill_distance(nodes.cube, nodes, grid_per_side)
     spec_measured = replace(spec, delta=delta)
     dc = derive_constants(spec_measured)
     log_bound = error_bound(spec_measured, dc, c, e_sigma_norm(f, spec.sigma))

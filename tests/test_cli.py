@@ -78,6 +78,15 @@ class TestCriterionCommand:
         assert float(lines[1].split(",")[0]) == 0.5
         assert float(lines[2].split(",")[0]) == 2.0
 
+    def test_uncovered_spec_is_refused_before_its_range(self, capsys):
+        # n + beta = 0.5: no criterion, whatever the range
+        code, _, err = run_cli(
+            capsys,
+            ["criterion", "--n", "2", "--beta", "-1.5", "--delta", "0.1", "--c-lo", "1e300"],
+        )
+        assert code == 2
+        assert "no criterion" in err
+
     def test_deterministic(self, capsys):
         argv = [
             "criterion", "--n", "1", "--beta", "-1", "--delta", "0.1",
@@ -403,6 +412,24 @@ class TestVerifyCommand:
         doc = json.loads(out, parse_constant=reject)
         assert doc["log_bound"] is None
         assert doc["max_error_measured"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flags", [["--eval-grid", "0"], ["--eval-grid", "-3"], ["--grid-per-side", "0"]]
+    )
+    def test_grid_sizes_below_two_exit_2(self, capsys, tmp_path, flags):
+        path = tmp_path / "nodes.csv"
+        path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
+        code, out, err = run_cli(
+            capsys,
+            [
+                "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0",
+                "--b0", "1.0", "--gauss-a", "0.25", "--c", "30",
+                "--nodes", str(path), *flags,
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "integer >= 2" in err
 
     def test_requires_cube_side(self, capsys, tmp_path):
         path = tmp_path / "nodes.csv"

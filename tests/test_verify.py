@@ -298,7 +298,7 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "count, ceiling",
-        # measured 2.5e-5 and 1.1e-8 from one solve; 9.4e-4 and 2.2e-6 with
+        # measured 1.2e-4 and 4.4e-8 from one solve; 9.4e-4 and 2.2e-6 with
         # two refinement steps, which diverge at this cond (~1e18-1e20)
         [(41, 1.5e-4), (641, 1.5e-7)],
     )
@@ -344,6 +344,17 @@ class TestExperiments:
         f = GaussianBump(a=0.25, n=1)
         with pytest.raises(InputError):
             run_bound_experiment(spec, f, nodes, 30.0, eval_grid=50)
+
+    @pytest.mark.parametrize(
+        "eval_grid, grid_per_side",
+        [(0, None), (-3, None), (1, None), (2.5, None), (50, 0), (50, 1), (50, -2)],
+    )
+    def test_grid_sizes_below_two_are_input_errors(self, eval_grid, grid_per_side):
+        nodes = uniform_grid(np.zeros(1), 1.0, 11, 1)
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.1, b0=1.0)
+        f = GaussianBump(a=0.25, n=1, center=(0.5,))
+        with pytest.raises(InputError, match="integer >= 2"):
+            run_bound_experiment(spec, f, nodes, 30.0, eval_grid, grid_per_side)
 
     def test_two_dimensional_experiment_inadmissible_at_desk_scale(self):
         # in two dimensions the admissible fill distance at any ordinary c
