@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from .constants import Mode, ProblemSpec, derive_constants
-from .criterion import regime_for, sample_curve
+from .criterion import finite_cap, regime_for, sample_curve
 from .errors import (
     ConditioningError,
     InputError,
@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     SpecError,
 )
-from .optimizer import finite_c_cap, optimal_c
+from .optimizer import optimal_c
 
 __all__ = ["main", "build_parser"]
 
@@ -202,16 +202,7 @@ def _cmd_criterion(args) -> str:
     spec = _spec_from_args(args)
     dc = derive_constants(spec)
     regime_for(spec.n, spec.beta)  # a spec no criterion covers is refused first
-    cap = finite_c_cap(spec.sigma)
-    # below the knee c0, and everywhere in dilation-invariant mode, the
-    # factor e^{-eta c} is -inf once eta c overflows; the margin covers
-    # the rounding of log(exp(.))
-    log_eta_cap = 709.0 - dc.eta_log_abs - 1e-9
-    if log_eta_cap < math.log(cap) and (
-        spec.mode is Mode.DILATION_INVARIANT
-        or (spec.mode is Mode.FIXED_B0 and dc.log_c0.log_value > log_eta_cap)
-    ):
-        cap = math.exp(log_eta_cap)
+    cap = finite_cap(spec, dc)
     c_lo = dc.log_c_min.value if args.c_lo is None else args.c_lo
     if c_lo >= cap:
         raise NumericError(
@@ -220,6 +211,10 @@ def _cmd_criterion(args) -> str:
             "pass a smaller --c-lo"
         )
     c_hi = args.c_hi
+    if c_hi is not None and c_hi > cap:
+        raise NumericError(
+            f"range end c_hi = {c_hi:g} lies past the finite cap {cap:g}; pass a smaller --c-hi"
+        )
     if c_hi is None:
         # past the knee c0 and the minimizer c*, so the curve shows both
         c_hi = 1e3 * max(1.0, c_lo)
@@ -296,14 +291,7 @@ def _cmd_verify(args) -> str:
     corner = np.full(args.n, args.corner)
     nodes = rbf.NodeSet(points=pts, cube=(corner, args.b0))
     # delta is measured from the nodes; the placeholder keeps validation happy
-    spec = ProblemSpec(
-        n=args.n,
-        beta=args.beta,
-        sigma=args.sigma,
-        delta=1.0,
-        b0=args.b0,
-        mode=Mode(args.mode),
-    )
+    spec = _spec_from_args(args, delta=1.0)
     bump_center = tuple(corner + 0.5 * args.b0)
     f = verify.GaussianBump(a=args.gauss_a, n=args.n, amplitude=args.amplitude, center=bump_center)
     report = verify.run_bound_experiment(

@@ -11,7 +11,8 @@ together with the exponential convergence factor lambda^(1/delta) that
 the two non-practical modes add.  That sum is the one formula for the
 c-dependent part of the error bound: :mod:`mqshape.optimizer` minimizes
 it and :mod:`mqshape.verify` adds the bound's c-independent constants
-to it.
+to it.  Both, and the CLI, stop at :func:`finite_cap`, past which it
+overflows.
 
 Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
@@ -28,6 +29,7 @@ numpy import costs a fresh process more than the scalar evaluation of a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -48,6 +50,7 @@ __all__ = [
     "log_h_general",
     "log_lambda_pow",
     "log_h_unified",
+    "finite_cap",
     "sample_curve",
     "oned_threshold",
 ]
@@ -295,6 +298,23 @@ def log_h_unified(
     if spec.mode is Mode.PRACTICAL:
         return core
     return core + log_lambda_pow(c, spec, dc)
+
+
+def finite_cap(spec: ProblemSpec, dc: DerivedConstants) -> float:
+    """Largest c at which :func:`log_h_unified` of ``spec`` is finite.
+
+    The core's growth sigma c^2 / 8 and xi*^2 ~ (sigma c / 2)^2 must stay
+    doubles, the first for sigma below ~8.45.  Where the mode's factor is
+    e^{-eta c}, below the knee c0 or everywhere in dilation-invariant
+    mode, eta c must not overflow either; the margin covers the rounding
+    of log(exp(.)).
+    """
+    cap = min(math.sqrt(min(8e307 / spec.sigma, sys.float_info.max)), 2.6e154 / spec.sigma)
+    if spec.mode is Mode.PRACTICAL:
+        return cap
+    log_knee = dc.log_c0.log_value if spec.mode is Mode.FIXED_B0 else math.inf
+    log_eta_cap = 709.0 - dc.eta_log_abs - 1e-9
+    return math.exp(log_eta_cap) if log_eta_cap < min(math.log(cap), log_knee) else cap
 
 
 def sample_curve(

@@ -2,8 +2,8 @@
 
 The admissible interval for the shape parameter is [c_min, infinity) with
 c_min = 12 rho sqrt(n) e^{2 n gamma_n} gamma_n (m+1) delta.  Every
-supported criterion grows without bound as c -> infinity, but in double
-precision it can only be evaluated up to a finite cap, so the interval
+supported criterion grows without bound as c -> infinity, but it is a
+double only up to :func:`mqshape.criterion.finite_cap`, so the interval
 searched is [c_min, cap], recorded in the result for audit.
 
 The minimizer is found with no scan.  Below the knee c0 of the
@@ -36,7 +36,6 @@ evaluated, and is refused.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -45,6 +44,7 @@ from .criterion import (
     _LOG_2_SQRT3,
     _LOG_INV_LN2,
     Regime,
+    finite_cap,
     log_h_unified,
     regime_for,
     xi_star,
@@ -54,7 +54,6 @@ from .errors import NumericError, PreconditionError, SpecError
 __all__ = [
     "OptimalResult",
     "minimize_scalar",
-    "finite_c_cap",
     "optimal_c",
 ]
 
@@ -74,7 +73,7 @@ class OptimalResult:
 
     ``clamped_lower`` is set when the minimum sits at the admissible lower
     endpoint c_min; ``bracket`` is the interval searched, [c_min, cap]
-    with the finite cap of :func:`finite_c_cap` in place of infinity.
+    with :func:`mqshape.criterion.finite_cap` in place of infinity.
     The minimizer is found in closed form, so ``iterations`` is always 0.
     """
 
@@ -138,13 +137,6 @@ def minimize_scalar(
     if i == 0 and (x - lo) <= 4.0 * tol * lo:
         x = lo
     return x, _eval_checked(f, x)
-
-
-def finite_c_cap(sigma: float) -> float:
-    """Largest c at which the criterion stays finite in double precision:
-    it keeps sigma c^2 / 8, the criterion's growth, representable.  For
-    sigma below ~0.45 the quotient alone overflows, hence the min."""
-    return math.sqrt(min(8e307 / sigma, sys.float_info.max))
 
 
 def _oned_rate(t: float) -> float:
@@ -225,15 +217,15 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     """Optimal shape parameter on the admissible interval.
 
     Minimizes :func:`mqshape.criterion.log_h_unified` over [c_min, cap],
-    cap = :func:`finite_c_cap`, by evaluating it at c_min, at the local
-    minima found as in the module docstring, and, in fixed-b0 mode, at the
-    knee c0; the least value wins, ties going to the smaller c.  c_min is
-    skipped when the criterion falls there.  In practical mode the
-    minimizer is max(c_min, the core's critical point), in closed form.
-    ``iterations`` is always 0 and ``bracket`` is (c_min, cap);
-    ``clamped_lower`` is set when the minimum sits at c_min.  Raises
-    :class:`NumericError` when the criterion still falls at the cap, so
-    that its minimizer lies where it cannot be evaluated.
+    cap = :func:`mqshape.criterion.finite_cap`, by evaluating it at
+    c_min, at the local minima found as in the module docstring, and, in
+    fixed-b0 mode, at the knee c0; the least value wins, ties going to
+    the smaller c.  c_min is skipped when the criterion falls there.  In
+    practical mode the minimizer is max(c_min, the core's critical
+    point), in closed form.  ``iterations`` is always 0 and ``bracket``
+    is (c_min, cap); ``clamped_lower`` is set when the minimum sits at
+    c_min.  Raises :class:`NumericError` when the criterion still falls
+    at the cap, so that its minimizer lies where it cannot be evaluated.
     """
     regime = regime_for(spec.n, spec.beta)
     if spec.b0 is not None:
@@ -250,7 +242,7 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
             "only be inspected in the log domain"
         )
     c_min = dc.log_c_min.value
-    cap = finite_c_cap(spec.sigma)
+    cap = finite_cap(spec, dc)
     if not cap > c_min * (1.0 + 1e-12):
         raise NumericError(
             f"admissible interval [{c_min:g}, {cap:g}] collapses under the "

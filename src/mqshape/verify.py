@@ -37,9 +37,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .constants import DerivedConstants, Mode, ProblemSpec, derive_constants
-from .criterion import log_h_unified
+from .criterion import finite_cap, log_h_unified
 from .errors import InputError, NumericError, PreconditionError, SpecError
-from .optimizer import finite_c_cap
 from .rbf import (
     _EVAL_BLOCK_ENTRIES,
     Kernel,
@@ -190,9 +189,9 @@ def error_bound(
     c0, when ``spec.b0`` is set, else with the dilation-invariant one,
     whatever ``spec.mode`` says.  This is the quantity the measured
     interpolation error is compared against.  Raises
-    :class:`NumericError` for c past :func:`mqshape.optimizer.finite_c_cap`,
-    where the criterion is not finite, and :class:`PreconditionError` when
-    the fill distance exceeds the admissible cap for this c.
+    :class:`NumericError` for c past that criterion's
+    :func:`mqshape.criterion.finite_cap`, and :class:`PreconditionError`
+    when the fill distance exceeds the admissible cap for this c.
     """
     if not c > 0.0:
         raise SpecError(f"shape parameter c must be positive, got {c}")
@@ -208,9 +207,9 @@ def error_bound(
         # beta = -1 in n >= 2 and the other negative exponents share one
         # bound shape; the criterion rejects (n, beta) that none covers
         const = -(3.0 * n / 4.0) * (_LN2 + _LNPI)
-    mode = Mode.DILATION_INVARIANT if spec.b0 is None else Mode.FIXED_B0
-    log_h = log_h_unified(c, replace(spec, mode=mode), dc)
-    cap = finite_c_cap(spec.sigma)
+    bound_spec = replace(spec, mode=Mode.DILATION_INVARIANT if spec.b0 is None else Mode.FIXED_B0)
+    log_h = log_h_unified(c, bound_spec, dc)
+    cap = finite_cap(bound_spec, dc)
     if c > cap:
         raise NumericError(
             f"shape parameter c={c:g} lies past the finite cap c={cap:g}, "

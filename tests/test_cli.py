@@ -11,7 +11,7 @@ import pytest
 
 from mqshape import Mode, ProblemSpec, derive_constants
 from mqshape.cli import main
-from mqshape.optimizer import finite_c_cap
+from mqshape.criterion import finite_cap
 
 
 def run_cli(capsys, argv):
@@ -175,9 +175,10 @@ class TestCriterionCommand:
         assert code == 0
         rows = list(csv.reader(out.splitlines()))[1:]
         assert len(rows) == 200 and all(math.isfinite(float(h)) for _, h in rows)
-        eta_log_abs = derive_constants(ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=1e-200)).eta_log_abs
-        assert math.exp(708.0 - eta_log_abs) < float(rows[-1][0]) <= math.exp(709.0 - eta_log_abs)
-        assert float(rows[-1][0]) < finite_c_cap(1.0)
+        spec = ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=1e-200, mode=Mode.DILATION_INVARIANT)
+        dc = derive_constants(spec)
+        assert math.exp(708.0 - dc.eta_log_abs) < float(rows[-1][0]) <= math.exp(709.0 - dc.eta_log_abs)
+        assert float(rows[-1][0]) == finite_cap(spec, dc)
 
     @pytest.mark.parametrize("b0", ["1e150", "1e100"])
     def test_fixed_b0_default_range_ends_where_eta_c_is_finite(self, capsys, b0):
@@ -219,6 +220,15 @@ class TestCriterionCommand:
         )
         assert code == 3 and out == ""
         assert "c_lo = 1e+160" in err and "8.94427e+153" in err and "--c-lo" in err
+
+    def test_explicit_range_end_beyond_the_finite_cap_is_refused(self, capsys):
+        # past the cap ~ 8.9e153 the rows were nan, with exit 0
+        code, out, err = run_cli(
+            capsys,
+            ["criterion", "--n", "2", "--beta", "1", "--delta", "1e-3", "--c-hi", "1e200"],
+        )
+        assert code == 3 and out == ""
+        assert "c_hi = 1e+200" in err and "8.94427e+153" in err and "--c-hi" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -287,6 +297,21 @@ class TestOptimizeCommand:
         # the knee c0 = 3 b0 rho sqrt(n) e^{2 n gamma_n} = 3 e^4 here
         assert doc["c_star"] == pytest.approx(3.0 * math.exp(4.0), rel=1e-12)
         assert doc["clamped_lower"] is False
+
+
+    def test_knee_past_the_finite_cap_is_not_a_candidate(self, capsys):
+        # xi*^2 overflows below the knee c0 ~ 1.8e153 for sigma = 16, where
+        # log H is about +6.5e306, not the -5.6e152 once returned as the
+        # minimum; the true minimum is at c_min
+        code, out, _ = run_cli(
+            capsys,
+            ["optimize", "--n", "1", "--beta", "-1", "--sigma", "16", "--delta", "1e-3",
+             "--b0", "1.1e151", "--mode", "fixed-b0"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["clamped_lower"] is True and doc["c_star"] == doc["bracket"][0]
+        assert doc["log_h_star"] == pytest.approx(4.17, abs=0.01)
 
 
 class TestFitCommand:

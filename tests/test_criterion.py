@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mqshape import (
     sample_curve,
     xi_star,
 )
-from mqshape.criterion import log_h_beta_neg1_multid_simplified, oned_threshold
+from mqshape.criterion import finite_cap, log_h_beta_neg1_multid_simplified, oned_threshold
 from oracles import case2_sq_derivative
 
 ONE_D_ARGMIN_SIGMA1 = 0.5166224878150684  # bounded-search oracle
@@ -352,6 +353,45 @@ class TestUnified:
             lo = max(lo, dc.log_c_min.value * 1e-3)
         for c in np.geomspace(lo, 1e10, 60):
             assert math.isfinite(log_h_unified(float(c), spec, dc, kind))
+
+
+class TestFiniteCap:
+    @given(
+        n_beta=st.sampled_from([(1, -1.0), (2, -1.0), (1, 1.0), (2, 0.5), (3, -1.5), (3, 3.0)]),
+        mode=st.sampled_from(list(Mode)),
+        log_sigma=st.floats(math.log(1e-3), math.log(1e6)),
+        log_delta=st.floats(math.log(1e-300), 0.0),
+        log_b0=st.floats(math.log(1e-3), math.log(1e200)),
+    )
+    def test_criterion_is_finite_at_the_cap(self, n_beta, mode, log_sigma, log_delta, log_b0):
+        # for sigma above ~8.45, xi*^2 overflowed below the old cap and
+        # log H was -inf or, in one dimension, a wrong finite value
+        spec = _spec(n_beta[0], n_beta[1], math.exp(log_sigma), math.exp(log_delta),
+                     math.exp(log_b0), mode)
+        dc = derive_constants(spec)
+        cap = finite_cap(spec, dc)
+        for c in (cap, 0.5 * cap):
+            assert math.isfinite(log_h_unified(c, spec, dc))
+
+    @given(sigma=st.floats(1e-3, 8.0))
+    def test_practical_cap_unchanged_up_to_sigma_8(self, sigma):
+        spec = _spec(n=2, beta=1.0, sigma=sigma)
+        cap = finite_cap(spec, derive_constants(spec))
+        assert cap == math.sqrt(min(8e307 / sigma, sys.float_info.max))
+
+    def test_one_dimensional_value_at_the_cap(self):
+        # 50-digit mpmath: log H at sigma = 16 grows like sigma c^2 / 8;
+        # the overflowing xi*^2 once dropped it to the constant term, ~ -176
+        mpmath = pytest.importorskip("mpmath")
+        spec = _spec(sigma=16.0)
+        c = finite_cap(spec, derive_constants(spec))
+        with mpmath.workdps(50):
+            cm, s = mpmath.mpf(c), mpmath.mpf(16)
+            xs = (cm * s + mpmath.sqrt(cm * cm * s * s + 4 * s)) / 4
+            log_m = mpmath.log(cm * xs) / 2 + cm * xs - xs * xs / s
+            m_term = mpmath.log(2 * mpmath.sqrt(3)) + log_m
+            want = -mpmath.log(cm) / 2 + mpmath.log(1 / mpmath.log(2) + mpmath.exp(m_term)) / 2
+        assert log_h_beta_neg1_oned(c, 16.0) == pytest.approx(float(want), rel=1e-13)
 
 
 class TestSampleCurve:

@@ -20,7 +20,7 @@ from mqshape import (
     optimal_c,
     optimizer,
 )
-from mqshape.criterion import xi_star
+from mqshape.criterion import finite_cap, xi_star
 from oracles import case2_sq_derivative, critical_point_case1
 
 # bounded-search oracles (independent high-precision runs)
@@ -697,7 +697,7 @@ def test_optimal_c_bitwise_pinned(
     assert result.clamped_lower is clamped
     assert result.iterations == 0
     assert result.bracket == (
-        float.fromhex(_SCAN_BRACKETS[n, beta, delta][0]), optimizer.finite_c_cap(1.5)
+        float.fromhex(_SCAN_BRACKETS[n, beta, delta][0]), finite_cap(spec, dc)
     )
 
 

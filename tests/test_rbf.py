@@ -559,7 +559,8 @@ class TestMemory:
 
     def test_one_dimensional_kernel_rows_hold_one_block(self):
         # 1-D squared distances need no scratch for the later axes; the
-        # broadcast subtraction of x's coordinates takes one ufunc buffer
+        # slack above one block holds _sq_dists's (1, 2, 625) right-hand
+        # side and its (rows, 2) left-hand side
         x = np.linspace(0.0, 1.0, 625)[:, None]
         kern = Kernel(c=1.0, beta=-1.0, n=1)
 

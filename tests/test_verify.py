@@ -25,7 +25,7 @@ from mqshape import (
     run_bound_experiment,
     uniform_grid,
 )
-from mqshape.optimizer import finite_c_cap
+from mqshape.criterion import finite_cap
 from mqshape.rbf import Kernel, evaluate, fit
 
 
@@ -256,17 +256,18 @@ class TestErrorBound:
         assert abs(rests[0] - rests[1]) <= 1e-12 * max(abs(t) for t in terms)
 
     def test_past_the_finite_cap_raises(self):
-        # past finite_c_cap, c xi* and xi*^2 / sigma overflow and the
-        # criterion is nan; the bound names the cap instead
+        # past finite_cap, c xi* and xi*^2 / sigma overflow and the
+        # criterion is nan; the bound names the cap instead, and is
+        # finite at the cap itself
         spec = ProblemSpec(
             n=3, beta=-0.5, sigma=16.8, delta=4.8e-56, mode=Mode.DILATION_INVARIANT
         )
         dc = derive_constants(spec)
-        cap = finite_c_cap(spec.sigma)
+        cap = finite_cap(spec, dc)
         assert math.isnan(log_h_unified(6.2e160, spec, dc))
         with pytest.raises(NumericError, match=re.escape(f"{cap:g}")):
             error_bound(spec, dc, 6.2e160, 1.0)
-        assert error_bound(spec, dc, cap, 1.0) == -math.inf
+        assert math.isfinite(error_bound(spec, dc, cap, 1.0))
 
     def test_positive_beta_bound_finite(self):
         spec = ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=0.01, b0=1.0)
