@@ -10,9 +10,9 @@ constant.  This module evaluates log H(c) with the formula that applies,
 together with the exponential convergence factor lambda^(1/delta) that
 the two non-practical modes add.  That sum is the one formula for the
 c-dependent part of the error bound: :mod:`mqshape.optimizer` minimizes
-it and :mod:`mqshape.verify` adds the bound's c-independent constants
-to it.  Both, and the CLI, stop at :func:`finite_cap`, past which it
-overflows.
+it, with its slope :func:`log_h_slope` and the knee :func:`log_knee`,
+and :mod:`mqshape.verify` adds the bound's c-independent constants to
+it.  Both, and the CLI, stop at :func:`finite_cap`, past which it overflows.
 
 Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
@@ -48,8 +48,10 @@ __all__ = [
     "log_h_beta_neg1_multid_simplified",
     "log_h_beta_neg1_oned",
     "log_h_general",
+    "log_knee",
     "log_lambda_pow",
     "log_h_unified",
+    "log_h_slope",
     "finite_cap",
     "sample_curve",
     "oned_threshold",
@@ -57,7 +59,6 @@ __all__ = [
 
 _LOG_INV_LN2 = -math.log(math.log(2.0))
 _LOG_2_SQRT3 = math.log(2.0) + 0.5 * math.log(3.0)
-_LN_2_3 = math.log(2.0 / 3.0)
 
 
 class Regime(Enum):
@@ -191,6 +192,18 @@ def oned_threshold(sigma: float) -> float:
     return 2.0 / math.sqrt(3.0 * sigma)
 
 
+def _oned_log_m(c: float, sigma: float) -> tuple[float, Optional[float]]:
+    """(log M(c), xi*) of the one-dimensional criterion; xi* is None up to
+    the branch point, where M does not use it."""
+    if c <= oned_threshold(sigma):
+        c2s = c * c * sigma
+        # c^2 underflows for c below ~1e-162; the branch value then
+        # vanishes entirely and only the constant term survives
+        return (1.0 - 1.0 / c2s if c2s > 0.0 else -math.inf), None
+    xs = xi_star(c, sigma, 1.0)
+    return 0.5 * math.log(c * xs) + c * xs - xs * xs / sigma, xs
+
+
 def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     """log of the criterion for beta=-1 in one dimension.
 
@@ -201,14 +214,7 @@ def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     join continuously because xi* = 1/c exactly at the branch point.
     """
     c = _require_positive_c(c)
-    if c <= oned_threshold(sigma):
-        c2s = c * c * sigma
-        # c^2 underflows for c below ~1e-162; the branch value then
-        # vanishes entirely and only the constant term survives
-        log_m = 1.0 - 1.0 / c2s if c2s > 0.0 else -math.inf
-    else:
-        xs = xi_star(c, sigma, 1.0)
-        log_m = 0.5 * math.log(c * xs) + c * xs - xs * xs / sigma
+    log_m, _ = _oned_log_m(c, sigma)
     return -0.5 * math.log(c) + 0.5 * _logaddexp(
         _LOG_INV_LN2, _LOG_2_SQRT3 + log_m
     )
@@ -242,26 +248,31 @@ def _neg_exp(log_abs: float) -> float:
     return -math.exp(log_abs)
 
 
+def log_knee(spec: ProblemSpec, dc: DerivedConstants) -> float:
+    """log of the knee: the mode's factor is e^{eta(delta) c} below it and
+    constant beyond.  log c0, c0 = 3 b0 rho sqrt(n) e^{2 n gamma_n}, in
+    FIXED_B0 mode, +inf in DILATION_INVARIANT mode and -inf in PRACTICAL
+    mode, which has no factor."""
+    if spec.mode is Mode.PRACTICAL:
+        return -math.inf
+    if spec.mode is Mode.DILATION_INVARIANT:
+        return math.inf
+    if dc.log_c0 is None:
+        raise SpecError("fixed-b0 mode requires derived constants with b0")
+    return dc.log_c0.log_value
+
+
 def log_lambda_pow(c: float, spec: ProblemSpec, dc: DerivedConstants) -> float:
     """log of the convergence factor lambda^(1/delta) at shape parameter c.
 
-    In FIXED_B0 mode the factor equals e^{eta(delta) c} for c up to
-    c0 = 3 b0 rho sqrt(n) e^{2 n gamma_n} and is the constant
-    (2/3)^{b0/(4 gamma_n delta)} beyond; the two branches agree at c0.
-    In DILATION_INVARIANT mode the exponential branch applies for all c.
-    PRACTICAL mode has no such factor and asking for it is a caller bug.
+    It is eta(delta) min(c, c0), c0 the knee of :func:`log_knee`: beyond
+    c0 the factor is the constant (2/3)^{b0/(4 gamma_n delta)}.  PRACTICAL
+    mode has no such factor and asking for it is a caller bug.
     """
     c = _require_positive_c(c)
-    mode = spec.mode
-    if mode is Mode.PRACTICAL:
+    if spec.mode is Mode.PRACTICAL:
         raise SpecError("the convergence factor is undefined in practical mode")
-    log_c = math.log(c)
-    if mode is Mode.FIXED_B0:
-        if dc.log_c0 is None:
-            raise SpecError("fixed-b0 mode requires derived constants with b0")
-        # |eta| c0 = ln(3/2) b0 / (4 gamma_n delta): the constant beyond c0
-        log_c = min(log_c, dc.log_c0.log_value)
-    return _neg_exp(dc.eta_log_abs + log_c)
+    return _neg_exp(dc.eta_log_abs + min(math.log(c), log_knee(spec, dc)))
 
 
 def _check_kind(kind: Optional[CriterionKind], regime: Regime, spec: ProblemSpec) -> None:
@@ -304,17 +315,36 @@ def finite_cap(spec: ProblemSpec, dc: DerivedConstants) -> float:
     """Largest c at which :func:`log_h_unified` of ``spec`` is finite.
 
     The core's growth sigma c^2 / 8 and xi*^2 ~ (sigma c / 2)^2 must stay
-    doubles, the first for sigma below ~8.45.  Where the mode's factor is
-    e^{-eta c}, below the knee c0 or everywhere in dilation-invariant
-    mode, eta c must not overflow either; the margin covers the rounding
-    of log(exp(.)).
+    doubles, the first for sigma below ~8.45.  Below the knee
+    :func:`log_knee`, where the mode's factor is e^{-eta c}, eta c must
+    not overflow either; the margin covers the rounding of log(exp(.)).
     """
     cap = min(math.sqrt(min(8e307 / spec.sigma, sys.float_info.max)), 2.6e154 / spec.sigma)
-    if spec.mode is Mode.PRACTICAL:
-        return cap
-    log_knee = dc.log_c0.log_value if spec.mode is Mode.FIXED_B0 else math.inf
     log_eta_cap = 709.0 - dc.eta_log_abs - 1e-9
-    return math.exp(log_eta_cap) if log_eta_cap < min(math.log(cap), log_knee) else cap
+    return math.exp(log_eta_cap) if log_eta_cap < min(math.log(cap), log_knee(spec, dc)) else cap
+
+
+def log_h_slope(c: float, spec: ProblemSpec) -> float:
+    """d/dc of log H(c) for the problem's criterion, without the mode's factor.
+
+    For the general core it is -p/(4c) + xi*/2, p = n - 1 - beta, since
+    xi* is a critical point.  For beta = -1, n = 1 it is -1/(2c) +
+    w (log M)'/2, w the weight of the M term in log(1/ln 2 + 2 sqrt(3) M),
+    where (log M)' is 2/(c^3 sigma) up to the branch point, 1/(2c) + xi* beyond.
+    """
+    c = _require_positive_c(c)
+    if regime_for(spec.n, spec.beta) is Regime.GENERAL:
+        return -(spec.n - 1.0 - spec.beta) / (4.0 * c) + 0.5 * xi_star(
+            c, spec.sigma, spec.n + spec.beta + 1.0
+        )
+    log_m, xs = _oned_log_m(c, spec.sigma)
+    z = _LOG_2_SQRT3 + log_m - _LOG_INV_LN2
+    w = 1.0 / (1.0 + math.exp(-z)) if z >= 0.0 else math.exp(z) / (1.0 + math.exp(z))
+    if w == 0.0:
+        return -0.5 / c
+    # c^3 sigma as c (c^2 sigma): c^3 underflows where c^2 sigma does not
+    d_log_m = 2.0 / (c * (c * c * spec.sigma)) if xs is None else 0.5 / c + xs
+    return -0.5 / c + 0.5 * w * d_log_m
 
 
 def sample_curve(

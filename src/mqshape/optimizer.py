@@ -6,25 +6,24 @@ supported criterion grows without bound as c -> infinity, but it is a
 double only up to :func:`mqshape.criterion.finite_cap`, so the interval
 searched is [c_min, cap], recorded in the result for audit.
 
-The minimizer is found with no scan.  Below the knee c0 of the
-convergence factor (everywhere in dilation-invariant mode) the mode adds
--eta c to log H, eta = |eta(delta)|; beyond c0, and in practical mode,
-it adds a constant (eta = 0).  The criterion is evaluated at c_min, at
-the local minima of log H - eta c on each piece, and at c0; the least
-value wins.  A local minimum is where the slope passes upward through 0,
-so it is found by bisection, to the last bit, on each stretch on which
-the slope rises:
+The minimizer is found with no scan.  Below the knee
+:func:`mqshape.criterion.log_knee` (everywhere in dilation-invariant
+mode) the mode adds -eta c to log H, eta = |eta(delta)|; beyond it, and
+so everywhere in practical mode, it adds a constant (eta = 0).  The
+criterion is evaluated at c_min, at the local minima of log H - eta c on
+each piece, and at the knee; the least value wins.  A local minimum is
+where :func:`mqshape.criterion.log_h_slope` passes upward through eta,
+found by bisection, to the last bit, on each stretch on which it rises:
 
-* for the general core the slope is -p/(4c) + xi*(c)/2 - eta with
-  p = n - 1 - beta and q = n + beta + 1.  It rises on all of (0, inf)
-  for p >= 0; for p < 0 it is convex and rises beyond the zero of its
-  own derivative, itself found by bisection.  At eta = 0 the only local
-  minimum is p / sqrt(2 n sigma), when p > 0;
-* for beta = -1, n = 1 the slope is sqrt(sigma) D(c sqrt(sigma)) - eta
-  for one fixed function D, which rises from -inf through 0 at u*, peaks
-  at t_peak, dips at the branch point 2/sqrt(3) and then grows like t/4;
-  it rises on [u*, t_peak] and [2/sqrt(3), inf), and at eta = 0 the only
-  local minimum is u*/sqrt(sigma), u* the root of
+* for the general core, -p/(4c) + xi*(c)/2 with p = n - 1 - beta, it
+  rises on all of (0, inf) for p >= 0; for p < 0 it is convex and rises
+  beyond the zero of its own derivative, itself found by bisection.  At
+  eta = 0 the only local minimum is p / sqrt(2 n sigma), when p > 0;
+* for beta = -1, n = 1 it equals sqrt(sigma) D(c sqrt(sigma)) for one
+  fixed function D, which rises from -inf through 0 at u*, peaks at
+  t_peak, dips at the branch point 2/sqrt(3) and then grows like t/4; so
+  it rises on [u*, t_peak]/sqrt(sigma) and beyond the branch point, and
+  at eta = 0 the only local minimum is u*/sqrt(sigma), u* the root of
   -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2).
 
 Beyond the cap the slope only grows, so a criterion that still falls
@@ -35,17 +34,19 @@ evaluated, and is refused.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from .constants import DerivedConstants, Mode, ProblemSpec
+from .constants import DerivedConstants, ProblemSpec
 from .criterion import (
-    _LOG_2_SQRT3,
-    _LOG_INV_LN2,
     Regime,
     finite_cap,
+    log_h_slope,
     log_h_unified,
+    log_knee,
+    oned_threshold,
     regime_for,
     xi_star,
 )
@@ -62,9 +63,6 @@ _SCAN_POINTS = 64
 # u* and t_peak of the module docstring, correctly rounded
 _ONED_U_STAR = 0.5166224863922065
 _ONED_T_PEAK = 0.6806753792204169
-_ONED_BRANCH = 2.0 / math.sqrt(3.0)
-# the stretches of t on which D rises
-_ONED_RISING = ((_ONED_U_STAR, _ONED_T_PEAK), (_ONED_BRANCH, math.inf))
 
 
 @dataclass(frozen=True)
@@ -139,31 +137,6 @@ def minimize_scalar(
     return x, _eval_checked(f, x)
 
 
-def _oned_rate(t: float) -> float:
-    """D(t): the slope of the beta = -1, n = 1 criterion is
-    sqrt(sigma) D(c sqrt(sigma)).
-
-    D(t) = -1/(2t) + w (log M)'(t)/2, with w the weight of the M term in
-    log(1/ln 2 + 2 sqrt(3) M) and M as in
-    :func:`mqshape.criterion.log_h_beta_neg1_oned` at sigma = 1.
-    """
-    if t <= _ONED_BRANCH:
-        t2 = t * t
-        log_m = 1.0 - 1.0 / t2 if t2 > 0.0 else -math.inf
-    else:
-        x = 0.25 * (t + math.hypot(t, 2.0))
-        log_m = 0.5 * math.log(t * x) + t * x - x * x
-    z = _LOG_2_SQRT3 + log_m - _LOG_INV_LN2
-    if z >= 0.0:
-        w = 1.0 / (1.0 + math.exp(-z))
-    else:
-        w = math.exp(z) / (1.0 + math.exp(z))
-    if w == 0.0:
-        return -0.5 / t
-    d_log_m = 2.0 / (t * t * t) if t <= _ONED_BRANCH else 0.5 / t + x
-    return -0.5 / t + 0.5 * w * d_log_m
-
-
 def _bisect(f: Callable[[float], float], target: float, a: float, b: float) -> float:
     """Where the increasing f reaches target in [a, b], f(a) <= target <=
     f(b), to the last bit; geometric midpoints, since b/a may be huge."""
@@ -218,14 +191,14 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
 
     Minimizes :func:`mqshape.criterion.log_h_unified` over [c_min, cap],
     cap = :func:`mqshape.criterion.finite_cap`, by evaluating it at
-    c_min, at the local minima found as in the module docstring, and, in
-    fixed-b0 mode, at the knee c0; the least value wins, ties going to
-    the smaller c.  c_min is skipped when the criterion falls there.  In
-    practical mode the minimizer is max(c_min, the core's critical
-    point), in closed form.  ``iterations`` is always 0 and ``bracket``
-    is (c_min, cap); ``clamped_lower`` is set when the minimum sits at
-    c_min.  Raises :class:`NumericError` when the criterion still falls
-    at the cap, so that its minimizer lies where it cannot be evaluated.
+    c_min, at the local minima found as in the module docstring, and at
+    the knee (:func:`mqshape.criterion.log_knee`) inside it; the least
+    value wins, ties going to the smaller c.  c_min is skipped when the
+    criterion falls there.  In practical mode the minimizer is
+    max(c_min, the core's critical point), in closed form.  ``iterations``
+    is always 0 and ``bracket`` is (c_min, cap); ``clamped_lower`` is set
+    when the minimum sits at c_min.  Raises :class:`NumericError` when the
+    criterion still falls at the cap, past which its minimizer lies.
     """
     regime = regime_for(spec.n, spec.beta)
     if spec.b0 is not None:
@@ -250,24 +223,16 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
         )
 
     # the pieces of [c_min, cap) and the rate eta of the factor's -eta c
-    eta = 0.0 if spec.mode is Mode.PRACTICAL else -dc.eta
-    pieces = [(c_min, cap, eta)]
-    if spec.mode is Mode.FIXED_B0 and dc.log_c0.log_value < math.log(cap):
-        c0 = dc.log_c0.value
-        pieces = [(c_min, c0, eta), (c0, cap, 0.0)] if c0 > c_min else [(c_min, cap, 0.0)]
+    log_c0 = log_knee(spec, dc)
+    knee = math.exp(log_c0) if log_c0 < math.log(cap) else cap
+    pieces = [(c_min, knee, -dc.eta), (max(knee, c_min), cap, 0.0)]
+    pieces = [piece for piece in pieces if piece[0] < piece[1]]
 
     n, sigma = spec.n, spec.sigma
     p, q = n - 1.0 - spec.beta, n + spec.beta + 1.0
     oned = regime is Regime.BETA_NEG1_1D
     rs = math.sqrt(sigma)
-
-    def slope(c: float) -> float:
-        """d/dc of log H without the factor; for the core by the envelope
-        theorem."""
-        if oned:
-            return rs * _oned_rate(c * rs)
-        return -p / (4.0 * c) + 0.5 * xi_star(c, sigma, q)
-
+    slope = functools.partial(log_h_slope, spec=spec)
     if slope(cap) < pieces[-1][2]:
         raise NumericError(
             f"the criterion still decreases at c = {cap:g}, beyond which it is "
@@ -283,11 +248,12 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
         if rate == 0.0:
             points = at_rest
         else:
-            if oned:
-                stretches = [(a / rs, b / rs) for a, b in _ONED_RISING]
-            else:
-                stretches = [(_core_rise_start(p, q, sigma), math.inf)]
-            points = _local_minima(slope, rate, stretches, lo, hi)
+            rising = (
+                [(_ONED_U_STAR / rs, _ONED_T_PEAK / rs), (oned_threshold(sigma), math.inf)]
+                if oned
+                else [(_core_rise_start(p, q, sigma), math.inf)]
+            )
+            points = _local_minima(slope, rate, rising, lo, hi)
         candidates.update(c for c in points if lo <= c < hi)
     # where the criterion falls at c_min, a point to its right is lower
     if slope(c_min) >= pieces[0][2] or not candidates:

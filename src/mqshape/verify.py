@@ -132,8 +132,8 @@ def fill_distance(
     previous block's largest nearest-node distance; a block whose own
     largest exceeds it is scanned again with that larger radius.
     """
-    if grid_per_side < 2:
-        raise InputError(f"grid_per_side must be >= 2, got {grid_per_side}")
+    if not (isinstance(grid_per_side, numbers.Integral) and grid_per_side >= 2):
+        raise InputError(f"grid_per_side must be an integer >= 2, got {grid_per_side!r}")
     pts = nodes.points if isinstance(nodes, NodeSet) else np.atleast_2d(
         np.asarray(nodes, dtype=float)
     )

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mqshape import (
     CriterionKind,
@@ -22,7 +22,13 @@ from mqshape import (
     sample_curve,
     xi_star,
 )
-from mqshape.criterion import finite_cap, log_h_beta_neg1_multid_simplified, oned_threshold
+from mqshape.criterion import (
+    finite_cap,
+    log_h_beta_neg1_multid_simplified,
+    log_h_slope,
+    log_knee,
+    oned_threshold,
+)
 from oracles import case2_sq_derivative
 
 ONE_D_ARGMIN_SIGMA1 = 0.5166224878150684  # bounded-search oracle
@@ -392,6 +398,71 @@ class TestFiniteCap:
             m_term = mpmath.log(2 * mpmath.sqrt(3)) + log_m
             want = -mpmath.log(cm) / 2 + mpmath.log(1 / mpmath.log(2) + mpmath.exp(m_term)) / 2
         assert log_h_beta_neg1_oned(c, 16.0) == pytest.approx(float(want), rel=1e-13)
+
+
+class TestSlope:
+    @given(
+        n_beta=st.sampled_from([(1, -1.0), (2, -1.0), (1, 1.0), (2, 0.5), (3, -1.5), (3, 3.0)]),
+        log_sigma=st.floats(math.log(0.1), math.log(10.0)),
+        log_c=st.floats(-5.0, 6.0),
+    )
+    def test_matches_a_central_difference(self, n_beta, log_sigma, log_c):
+        n, beta = n_beta
+        sigma, c = math.exp(log_sigma), math.exp(log_c)
+        # the 1-D slope has a kink in its own slope at the branch point
+        assume(abs(c / oned_threshold(sigma) - 1.0) > 1e-3)
+        spec = _spec(n, beta, sigma)
+        dc = derive_constants(spec)
+        h = 1e-5 * c
+        lo, hi = log_h_unified(c - h, spec, dc), log_h_unified(c + h, spec, dc)
+        want = (hi - lo) / (2.0 * h)
+        got = log_h_slope(c, spec)
+        assert abs(got - want) <= 1e-8 * (abs(want) + (abs(hi) + 1.0) / c)
+
+    @pytest.mark.parametrize(
+        "n, beta, sigma, c",
+        [
+            (1, -1.0, 1e238, 1e-120),  # c^3 underflows, c^2 sigma does not
+            (1, -1.0, 1.0, 1e-160),  # c^2 sigma underflows to a subnormal
+            (1, -1.0, 1.0, 1e-300),
+            (2, 0.5, 1e-3, 1e-300),
+            (3, -1.5, 1e6, 1e-300),
+        ],
+    )
+    def test_finite_at_tiny_c(self, n, beta, sigma, c):
+        assert math.isfinite(log_h_slope(c, _spec(n, beta, sigma)))
+
+    @given(
+        n_beta=st.sampled_from([(1, -1.0), (2, -1.0), (1, 1.0), (2, 0.5), (3, -1.5), (3, 3.0)]),
+        mode=st.sampled_from(list(Mode)),
+        log_sigma=st.floats(math.log(1e-3), math.log(1e6)),
+        log_delta=st.floats(math.log(1e-300), 0.0),
+        log_b0=st.floats(math.log(1e-3), math.log(1e200)),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_finite_up_to_the_cap(self, n_beta, mode, log_sigma, log_delta, log_b0, frac):
+        spec = _spec(n_beta[0], n_beta[1], math.exp(log_sigma), math.exp(log_delta),
+                     math.exp(log_b0), mode)
+        log_cap = math.log(finite_cap(spec, derive_constants(spec)))
+        c = math.exp(math.log(1e-300) + frac * (log_cap - math.log(1e-300)))
+        for x in (c, math.exp(log_cap)):
+            assert math.isfinite(log_h_slope(x, spec))
+
+
+class TestKnee:
+    def test_one_knee_per_mode(self):
+        spec = _spec(n=2, beta=1.0, b0=1.0, mode=Mode.FIXED_B0)
+        dc = derive_constants(spec)
+        assert log_knee(spec, dc) == dc.log_c0.log_value
+        for mode, want in ((Mode.PRACTICAL, -math.inf), (Mode.DILATION_INVARIANT, math.inf)):
+            spec = _spec(n=2, beta=1.0, mode=mode)
+            assert log_knee(spec, derive_constants(spec)) == want
+
+    def test_fixed_b0_needs_constants_with_b0(self):
+        spec = _spec(n=2, beta=1.0, b0=1.0, mode=Mode.FIXED_B0)
+        dc = derive_constants(_spec(n=2, beta=1.0))
+        with pytest.raises(SpecError, match="b0"):
+            log_knee(spec, dc)
 
 
 class TestSampleCurve:

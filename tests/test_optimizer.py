@@ -440,6 +440,50 @@ class TestCandidateSet:
         assert len(set(calls)) == len(calls)
 
 
+def _oned_slope_root(c, sigma, rate, dps):
+    """Root near c of d/dc log H - rate for beta = -1, n = 1: mpmath's
+    numerical derivative of the criterion at ``dps`` digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        s = mp.mpf(sigma)
+
+        def log_h(x):
+            if x * x * s <= mp.mpf(4) / 3:
+                m = mp.exp(1 - 1 / (x * x * s))
+            else:
+                xi = (x * s + mp.sqrt(x * x * s * s + 4 * s)) / 4
+                m = mp.sqrt(x * xi) * mp.exp(x * xi - xi * xi / s)
+            return -mp.log(x) / 2 + mp.log(1 / mp.log(2) + 2 * mp.sqrt(3) * m) / 2
+
+        return mp.findroot(lambda x: mp.diff(log_h, x) - mp.mpf(rate), mp.mpf(c))
+
+
+@pytest.mark.parametrize(
+    "sigma, delta, mode, b0",
+    [
+        (2.0692677457729807, 2.7675017135892625e-05, Mode.FIXED_B0, 1.0),
+        (1.7811108802498383, 0.00010754792342867031, Mode.FIXED_B0, 1.0),
+        (0.489948542829548, 7.870442066873725e-05, Mode.FIXED_B0, 1.0),
+        (1.0, 4.99083e-4, Mode.FIXED_B0, 0.0042),  # on the stretch below t_peak
+        (3.6882614053069074, 0.0001091335608736552, Mode.DILATION_INVARIANT, 1.0),
+        (2.590120159195776, 5.0643677848298883e-05, Mode.DILATION_INVARIANT, 1.0),
+        (0.4656577999561114, 0.00024061964044947215, Mode.DILATION_INVARIANT, 1.0),
+        (1.0, 4.99083e-4, Mode.DILATION_INVARIANT, 1.0),
+    ],
+)
+def test_oned_interior_minimum_is_the_slope_root(sigma, delta, mode, b0):
+    # c* solves slope = |eta| by bisection of the slope in doubles, so it
+    # lies a few ulps from the exact root (at most 4.7 over 272 random
+    # interior minima); the root is taken at two precisions that must agree
+    spec = ProblemSpec(n=1, beta=-1.0, sigma=sigma, delta=delta, b0=b0, mode=mode)
+    dc = derive_constants(spec)
+    r = optimal_c(spec, dc)
+    assert not r.clamped_lower and r.c_star != ONED_U_STAR / math.sqrt(sigma)
+    root = _oned_slope_root(r.c_star, sigma, -dc.eta, 50)
+    assert abs(root - _oned_slope_root(r.c_star, sigma, -dc.eta, 60)) < 1e-40 * root
+    assert abs(root - r.c_star) <= 6.0 * math.ulp(r.c_star)
+
+
 def test_cap_stays_finite_for_small_sigma():
     # 8e307 / sigma overflows for sigma < 0.445, and the uncapped interval
     # reached c ~ 1e205, where the criterion is not finite

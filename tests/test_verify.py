@@ -120,6 +120,10 @@ class TestFillDistance:
             fill_distance(nodes.cube, nodes, 1)
         with pytest.raises(InputError):
             fill_distance(nodes.cube, np.zeros((0, 1)), 10)
+        # a grid size that is not an integer, even an integral float
+        for size in (2.5, 3.0, np.float64(3.0)):
+            with pytest.raises(InputError, match="integer"):
+                fill_distance(nodes.cube, nodes, size)
 
 
 def kdtree_fill_distance(cube, pts, grid_per_side):
