@@ -16,9 +16,11 @@ Output: demos/output/curve_*.csv with header c,logH
 """
 
 import csv
+import math
 import os
 
 from mqshape import Mode, ProblemSpec, derive_constants, kind_for, sample_curve
+from mqshape.criterion import log_knee
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -30,8 +32,9 @@ def emit(name, spec, c_lo=None, c_hi=None, count=600):
     hi = c_hi
     if hi is None:
         hi = 1e3 * max(1.0, lo)
-        if dc.log_c0 is not None and dc.log_c0.log_value < 700:
-            hi = max(hi, 10.0 * dc.log_c0.value)
+        log_c0 = log_knee(spec, dc)
+        if -math.inf < log_c0 < 700:
+            hi = max(hi, 10.0 * math.exp(log_c0))
     samples = sample_curve(spec, dc, kind_for(spec), lo, hi, count)
     path = os.path.join(OUT, f"curve_{name}.csv")
     with open(path, "w", newline="") as handle:

@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from .constants import Mode, ProblemSpec, derive_constants
-from .criterion import finite_cap, regime_for, sample_curve
+from .criterion import finite_cap, log_knee, regime_for, sample_curve
 from .errors import (
     ConditioningError,
     InputError,
@@ -216,10 +216,11 @@ def _cmd_criterion(args) -> str:
             f"range end c_hi = {c_hi:g} lies past the finite cap {cap:g}; pass a smaller --c-hi"
         )
     if c_hi is None:
-        # past the knee c0 and the minimizer c*, so the curve shows both
+        # past the mode's knee c0 and the minimizer c*, so the curve shows both
         c_hi = 1e3 * max(1.0, c_lo)
-        if dc.log_c0 is not None and dc.log_c0.log_value < math.log(1e306):
-            c_hi = max(c_hi, 10.0 * dc.log_c0.value)
+        log_c0 = log_knee(spec, dc)
+        if -math.inf < log_c0 < math.log(1e306):
+            c_hi = max(c_hi, 10.0 * math.exp(log_c0))
         try:
             c_hi = max(c_hi, 10.0 * optimal_c(spec, dc).c_star)
         except NumericError:  # the criterion still falls at the cap

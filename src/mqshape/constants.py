@@ -5,9 +5,11 @@ fill distance, optionally a cube side) determines a small family of
 constants: the integer growth sequence gamma_n, the conditional positive
 definiteness order m, the pair (rho, Delta_0), the unit-ball volume
 alpha_n, and the admissibility endpoints c_min and c0 of the shape
-parameter.  Several of these contain the factor e^{2 n gamma_n}, which
-already for n = 4 equals e^{5056} and overflows double precision, so every
-quantity that can carry that factor is stored as a natural logarithm.
+parameter: the bound holds at c for a fill distance up to
+delta0(c) = delta min(c, c0) / c_min.  Several of these contain the factor
+e^{2 n gamma_n}, which already for n = 4 equals e^{5056} and overflows
+double precision, so every quantity that can carry that factor is stored
+as a natural logarithm.
 
 All functions here are pure; the dataclasses are frozen and safe to share
 between threads.
@@ -257,6 +259,8 @@ class DerivedConstants:
     (present only when b0 is), and ``eta_log_abs`` the log of |eta(delta)|
     where eta(delta) = log(2/3) / (12 rho sqrt(n) e^{2 n gamma_n}
     gamma_n delta) is the (negative) exponential rate of that factor.
+    :meth:`admits` is the one admissibility rule, delta <= delta0(c), that
+    the optimizer and the error bound both apply.
     """
 
     spec: ProblemSpec
@@ -280,37 +284,23 @@ class DerivedConstants:
         except OverflowError:
             return -math.inf
 
-    def log_big_constant_at_log_c(self, log_c: float) -> float:
-        """log of C(c) = max(2 (rho/c) sqrt(n) e^{2 n gamma_n}, 2/(3 b0)),
-        taking log(c) so that c itself never needs to be representable.
-
-        Without a cube side the second branch is absent, which corresponds
-        to letting the cube grow with c (dilation-invariant domains).
-        """
-        branch = (
-            _LN2
-            + math.log(self.rho)
-            + 0.5 * math.log(self.spec.n)
-            + self.two_n_gamma
-            - log_c
-        )
-        if self.spec.b0 is None:
-            return branch
-        return max(branch, _LN2 - _LN3 - math.log(self.spec.b0))
+    def _log_min_c_c0(self, log_c: float) -> float:
+        return log_c if self.log_c0 is None else min(log_c, self.log_c0.log_value)
 
     def log_fill_cap_at_log_c(self, log_c: float) -> float:
-        """log of the largest admissible fill distance, 1/(6 C gamma_n (m+1))."""
-        return -(
-            math.log(6.0)
-            + self.log_big_constant_at_log_c(log_c)
-            + math.log(self.gamma_n)
-            + math.log(self.m + 1.0)
-        )
+        """log of the largest admissible fill distance at c, which is
+        1/(6 C gamma_n (m+1)) = delta min(c, c0) / c_min (c0 = inf without b0)."""
+        return math.log(self.spec.delta) + self._log_min_c_c0(log_c) - self.log_c_min.log_value
 
     def log_fill_cap(self, c: float) -> float:
         if not c > 0.0:
             raise SpecError(f"shape parameter c must be positive, got {c}")
         return self.log_fill_cap_at_log_c(math.log(c))
+
+    def admits(self, log_c: float) -> bool:
+        """Whether delta <= delta0(c), i.e. c_min <= min(c, c0); the 1e-12
+        slack keeps the boundary c = c_min from failing on rounding alone."""
+        return self.log_c_min.log_value <= self._log_min_c_c0(log_c) + 1e-12
 
 
 def derive_constants(spec: ProblemSpec) -> DerivedConstants:

@@ -1,7 +1,8 @@
 """Minimization of the criterion curves over the admissible interval.
 
 The admissible interval for the shape parameter is [c_min, infinity) with
-c_min = 12 rho sqrt(n) e^{2 n gamma_n} gamma_n (m+1) delta.  Every
+c_min = 12 rho sqrt(n) e^{2 n gamma_n} gamma_n (m+1) delta, empty when a
+cube side puts the knee c0 below c_min.  Every
 supported criterion grows without bound as c -> infinity, but it is a
 double only up to :func:`mqshape.criterion.finite_cap`, so the interval
 searched is [c_min, cap], recorded in the result for audit.
@@ -197,17 +198,19 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     criterion falls there.  In practical mode the minimizer is
     max(c_min, the core's critical point), in closed form.  ``iterations``
     is always 0 and ``bracket`` is (c_min, cap); ``clamped_lower`` is set
-    when the minimum sits at c_min.  Raises :class:`NumericError` when the
-    criterion still falls at the cap, past which its minimizer lies.
+    when the minimum sits at c_min.  Raises :class:`PreconditionError`
+    when ``dc.admits`` refuses c0, so that no c is admissible, and
+    :class:`NumericError` when the criterion still falls at the cap, past
+    which its minimizer lies.
     """
     regime = regime_for(spec.n, spec.beta)
-    if spec.b0 is not None:
-        bound = spec.b0 / (4.0 * dc.gamma_n * (dc.m + 1))
-        if not spec.delta < bound:
-            raise PreconditionError(
-                f"fill distance delta={spec.delta:g} must be below "
-                f"b0/(4 gamma_n (m+1)) = {bound:g}"
-            )
+    # every c >= c_min is admissible once c0 is, and none is otherwise
+    if dc.log_c0 is not None and not dc.admits(dc.log_c0.log_value):
+        bound = math.exp(dc.log_fill_cap_at_log_c(dc.log_c0.log_value))
+        raise PreconditionError(
+            f"fill distance delta={spec.delta:g} must not exceed "
+            f"b0/(4 gamma_n (m+1)) = {bound:g}"
+        )
     if dc.log_c_min.log_value > 709.0:
         raise NumericError(
             "admissible lower endpoint c_min overflows double precision "

@@ -191,7 +191,8 @@ def error_bound(
     interpolation error is compared against.  Raises
     :class:`NumericError` for c past that criterion's
     :func:`mqshape.criterion.finite_cap`, and :class:`PreconditionError`
-    when the fill distance exceeds the admissible cap for this c.
+    when ``dc.admits`` refuses c: the fill distance exceeds the admissible
+    cap delta0(c) = delta min(c, c0) / c_min.
     """
     if not c > 0.0:
         raise SpecError(f"shape parameter c must be positive, got {c}")
@@ -216,12 +217,8 @@ def error_bound(
             "beyond which the criterion overflows"
         )
 
-    # c = c_min makes delta equal to the cap exactly; the 1e-12 slack in
-    # log domain keeps that admissible boundary case from failing on
-    # rounding alone.
-    cap_log = dc.log_fill_cap(c)
-    if math.log(spec.delta) > cap_log + 1e-12:
-        cap = math.exp(cap_log) if cap_log < 709.0 else math.inf
+    if not dc.admits(math.log(c)):
+        cap = math.exp(dc.log_fill_cap(c))
         raise PreconditionError(
             f"fill distance delta={spec.delta:g} exceeds the admissible cap "
             f"delta0={cap:g} at c={c:g}"

@@ -196,6 +196,15 @@ class TestCriterionCommand:
         else:
             assert math.exp(708.0 - dc.eta_log_abs) < end <= math.exp(709.0 - dc.eta_log_abs)
 
+    @pytest.mark.parametrize("mode", ["practical", "dilation-invariant"])
+    def test_default_range_ignores_b0_in_modes_without_a_knee(self, capsys, mode):
+        # neither mode has a knee, so a cube side must not move the range
+        flags = ["--n", "1", "--beta", "-1", "--delta", "1e-3", "--mode", mode]
+        code, out, _ = run_cli(capsys, ["criterion", *flags])
+        code_b0, out_b0, _ = run_cli(capsys, ["criterion", *flags, "--b0", "1e10"])
+        assert code == code_b0 == 0
+        assert out.splitlines()[-1] == out_b0.splitlines()[-1]
+
     def test_default_range_without_a_minimizer_still_draws(self, capsys):
         # delta = 0.3 breaks optimize's fixed-b0 precondition (delta < 0.125)
         flags = ["--n", "1", "--beta", "-1", "--delta", "0.3", "--b0", "1", "--mode", "fixed-b0"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mqshape import (
     LogScalar,
@@ -227,15 +227,50 @@ def test_high_dimension_constants_stay_finite():
 
 
 def test_fill_cap_matches_direct_formula():
-    spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0)
+    # delta0(c) = 1/(6 C(c) gamma_n (m+1)) with
+    # C(c) = max(2 (rho/c) sqrt(n) e^{2 n gamma_n}, 2/(3 b0)); n = 1 has
+    # rho = 1, gamma_n = 2, m = 0 and the knee c0 = 3 e^4 b0 ~ 164
+    for b0, c in [(1.0, 13.2), (1.0, 1000.0), (None, 1000.0)]:
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=b0)
+        dc = derive_constants(spec)
+        big_c = 2.0 * (1.0 / c) * math.exp(4.0)
+        if b0 is not None:
+            big_c = max(big_c, 2.0 / (3.0 * b0))
+        cap = 1.0 / (6.0 * big_c * 2.0 * 1.0)
+        assert dc.log_fill_cap(c) == pytest.approx(math.log(cap), rel=1e-13)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    beta=st.sampled_from([-1.0, -3.0, -0.5, 0.5, 1.0, 3.0]),
+    log_delta=st.floats(math.log(1e-12), math.log(0.3)),
+    log_b0=st.none() | st.floats(math.log(1e-2), math.log(1e3)),
+    u=st.floats(-3.0, 8.0),
+)
+def test_fill_cap_against_high_precision(n, beta, log_delta, log_b0, u):
+    # the fill cap is delta min(c, c0) / c_min; this oracle builds it from
+    # C(c) directly, in 60 digits, at c = c_min e^u
+    mpmath = pytest.importorskip("mpmath")
+    b0 = None if log_b0 is None else math.exp(log_b0)
+    spec = ProblemSpec(n=n, beta=beta, sigma=1.0, delta=math.exp(log_delta), b0=b0)
     dc = derive_constants(spec)
-    c = 13.2
-    big_c = max(2.0 * (1.0 / c) * math.exp(4.0), 2.0 / 3.0)
-    assert dc.log_big_constant_at_log_c(math.log(c)) == pytest.approx(
-        math.log(big_c), rel=1e-13
-    )
-    cap = 1.0 / (6.0 * big_c * 2.0 * 1.0)
-    assert dc.log_fill_cap(c) == pytest.approx(math.log(cap), rel=1e-13)
+    log_c = dc.log_c_min.log_value + u
+    gamma_n, m = gamma_seq(n), cpd_order(beta)
+    rho, _ = rho_delta0(n, beta)
+    with mpmath.workdps(60):
+        big_c = 2 * mpmath.mpf(rho) * mpmath.sqrt(n) * mpmath.exp(2 * n * gamma_n - mpmath.mpf(log_c))
+        if b0 is not None:
+            big_c = max(big_c, 2 / (3 * mpmath.mpf(b0)))
+        want = -mpmath.log(6 * big_c * gamma_n * (m + 1))
+        assert abs(dc.log_fill_cap_at_log_c(log_c) - float(want)) <= 1e-12
+
+
+def test_fill_cap_is_flat_beyond_the_knee():
+    for n, beta, delta, b0 in [(1, -1.0, 0.01, 1.0), (2, -1.0, 1e-3, 1.5), (3, 1.0, 1e-30, 20.0)]:
+        dc = derive_constants(ProblemSpec(n=n, beta=beta, sigma=1.0, delta=delta, b0=b0))
+        c0 = dc.log_c0.value
+        assert dc.log_fill_cap(2.0 * c0) == dc.log_fill_cap(10.0 * c0)
 
 
 def test_log_scalar_arithmetic():

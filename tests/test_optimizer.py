@@ -12,6 +12,7 @@ from mqshape import (
     ProblemSpec,
     SpecError,
     derive_constants,
+    error_bound,
     kind_for,
     log_h_beta_neg1_multid,
     log_h_general,
@@ -183,6 +184,26 @@ class TestOptimalC:
         with pytest.raises(PreconditionError) as err:
             optimal_c(spec, dc)
         assert "0.125" in str(err.value)  # b0/(4 gamma_n (m+1)) = 1/8
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fill_distance_at_the_boundary_is_admissible(self, mode):
+        # delta = b0/(4 gamma_n (m+1)) = 1/8 puts c_min on the knee c0:
+        # c_min alone is admissible, for the optimizer and the bound alike
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.125, b0=1.0, mode=mode)
+        dc = derive_constants(spec)
+        r = optimal_c(spec, dc)
+        assert r.clamped_lower and r.c_star == dc.log_c_min.value
+        assert math.isfinite(error_bound(spec, dc, r.c_star, 1.0))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fill_distance_past_the_boundary_is_refused(self, mode):
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.125 * (1.0 + 1e-11), b0=1.0, mode=mode)
+        dc = derive_constants(spec)
+        with pytest.raises(PreconditionError):
+            optimal_c(spec, dc)
+        for c in (dc.log_c_min.value, dc.log_c0.value):
+            with pytest.raises(PreconditionError):
+                error_bound(spec, dc, c, 1.0)
 
     def test_clamping_is_correct(self):
         for spec in [
