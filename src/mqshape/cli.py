@@ -7,10 +7,13 @@ stderr).  Exit codes: 0 ok, 2 usage or input error, 3 numeric failure,
 4 violated admissibility precondition.
 
 The selection commands (``constants``, ``criterion``, ``optimize``) are
-pure ``math`` code and load neither numpy nor scipy; ``fit`` and
-``verify`` import numpy, :mod:`mqshape.rbf` and :mod:`mqshape.verify`
-when they run, and the first factorization loads scipy's LAPACK
-extension without the ``scipy.linalg`` package.
+pure ``math`` code and load neither numpy nor scipy, nor the ``inspect``
+module, so most of their process time is the interpreter's own start-up;
+``criterion`` samples its curve with one per-curve evaluator
+(:func:`mqshape.criterion.sample_curve`) and writes the CSV rows as text.
+``fit`` and ``verify`` import numpy, :mod:`mqshape.rbf` and
+:mod:`mqshape.verify` when they run, and the first factorization loads
+scipy's LAPACK extension without the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
@@ -231,12 +234,8 @@ def _cmd_criterion(args) -> str:
     samples = sample_curve(spec, dc, None, c_lo, c_hi, args.count)
     if args.format == "json":
         return _json([{"c": s.c, "logH": s.log_h} for s in samples])
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["c", "logH"])
-    for s in samples:
-        writer.writerow([repr(s.c), repr(s.log_h)])
-    return out.getvalue()
+    # the text csv.writer would give: a float's repr never needs quoting
+    return "c,logH\n" + "".join(f"{c!r},{log_h!r}\n" for c, log_h in samples)
 
 
 def _cmd_optimize(args) -> str:

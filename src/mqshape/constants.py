@@ -11,16 +11,19 @@ e^{2 n gamma_n}, which already for n = 4 equals e^{5056} and overflows
 double precision, so every quantity that can carry that factor is stored
 as a natural logarithm.
 
-All functions here are pure; the dataclasses are frozen and safe to share
-between threads.
+All functions here are pure; the records are immutable and safe to share
+between threads.  They do without the ``dataclass`` decorator, whose
+module import and generated methods cost a fresh process more than the
+selection commands' own work: the plain-data records are
+``typing.NamedTuple`` classes, and the records that validate or compute
+their fields derive from :class:`_Record`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SpecError
 
@@ -77,8 +80,55 @@ def _validate_dimension(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class _Record:
+    """Base of the immutable records that validate or compute their fields.
+
+    The fields are the ``__slots__`` of the subclass, set once by
+    :meth:`_set` in its ``__init__``.  Assigning or deleting an attribute
+    raises :class:`AttributeError`; equality, hashing and ``repr`` go by
+    field, and copies and pickles restore the fields without validating
+    them again, as for a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls, values):
+    """The record of class ``cls`` with the given field values (unpickling)."""
+    record = object.__new__(cls)
+    record._set(*values)
+    return record
+
+
+class ProblemSpec(_Record):
     """One shape-parameter selection problem.
 
     Parameters
@@ -98,30 +148,38 @@ class ProblemSpec:
         Treatment of the convergence factor, see :class:`Mode`.
     """
 
-    n: int
-    beta: float
-    sigma: float
-    delta: float
-    b0: Optional[float] = None
-    mode: Mode = Mode.PRACTICAL
+    __slots__ = ("n", "beta", "sigma", "delta", "b0", "mode")
 
-    def __post_init__(self):
-        _validate_dimension(self.n)
-        _validate_beta(self.beta)
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise SpecError(f"sigma must be a positive finite real, got {self.sigma}")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise SpecError(f"delta must be a positive finite real, got {self.delta}")
-        if self.b0 is not None and not (self.b0 > 0.0 and math.isfinite(self.b0)):
-            raise SpecError(f"b0 must be a positive finite real, got {self.b0}")
-        mode = Mode(self.mode)
-        object.__setattr__(self, "mode", mode)
-        if mode is Mode.FIXED_B0 and self.b0 is None:
+    def __init__(
+        self,
+        n: int,
+        beta: float,
+        sigma: float,
+        delta: float,
+        b0: Optional[float] = None,
+        mode: Mode = Mode.PRACTICAL,
+    ):
+        _validate_dimension(n)
+        _validate_beta(beta)
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise SpecError(f"sigma must be a positive finite real, got {sigma}")
+        if not (delta > 0.0 and math.isfinite(delta)):
+            raise SpecError(f"delta must be a positive finite real, got {delta}")
+        if b0 is not None and not (b0 > 0.0 and math.isfinite(b0)):
+            raise SpecError(f"b0 must be a positive finite real, got {b0}")
+        mode = Mode(mode)
+        if mode is Mode.FIXED_B0 and b0 is None:
             raise SpecError("mode 'fixed-b0' requires a cube side b0")
+        self._set(n, beta, sigma, delta, b0, mode)
+
+    def replace(self, **changes) -> "ProblemSpec":
+        """This spec with the given fields changed, validated again."""
+        fields = dict(zip(self.__slots__, self._values()))
+        fields.update(changes)
+        return ProblemSpec(**fields)
 
 
-@dataclass(frozen=True, order=True)
-class LogScalar:
+class LogScalar(_Record):
     """A strictly positive real represented by its natural logarithm.
 
     Multiplication of the represented values is addition of ``log_value``,
@@ -130,7 +188,22 @@ class LogScalar:
     combined and compared without ever leaving the representable range.
     """
 
-    log_value: float
+    __slots__ = ("log_value",)
+
+    def __init__(self, log_value: float):
+        self._set(log_value)
+
+    def __lt__(self, other):
+        return self.log_value < other.log_value if other.__class__ is LogScalar else NotImplemented
+
+    def __le__(self, other):
+        return self.log_value <= other.log_value if other.__class__ is LogScalar else NotImplemented
+
+    def __gt__(self, other):
+        return self.log_value > other.log_value if other.__class__ is LogScalar else NotImplemented
+
+    def __ge__(self, other):
+        return self.log_value >= other.log_value if other.__class__ is LogScalar else NotImplemented
 
     @classmethod
     def from_value(cls, value: float) -> "LogScalar":
@@ -249,8 +322,7 @@ def d0_constant(n: int, beta: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Everything a problem instance determines, in overflow-safe form.
 
     ``log_c_min`` is the log of the admissible lower endpoint
@@ -274,7 +346,7 @@ class DerivedConstants:
     log_c0: Optional[LogScalar]
     eta_log_abs: float
     log_d0: Optional[float]
-    two_n_gamma: float = field(repr=False, default=0.0)
+    two_n_gamma: float = 0.0
 
     @property
     def eta(self) -> float:

@@ -21,18 +21,24 @@ overflow long before the interesting region ends.
 
 The module is scalar ``math`` code and imports neither numpy nor scipy,
 so the ``constants``, ``criterion`` and ``optimize`` commands built on it
-start without them.  Vectorizing the curves would save little: the
-numpy import costs a fresh process more than the scalar evaluation of a
-2000-point curve.
+start without them, and its records are named tuples, which a fresh
+process creates faster than frozen dataclass records.  Vectorizing the curves
+would save little: the numpy import costs a fresh process more than the
+scalar evaluation of a 2000-point curve.  A curve is evaluated instead by
+one per-curve evaluator, :func:`_log_h_of`, which picks the formula,
+sigma, q and the mode's factor once; :func:`log_h_unified` is its checks
+plus that evaluator, and :func:`sample_curve` checks its range once and
+calls the evaluator at every point.  Each formula has one body, an
+unchecked helper that both its public function and the evaluator call,
+so curves and single evaluations agree to the bit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .constants import DerivedConstants, Mode, ProblemSpec
 from .errors import SpecError
@@ -68,14 +74,12 @@ class Regime(Enum):
     GENERAL = "|n+beta|>=1 and n+beta+1>=0"
 
 
-@dataclass(frozen=True)
-class CriterionKind:
+class CriterionKind(NamedTuple):
     regime: Regime
     mode: Mode
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(NamedTuple):
     """One point (c, log H(c)) of a criterion curve."""
 
     c: float
@@ -114,6 +118,11 @@ def _require_positive_c(c: float) -> float:
     return c
 
 
+def _require_positive_sigma(sigma: float) -> None:
+    if sigma <= 0.0:
+        raise SpecError(f"sigma must be positive, got {sigma}")
+
+
 def _logaddexp(a: float, b: float) -> float:
     if a == -math.inf:
         return b
@@ -131,10 +140,14 @@ def xi_star(c: float, sigma: float, q: float) -> float:
     square.
     """
     c = _require_positive_c(c)
-    if sigma <= 0.0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
+    _require_positive_sigma(sigma)
     if q < 0.0:
         raise SpecError(f"exponent parameter q must be >= 0, got {q}")
+    return _xi_star(c, sigma, q)
+
+
+def _xi_star(c: float, sigma: float, q: float) -> float:
+    """:func:`xi_star` without its checks."""
     u = c * sigma
     if u > 1e150:
         # c^2 sigma^2 would overflow; factor c sigma out of the radical.
@@ -187,20 +200,20 @@ def log_h_beta_neg1_multid_simplified(c: float, n: int, sigma: float) -> float:
 
 def oned_threshold(sigma: float) -> float:
     """Branch point 2/sqrt(3 sigma) of the one-dimensional criterion."""
-    if sigma <= 0.0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
+    _require_positive_sigma(sigma)
     return 2.0 / math.sqrt(3.0 * sigma)
 
 
-def _oned_log_m(c: float, sigma: float) -> tuple[float, Optional[float]]:
-    """(log M(c), xi*) of the one-dimensional criterion; xi* is None up to
-    the branch point, where M does not use it."""
-    if c <= oned_threshold(sigma):
+def _oned_log_m(c: float, sigma: float, threshold: float) -> tuple[float, Optional[float]]:
+    """(log M(c), xi*) of the one-dimensional criterion, ``threshold`` its
+    branch point :func:`oned_threshold`; xi* is None up to the branch
+    point, where M does not use it."""
+    if c <= threshold:
         c2s = c * c * sigma
         # c^2 underflows for c below ~1e-162; the branch value then
         # vanishes entirely and only the constant term survives
         return (1.0 - 1.0 / c2s if c2s > 0.0 else -math.inf), None
-    xs = xi_star(c, sigma, 1.0)
+    xs = _xi_star(c, sigma, 1.0)
     return 0.5 * math.log(c * xs) + c * xs - xs * xs / sigma, xs
 
 
@@ -214,7 +227,12 @@ def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     join continuously because xi* = 1/c exactly at the branch point.
     """
     c = _require_positive_c(c)
-    log_m, _ = _oned_log_m(c, sigma)
+    return _log_h_oned(c, sigma, oned_threshold(sigma))
+
+
+def _log_h_oned(c: float, sigma: float, threshold: float) -> float:
+    """:func:`log_h_beta_neg1_oned` without its checks."""
+    log_m, _ = _oned_log_m(c, sigma, threshold)
     return -0.5 * math.log(c) + 0.5 * _logaddexp(
         _LOG_INV_LN2, _LOG_2_SQRT3 + log_m
     )
@@ -234,18 +252,15 @@ def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
             f"core criterion needs |n+beta| >= 1 and n+beta+1 >= 0, "
             f"got n={n}, beta={beta:g}"
         )
-    q = n + beta + 1.0
-    xs = xi_star(c, sigma, q)
-    return 0.25 * (1.0 + beta - n) * math.log(c) + 0.5 * (
-        0.5 * q * math.log(xs) + c * xs - xs * xs / sigma
-    )
+    _require_positive_sigma(sigma)
+    return _log_h_core(c, 0.25 * (1.0 + beta - n), n + beta + 1.0, sigma)
 
 
-def _neg_exp(log_abs: float) -> float:
-    """-e^{log_abs}, saturating to -inf instead of raising on overflow."""
-    if log_abs > 709.0:
-        return -math.inf
-    return -math.exp(log_abs)
+def _log_h_core(c: float, c_power: float, q: float, sigma: float) -> float:
+    """:func:`log_h_general` without its checks, for the power
+    c_power = (1 + beta - n)/4 of c and q = n + beta + 1."""
+    xs = _xi_star(c, sigma, q)
+    return c_power * math.log(c) + 0.5 * (0.5 * q * math.log(xs) + c * xs - xs * xs / sigma)
 
 
 def log_knee(spec: ProblemSpec, dc: DerivedConstants) -> float:
@@ -272,12 +287,21 @@ def log_lambda_pow(c: float, spec: ProblemSpec, dc: DerivedConstants) -> float:
     c = _require_positive_c(c)
     if spec.mode is Mode.PRACTICAL:
         raise SpecError("the convergence factor is undefined in practical mode")
-    return _neg_exp(dc.eta_log_abs + min(math.log(c), log_knee(spec, dc)))
+    return _log_factor(c, dc.eta_log_abs, log_knee(spec, dc))
 
 
-def _check_kind(kind: Optional[CriterionKind], regime: Regime, spec: ProblemSpec) -> None:
+def _log_factor(c: float, eta_log_abs: float, log_c0: float) -> float:
+    """:func:`log_lambda_pow` without its checks, for log |eta| and the
+    log of the knee: -e^{log_abs}, saturating to -inf where that
+    overflows."""
+    log_abs = eta_log_abs + min(math.log(c), log_c0)
+    return -math.inf if log_abs > 709.0 else -math.exp(log_abs)
+
+
+def _check_kind(kind: Optional[CriterionKind], spec: ProblemSpec) -> None:
     if kind is None:
         return
+    regime = regime_for(spec.n, spec.beta)
     if kind.regime is not regime or kind.mode is not spec.mode:
         raise SpecError(
             f"criterion {kind.regime.name}, {kind.mode.value!r} does not match "
@@ -298,17 +322,35 @@ def log_h_unified(
     c-independent constants.  The formula and the mode are those of
     ``spec``; a ``kind``, when given, must equal :func:`kind_for` of
     ``spec``.  Practical mode evaluates the bare criterion; the other two
-    modes add :func:`log_lambda_pow`.
+    modes add :func:`log_lambda_pow`.  It is the per-curve evaluator
+    :func:`_log_h_of` of ``spec`` at the checked c.
     """
-    regime = regime_for(spec.n, spec.beta)
-    _check_kind(kind, regime, spec)
-    if regime is Regime.BETA_NEG1_1D:
-        core = log_h_beta_neg1_oned(c, spec.sigma)
+    _check_kind(kind, spec)
+    log_h = _log_h_of(spec, dc)
+    return log_h(_require_positive_c(c))
+
+
+def _log_h_of(spec: ProblemSpec, dc: DerivedConstants) -> Callable[[float], float]:
+    """log H of ``spec`` as an unchecked function of a positive finite c.
+
+    The formula, sigma, q and the mode's factor (log |eta| and the knee)
+    are picked once, here, and not at every point of a curve; the function
+    calls the helpers of :func:`log_h_beta_neg1_oned` or
+    :func:`log_h_general` and of :func:`log_lambda_pow`, so its values are
+    theirs to the bit.  Raises :class:`SpecError` for a spec no criterion
+    covers, and in fixed-b0 mode for constants without a knee.
+    """
+    sigma = spec.sigma
+    if regime_for(spec.n, spec.beta) is Regime.BETA_NEG1_1D:
+        threshold = oned_threshold(sigma)
+        core = lambda c: _log_h_oned(c, sigma, threshold)
     else:
-        core = log_h_general(c, spec.n, spec.beta, spec.sigma)
+        c_power, q = 0.25 * (1.0 + spec.beta - spec.n), spec.n + spec.beta + 1.0
+        core = lambda c: _log_h_core(c, c_power, q, sigma)
     if spec.mode is Mode.PRACTICAL:
         return core
-    return core + log_lambda_pow(c, spec, dc)
+    eta_log_abs, log_c0 = dc.eta_log_abs, log_knee(spec, dc)
+    return lambda c: core(c) + _log_factor(c, eta_log_abs, log_c0)
 
 
 def finite_cap(spec: ProblemSpec, dc: DerivedConstants) -> float:
@@ -337,7 +379,7 @@ def log_h_slope(c: float, spec: ProblemSpec) -> float:
         return -(spec.n - 1.0 - spec.beta) / (4.0 * c) + 0.5 * xi_star(
             c, spec.sigma, spec.n + spec.beta + 1.0
         )
-    log_m, xs = _oned_log_m(c, spec.sigma)
+    log_m, xs = _oned_log_m(c, spec.sigma, oned_threshold(spec.sigma))
     z = _LOG_2_SQRT3 + log_m - _LOG_INV_LN2
     w = 1.0 / (1.0 + math.exp(-z)) if z >= 0.0 else math.exp(z) / (1.0 + math.exp(z))
     if w == 0.0:
@@ -357,20 +399,23 @@ def sample_curve(
 ) -> List[CurveSample]:
     """Log-spaced samples of the criterion curve on [c_lo, c_hi].
 
-    A ``kind``, when not None, must equal :func:`kind_for` of ``spec``; it
-    is checked once, before any point is evaluated, and each point is then
-    :func:`log_h_unified` of ``spec``.  Deterministic; the endpoints are
-    hit exactly and the points in between are exp(log c_lo + i * step),
-    evenly spaced in log c.  The range is not clamped to the admissible
-    interval so curves may be plotted beyond it.
+    A ``kind``, when not None, must equal :func:`kind_for` of ``spec``.
+    The range and ``kind`` are checked once, before any point is
+    evaluated; each point is then the per-curve evaluator
+    :func:`_log_h_of` of ``spec``, equal to :func:`log_h_unified` to the
+    bit.  Deterministic; the endpoints are hit exactly and the points in
+    between are exp(log c_lo + i * step), evenly spaced in log c.  The
+    range is not clamped to the admissible interval so curves may be
+    plotted beyond it.
     """
     if not (0.0 < c_lo < c_hi) or not math.isfinite(c_hi):
         raise SpecError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
     if count < 2:
         raise SpecError(f"need at least 2 samples, got {count}")
-    _check_kind(kind, regime_for(spec.n, spec.beta), spec)
+    _check_kind(kind, spec)
+    log_h = _log_h_of(spec, dc)
     c_lo, c_hi = float(c_lo), float(c_hi)
     u_lo = math.log(c_lo)
     step = (math.log(c_hi) - u_lo) / (count - 1)
     cs = [c_lo, *(math.exp(u_lo + i * step) for i in range(1, count - 1)), c_hi]
-    return [CurveSample(c, log_h_unified(c, spec, dc)) for c in cs]
+    return [CurveSample(c, log_h(c)) for c in cs]

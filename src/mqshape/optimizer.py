@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .constants import DerivedConstants, ProblemSpec
 from .criterion import (
@@ -66,8 +65,7 @@ _ONED_U_STAR = 0.5166224863922065
 _ONED_T_PEAK = 0.6806753792204169
 
 
-@dataclass(frozen=True)
-class OptimalResult:
+class OptimalResult(NamedTuple):
     """Minimizer record for one criterion curve.
 
     ``clamped_lower`` is set when the minimum sits at the admissible lower
@@ -208,8 +206,8 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     if dc.log_c0 is not None and not dc.admits(dc.log_c0.log_value):
         bound = math.exp(dc.log_fill_cap_at_log_c(dc.log_c0.log_value))
         raise PreconditionError(
-            f"fill distance delta={spec.delta:g} must not exceed "
-            f"b0/(4 gamma_n (m+1)) = {bound:g}"
+            f"fill distance delta={spec.delta!r} must not exceed "
+            f"b0/(4 gamma_n (m+1)) = {bound!r}"
         )
     if dc.log_c_min.log_value > 709.0:
         raise NumericError(

@@ -58,12 +58,11 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .constants import cpd_order
+from .constants import _Record, cpd_order
 from .errors import ConditioningError, InputError, SpecError
 
 __all__ = [
@@ -90,27 +89,24 @@ _EVAL_BLOCK_ENTRIES = 1 << 16
 _BEYOND_RANGE = dict(over="ignore", under="ignore", divide="ignore")
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Multiquadric kernel h(x) = Gamma(-beta/2) (c^2 + |x|^2)^(beta/2)."""
+class Kernel(_Record):
+    """Multiquadric kernel h(x) = Gamma(-beta/2) (c^2 + |x|^2)^(beta/2);
+    ``gamma_factor`` is the prefactor Gamma(-beta/2)."""
 
-    c: float
-    beta: float
-    n: int
-    gamma_factor: float = field(init=False)
+    __slots__ = ("c", "beta", "n", "gamma_factor")
 
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise SpecError(f"shape parameter c must be positive, got {self.c}")
+    def __init__(self, c: float, beta: float, n: int):
+        if not c > 0.0:
+            raise SpecError(f"shape parameter c must be positive, got {c}")
         try:
-            g = math.gamma(-self.beta / 2.0)
+            g = math.gamma(-beta / 2.0)
         except (ValueError, OverflowError):  # a pole, or beyond double range
             g = math.inf
         if not math.isfinite(g):
             raise SpecError(
-                f"beta={self.beta:g} makes the kernel prefactor non-finite"
+                f"beta={beta:g} makes the kernel prefactor non-finite"
             )
-        object.__setattr__(self, "gamma_factor", g)
+        self._set(c, beta, n, g)
 
     def radial(self, r2):
         """Kernel value as a function of squared distance (array-friendly).
@@ -146,24 +142,23 @@ def kernel_eval(kernel: Kernel, x) -> float:
     return float(kernel.radial(float(np.dot(x, x))))
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(_Record):
     """Pairwise-distinct centers inside an axis-aligned cube.
 
     ``cube`` is (corner, side): the cube spans corner + [0, side]^n.
+    ``points`` and the corner are read-only float arrays.
     """
 
-    points: np.ndarray
-    cube: Tuple[np.ndarray, float]
+    __slots__ = ("points", "cube")
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+    def __init__(self, points, cube: Tuple[np.ndarray, float]):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.size == 0:
             raise InputError("node set must be a nonempty (N, n) array")
         if not np.isfinite(pts).all():
             raise InputError("node coordinates must be finite")
-        corner = np.asarray(self.cube[0], dtype=float).reshape(-1)
-        side = float(self.cube[1])
+        corner = np.asarray(cube[0], dtype=float).reshape(-1)
+        side = float(cube[1])
         if corner.shape[0] != pts.shape[1]:
             raise InputError(
                 f"cube corner dimension {corner.shape[0]} does not match "
@@ -182,8 +177,7 @@ class NodeSet:
             raise InputError("node set contains duplicate points")
         pts.setflags(write=False)
         corner.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "cube", (corner, side))
+        self._set(pts, (corner, side))
 
     @property
     def count(self) -> int:
@@ -327,8 +321,7 @@ def _poly_matrix(exponents, nodes: NodeSet, x: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class Interpolant:
+class Interpolant(NamedTuple):
     """Fitted interpolant: kernel part plus optional polynomial tail,
     whose ``poly_coeffs`` act on cube-frame coordinates (:func:`_poly_matrix`)."""
 

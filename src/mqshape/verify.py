@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .constants import DerivedConstants, Mode, ProblemSpec, derive_constants
+from .constants import DerivedConstants, Mode, ProblemSpec, _Record, derive_constants
 from .criterion import finite_cap, log_h_unified
 from .errors import InputError, NumericError, PreconditionError, SpecError
 from .rbf import (
@@ -63,22 +62,25 @@ _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class GaussianBump:
+class GaussianBump(_Record):
     """Target function amplitude * e^{-a |x - center|^2}."""
 
-    a: float
-    n: int
-    amplitude: float = 1.0
-    center: Optional[Tuple[float, ...]] = None
+    __slots__ = ("a", "n", "amplitude", "center")
 
-    def __post_init__(self):
-        if not self.a > 0.0:
-            raise SpecError(f"gaussian width parameter a must be positive, got {self.a}")
-        if self.n < 1:
-            raise SpecError(f"dimension must be >= 1, got {self.n}")
-        if self.center is not None and len(self.center) != self.n:
+    def __init__(
+        self,
+        a: float,
+        n: int,
+        amplitude: float = 1.0,
+        center: Optional[Tuple[float, ...]] = None,
+    ):
+        if not a > 0.0:
+            raise SpecError(f"gaussian width parameter a must be positive, got {a}")
+        if n < 1:
+            raise SpecError(f"dimension must be >= 1, got {n}")
+        if center is not None and len(center) != n:
             raise SpecError("center dimension does not match n")
+        self._set(a, n, amplitude, center)
 
     def __call__(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -208,7 +210,7 @@ def error_bound(
         # beta = -1 in n >= 2 and the other negative exponents share one
         # bound shape; the criterion rejects (n, beta) that none covers
         const = -(3.0 * n / 4.0) * (_LN2 + _LNPI)
-    bound_spec = replace(spec, mode=Mode.DILATION_INVARIANT if spec.b0 is None else Mode.FIXED_B0)
+    bound_spec = spec.replace(mode=Mode.DILATION_INVARIANT if spec.b0 is None else Mode.FIXED_B0)
     log_h = log_h_unified(c, bound_spec, dc)
     cap = finite_cap(bound_spec, dc)
     if c > cap:
@@ -220,8 +222,8 @@ def error_bound(
     if not dc.admits(math.log(c)):
         cap = math.exp(dc.log_fill_cap(c))
         raise PreconditionError(
-            f"fill distance delta={spec.delta:g} exceeds the admissible cap "
-            f"delta0={cap:g} at c={c:g}"
+            f"fill distance delta={spec.delta!r} exceeds the admissible cap "
+            f"delta0={cap!r} at c={c:g}"
         )
 
     half_log_nalpha = 0.5 * (math.log(n) + dc.log_alpha_n)
@@ -230,8 +232,7 @@ def error_bound(
     return const + half_log_nalpha + half_log_delta_prod + log_h + log_norm
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one measured-error-versus-bound experiment."""
 
     c: float
@@ -272,7 +273,7 @@ def run_bound_experiment(
     err = float(np.max(np.abs(f(grid) - evaluate(interp, grid))))
 
     delta = fill_distance(nodes.cube, nodes, grid_per_side)
-    spec_measured = replace(spec, delta=delta)
+    spec_measured = spec.replace(delta=delta)
     dc = derive_constants(spec_measured)
     log_bound = error_bound(spec_measured, dc, c, e_sigma_norm(f, spec.sigma))
 

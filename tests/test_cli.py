@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from mqshape import Mode, ProblemSpec, derive_constants
 from mqshape.cli import main
-from mqshape.criterion import finite_cap
+from mqshape.criterion import finite_cap, log_h_unified
 
 
 def run_cli(capsys, argv):
@@ -77,6 +78,26 @@ class TestCriterionCommand:
         assert len(lines) == 3
         assert float(lines[1].split(",")[0]) == 0.5
         assert float(lines[2].split(",")[0]) == 2.0
+
+    @pytest.mark.parametrize("mode", ["practical", "fixed-b0", "dilation-invariant"])
+    @pytest.mark.parametrize("n, beta", [(1, "-1"), (2, "1")])
+    def test_csv_rows_are_repr_pairs(self, capsys, n, beta, mode):
+        # the rows are repr(c),repr(log H(c)): exactly what csv.writer
+        # writes for those strings, and they read back to the same doubles
+        argv = [
+            "criterion", "--n", str(n), "--beta", beta, "--sigma", "0.7",
+            "--delta", "1e-3", "--b0", "2", "--mode", mode, "--count", "300",
+        ]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        spec = ProblemSpec(n=n, beta=float(beta), sigma=0.7, delta=1e-3, b0=2.0, mode=Mode(mode))
+        dc = derive_constants(spec)
+        cs = [float(row[0]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+        written = io.StringIO()
+        writer = csv.writer(written, lineterminator="\n")
+        writer.writerow(["c", "logH"])
+        writer.writerows([repr(c), repr(log_h_unified(c, spec, dc))] for c in cs)
+        assert len(cs) == 300 and out == written.getvalue()
 
     def test_uncovered_spec_is_refused_before_its_range(self, capsys):
         # n + beta = 0.5: no criterion, whatever the range
@@ -543,6 +564,45 @@ VERIFY_ARGV = [
     "--gauss-a", "0.25", "--c", str(24.0 * math.exp(4.0) * 0.06),
     "--eval-grid", "101",
 ]
+
+
+HEAVY_STDLIB = ("dataclasses", "inspect")
+
+
+def heavy_stdlib_after(source):
+    """The modules of HEAVY_STDLIB loaded after ``source`` has run in a
+    fresh interpreter."""
+    probe = source + f"\nprint('loaded', *(m for m in {HEAVY_STDLIB!r} if m in sys.modules))\n"
+    return set(run_fresh(probe).split()[1:])
+
+
+@pytest.mark.parametrize("command", ["constants", "criterion", "optimize", "fit", "verify"])
+def test_commands_load_no_dataclasses(tmp_path, command):
+    # dataclasses and the inspect module it imports cost a fresh process
+    # ~10 ms; numpy loads inspect, but no command loads dataclasses
+    preloaded = heavy_stdlib_after("import sys")
+    if preloaded:
+        pytest.skip(f"a bare interpreter here already loads {sorted(preloaded)}")
+    path = tmp_path / "nodes.csv"
+    xs = np.linspace(0.0, 1.0, 11)
+    if command == "fit":
+        path.write_text("".join(f"{x},{math.sin(x)}\n" for x in xs))
+        argv = ["fit", "--n", "1", "--beta", "-1", "--c", "0.5", "--nodes", str(path)]
+    elif command == "verify":
+        path.write_text("".join(f"{x}\n" for x in xs))
+        argv = [*VERIFY_ARGV, "--nodes", str(path)]
+    else:
+        argv = [command, *SPEC_FLAGS]
+    source = (
+        "import contextlib, io, sys\n"
+        "from mqshape.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    loaded = heavy_stdlib_after(source)
+    assert "dataclasses" not in loaded
+    if command not in ("fit", "verify"):
+        assert loaded == set()
 
 
 def assert_lapack_without_scipy_linalg(modules):

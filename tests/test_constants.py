@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -292,3 +294,66 @@ def test_log_scalar_order_matches_values(x, y):
     assert (LogScalar.from_value(x) < LogScalar.from_value(y)) == (
         math.log(x) < math.log(y)
     )
+
+
+def _spec_pair():
+    args = dict(n=2, beta=-1.0, sigma=0.5, delta=1e-3, b0=2.0, mode=Mode.FIXED_B0)
+    return ProblemSpec(**args), ProblemSpec(2, -1.0, 0.5, 1e-3, 2.0, "fixed-b0")
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (_spec_pair, "delta"),
+        (lambda: (LogScalar(1.5), LogScalar(log_value=1.5)), "log_value"),
+        (lambda: tuple(derive_constants(_spec_pair()[0]) for _ in range(2)), "m"),
+    ],
+    ids=["ProblemSpec", "LogScalar", "DerivedConstants"],
+)
+def test_records_are_immutable_values(make, field):
+    a, b = make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    name = type(a).__name__
+    with pytest.raises(AttributeError):
+        setattr(a, field, 1.0)
+    with pytest.raises(AttributeError):
+        setattr(a, "no_such_field", 1.0)
+    assert getattr(a, field) == getattr(b, field)
+    assert repr(a).startswith(f"{name}(") and f"{field}=" in repr(a)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_problem_spec_fields_and_defaults():
+    spec = ProblemSpec(1, -1.0, 1.0, 0.1)
+    assert (spec.n, spec.beta, spec.sigma, spec.delta, spec.b0, spec.mode) == (
+        1, -1.0, 1.0, 0.1, None, Mode.PRACTICAL,
+    )
+    assert ProblemSpec(1, -1.0, 1.0, 0.1, mode="fixed-b0", b0=1.0).mode is Mode.FIXED_B0
+    assert spec != ProblemSpec(1, -1.0, 1.0, 0.2)
+    with pytest.raises(TypeError):
+        ProblemSpec(1, -1.0, 1.0)
+
+
+def test_problem_spec_replace_validates_again():
+    spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.1)
+    moved = spec.replace(delta=0.2, b0=1.0, mode=Mode.FIXED_B0)
+    assert moved == ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.2, b0=1.0, mode=Mode.FIXED_B0)
+    assert spec.delta == 0.1 and spec.replace() == spec
+    with pytest.raises(SpecError):
+        spec.replace(delta=-1.0)
+    with pytest.raises(SpecError):
+        spec.replace(mode=Mode.FIXED_B0)  # no b0
+    with pytest.raises(TypeError):
+        spec.replace(no_such_field=1.0)
+
+
+def test_log_scalar_has_no_tuple_arithmetic():
+    a = LogScalar(1.0)
+    with pytest.raises(TypeError):
+        a + LogScalar(2.0)
+    with pytest.raises(TypeError):
+        2 * a
+    with pytest.raises(TypeError):
+        a < 2.0
+    assert a <= LogScalar(1.0) and a >= LogScalar(1.0) and LogScalar(2.0) > a
+    assert sorted([LogScalar(3.0), a]) == [a, LogScalar(3.0)]

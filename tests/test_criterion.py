@@ -7,7 +7,9 @@ from hypothesis import assume, given, strategies as st
 
 from mqshape import (
     CriterionKind,
+    CurveSample,
     Mode,
+    OptimalResult,
     ProblemSpec,
     Regime,
     SpecError,
@@ -531,7 +533,7 @@ class TestSampleCurve:
         from mqshape import criterion
 
         evaluated = []
-        monkeypatch.setattr(criterion, "log_h_unified", lambda *args: evaluated.append(args))
+        monkeypatch.setattr(criterion, "_log_h_of", lambda *args: evaluated.append)
         spec = _spec(n=2, delta=1e-3)
         dc = derive_constants(spec)
         with pytest.raises(SpecError):
@@ -545,3 +547,69 @@ class TestSampleCurve:
             sample_curve(spec, dc, kind_for(spec), 1.0, 0.5, 10)
         with pytest.raises(SpecError):
             sample_curve(spec, dc, kind_for(spec), 0.5, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: CriterionKind(Regime.GENERAL, Mode.FIXED_B0), "regime"),
+        (lambda: CurveSample(c=2.0, log_h=-1.5), "log_h"),
+        (lambda: OptimalResult(2.0, -1.5, False, 0, (1.0, 8.0)), "bracket"),
+    ],
+    ids=["CriterionKind", "CurveSample", "OptimalResult"],
+)
+def test_records_are_immutable_values(make, field):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    name = type(a).__name__
+    assert repr(a).startswith(f"{name}(") and f"{field}=" in repr(a)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+class TestCurveEvaluator:
+    """``sample_curve`` and ``log_h_unified`` share one evaluator, and it
+    is the formula's public function plus the mode's factor, to the bit."""
+
+    @staticmethod
+    def _check(spec, c_lo, c_hi, count=400):
+        dc = derive_constants(spec)
+        samples = sample_curve(spec, dc, None, c_lo, c_hi, count)
+        cs = [s.c for s in samples]
+        assert _bits(s.log_h for s in samples) == _bits(log_h_unified(c, spec, dc) for c in cs)
+        if regime_for(spec.n, spec.beta) is Regime.BETA_NEG1_1D:
+            core = [log_h_beta_neg1_oned(c, spec.sigma) for c in cs]
+        else:
+            core = [log_h_general(c, spec.n, spec.beta, spec.sigma) for c in cs]
+        if spec.mode is not Mode.PRACTICAL:
+            core = [h + log_lambda_pow(c, spec, dc) for h, c in zip(core, cs)]
+        assert _bits(s.log_h for s in samples) == _bits(core)
+        return dc, cs
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "n, beta, sigma", [(1, -1.0, 0.7), (2, -1.0, 1.3), (2, 3.0, 0.5), (1, 0.5, 2.0)]
+    )
+    def test_whole_finite_range(self, n, beta, sigma, mode):
+        # from far below c_min to the finite cap: past the knee c0 in
+        # fixed-b0 mode, and past c sigma = 1e150, where xi* factors c sigma
+        # out of its radical
+        spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=1e-3, b0=2.0, mode=mode)
+        dc, cs = self._check(spec, 1e-3, finite_cap(spec, derive_constants(spec)))
+        assert cs[-1] * sigma > 1e150
+        assert cs[0] < dc.log_c0.value < cs[-1]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 4.0])
+    def test_one_dimensional_branch_point(self, sigma, mode):
+        # the curve ends on the branch point 2/sqrt(3 sigma), then starts
+        # there, so it is evaluated exactly on both branches' sides
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=sigma, delta=1e-2, b0=1.0, mode=mode)
+        t = oned_threshold(sigma)
+        _, below = self._check(spec, 0.5 * t, t, 101)
+        _, above = self._check(spec, t, 2.0 * t, 101)
+        assert below[-1] == t == above[0]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestOptimalC:
         for c in (dc.log_c_min.value, dc.log_c0.value):
             with pytest.raises(PreconditionError):
                 error_bound(spec, dc, c, 1.0)
+
+    def test_refusals_past_the_boundary_tell_delta_from_its_cap(self):
+        # delta and its cap print in full, so a delta 1e-11 past the cap
+        # does not read as equal to it
+        delta = 0.125 * (1.0 + 1e-11)
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=delta, b0=1.0, mode=Mode.FIXED_B0)
+        dc = derive_constants(spec)
+        with pytest.raises(PreconditionError) as opt_err:
+            optimal_c(spec, dc)
+        with pytest.raises(PreconditionError) as bound_err:
+            error_bound(spec, dc, dc.log_c0.value, 1.0)
+        for message, cap_pattern in ((opt_err, r"\) = (\S+)$"), (bound_err, r"delta0=(\S+) ")):
+            text = str(message.value)
+            shown = float(re.search(r"delta=(\S+) ", text).group(1))
+            cap = float(re.search(cap_pattern, text).group(1))
+            assert shown == delta and 0.125 <= cap < shown
 
     def test_clamping_is_correct(self):
         for spec in [

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqshape import (
+    BoundReport,
     ConditioningError,
+    GaussianBump,
     InputError,
     Kernel,
     NodeSet,
@@ -705,3 +709,57 @@ class TestConditioning:
         nodes = uniform_grid(np.zeros(2), 1.0, 3, 2)
         with pytest.raises(InputError):
             condition_estimate(Kernel(c=1.0, beta=-1.0, n=1), nodes)
+
+
+class TestRecords:
+    """The rbf and verify records: immutable, compared and shown by field."""
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: Kernel(0.5, -1.0, 2), "c"),
+            (lambda: GaussianBump(a=0.25, n=2, center=(0.5, 0.5)), "center"),
+            (lambda: BoundReport(1.0, 0.1, -2.0, 0.01, True, 2.6), "margin_log"),
+        ],
+        ids=["Kernel", "GaussianBump", "BoundReport"],
+    )
+    def test_hashable_records(self, make, field):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        name = type(a).__name__
+        assert repr(a).startswith(f"{name}(") and f"{field}=" in repr(a)
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+    def test_kernel_fields_and_prefactor(self):
+        k = Kernel(c=0.5, beta=-1.0, n=2)
+        assert (k.c, k.beta, k.n) == (0.5, -1.0, 2)
+        assert k.gamma_factor == math.gamma(0.5)
+        assert Kernel(2.0, 3.0, 1).gamma_factor == math.gamma(-1.5)
+        assert k != Kernel(c=0.5, beta=-1.0, n=1)
+        with pytest.raises(TypeError):
+            Kernel(0.5, -1.0, 2, gamma_factor=1.0)
+        with pytest.raises(AttributeError):
+            k.gamma_factor = 1.0
+
+    def test_node_set_stays_read_only(self):
+        nodes = NodeSet(np.array([[0.1, 0.2], [0.7, 0.4]]), (np.zeros(2), 1.0))
+        assert nodes == nodes and "points=" in repr(nodes) and "cube=" in repr(nodes)
+        with pytest.raises(ValueError):
+            nodes.points[0, 0] = 0.3
+        with pytest.raises(ValueError):
+            nodes.cube[0][0] = 0.3
+        with pytest.raises(AttributeError):
+            nodes.points = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            del nodes.cube
+        assert (nodes.count, nodes.dim) == (2, 2)
+
+    def test_interpolant_fields(self):
+        nodes = uniform_grid([0.0], 1.0, 5, 1)
+        interp = fit(Kernel(0.5, 1.0, 1), nodes, np.sin(nodes.points[:, 0]))
+        assert interp.nodes is nodes and interp.factorization == "ldl"
+        with pytest.raises(AttributeError):
+            interp.node_residual = 0.0
+        assert repr(interp).startswith("Interpolant(") and "condition_estimate=" in repr(interp)

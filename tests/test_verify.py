@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,14 +247,14 @@ class TestErrorBound:
         if log_knee is not None:
             b0 = 4.0 * unit.gamma_n * (unit.m + 1) * delta * math.exp(log_knee)
         spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=delta, b0=b0, mode=mode)
-        bound_spec = replace(spec, mode=Mode.DILATION_INVARIANT if b0 is None else Mode.FIXED_B0)
+        bound_spec = spec.replace(mode=Mode.DILATION_INVARIANT if b0 is None else Mode.FIXED_B0)
         dc = derive_constants(spec)
         rests, terms = [], [1.0]
         for u in log_c:
             c = math.exp(dc.log_c_min.log_value + u)
             log_bound = error_bound(spec, dc, c, 1.0)
             rests.append(log_bound - log_h_unified(c, bound_spec, dc))
-            core = log_h_unified(c, replace(spec, mode=Mode.PRACTICAL), dc)
+            core = log_h_unified(c, spec.replace(mode=Mode.PRACTICAL), dc)
             terms += [log_bound, core, log_lambda_pow(c, bound_spec, dc)]
         assert abs(rests[0] - rests[1]) <= 1e-12 * max(abs(t) for t in terms)
 
