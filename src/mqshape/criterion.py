@@ -10,9 +10,11 @@ constant.  This module evaluates log H(c) with the formula that applies,
 together with the exponential convergence factor lambda^(1/delta) that
 the two non-practical modes add.  That sum is the one formula for the
 c-dependent part of the error bound: :mod:`mqshape.optimizer` minimizes
-it, with its slope :func:`log_h_slope` and the knee :func:`log_knee`,
-and :mod:`mqshape.verify` adds the bound's c-independent constants to
-it.  Both, and the CLI, stop at :func:`finite_cap`, past which it overflows.
+it, with the knee :func:`log_knee` and the shape of the curve
+(:func:`_shape_of`: its slope, the stretches on which the slope rises and
+the local minima), and :mod:`mqshape.verify` adds the bound's
+c-independent constants to it.  Both, and the CLI, stop at
+:func:`finite_cap`, past which it overflows.
 
 Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
@@ -28,9 +30,10 @@ scalar evaluation of a 2000-point curve.  A curve is evaluated instead by
 one per-curve evaluator, :func:`_log_h_of`, which picks the formula,
 sigma, q and the mode's factor once; :func:`log_h_unified` is its checks
 plus that evaluator, and :func:`sample_curve` checks its range once and
-calls the evaluator at every point.  Each formula has one body, an
-unchecked helper that both its public function and the evaluator call,
-so curves and single evaluations agree to the bit.
+calls the evaluator at every point.  The formula is picked in one place,
+:func:`_shape_of`, whose record holds each formula's one body: its
+public function, the evaluator, :func:`log_h_slope` and the optimizer
+all call it, so curves, single evaluations and slopes agree to the bit.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .constants import DerivedConstants, Mode, ProblemSpec
 from .errors import SpecError
@@ -65,6 +68,9 @@ __all__ = [
 
 _LOG_INV_LN2 = -math.log(math.log(2.0))
 _LOG_2_SQRT3 = math.log(2.0) + 0.5 * math.log(3.0)
+# u* and t_peak of the one-dimensional slope (:class:`_Shape`), correctly rounded
+_ONED_U_STAR = 0.5166224863922065
+_ONED_T_PEAK = 0.6806753792204169
 
 
 class Regime(Enum):
@@ -119,8 +125,8 @@ def _require_positive_c(c: float) -> float:
 
 
 def _require_positive_sigma(sigma: float) -> None:
-    if sigma <= 0.0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise SpecError(f"sigma must be a positive finite real, got {sigma}")
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -141,7 +147,7 @@ def xi_star(c: float, sigma: float, q: float) -> float:
     """
     c = _require_positive_c(c)
     _require_positive_sigma(sigma)
-    if q < 0.0:
+    if not q >= 0.0:
         raise SpecError(f"exponent parameter q must be >= 0, got {q}")
     return _xi_star(c, sigma, q)
 
@@ -171,6 +177,7 @@ def log_h_beta_neg1_multid(c: float, n: int, sigma: float) -> float:
     c = _require_positive_c(c)
     if n < 2:
         raise SpecError(f"this criterion requires n >= 2, got n={n}")
+    _require_positive_sigma(sigma)
     r = math.hypot(c, 2.0 * math.sqrt(n / sigma))
     a = c * c + c * r
     return (
@@ -190,6 +197,7 @@ def log_h_beta_neg1_multid_simplified(c: float, n: int, sigma: float) -> float:
     c = _require_positive_c(c)
     if n < 2:
         raise SpecError(f"this criterion requires n >= 2, got n={n}")
+    _require_positive_sigma(sigma)
     w = math.sqrt(1.0 + 4.0 * n / sigma / c / c)
     return (
         0.25 * n * math.log1p(w)
@@ -204,19 +212,6 @@ def oned_threshold(sigma: float) -> float:
     return 2.0 / math.sqrt(3.0 * sigma)
 
 
-def _oned_log_m(c: float, sigma: float, threshold: float) -> tuple[float, Optional[float]]:
-    """(log M(c), xi*) of the one-dimensional criterion, ``threshold`` its
-    branch point :func:`oned_threshold`; xi* is None up to the branch
-    point, where M does not use it."""
-    if c <= threshold:
-        c2s = c * c * sigma
-        # c^2 underflows for c below ~1e-162; the branch value then
-        # vanishes entirely and only the constant term survives
-        return (1.0 - 1.0 / c2s if c2s > 0.0 else -math.inf), None
-    xs = _xi_star(c, sigma, 1.0)
-    return 0.5 * math.log(c * xs) + c * xs - xs * xs / sigma, xs
-
-
 def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     """log of the criterion for beta=-1 in one dimension.
 
@@ -227,15 +222,7 @@ def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     join continuously because xi* = 1/c exactly at the branch point.
     """
     c = _require_positive_c(c)
-    return _log_h_oned(c, sigma, oned_threshold(sigma))
-
-
-def _log_h_oned(c: float, sigma: float, threshold: float) -> float:
-    """:func:`log_h_beta_neg1_oned` without its checks."""
-    log_m, _ = _oned_log_m(c, sigma, threshold)
-    return -0.5 * math.log(c) + 0.5 * _logaddexp(
-        _LOG_INV_LN2, _LOG_2_SQRT3 + log_m
-    )
+    return _OneD(sigma).log_h(c)
 
 
 def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
@@ -253,14 +240,155 @@ def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
             f"got n={n}, beta={beta:g}"
         )
     _require_positive_sigma(sigma)
-    return _log_h_core(c, 0.25 * (1.0 + beta - n), n + beta + 1.0, sigma)
+    return _Core(n, beta, sigma).log_h(c)
 
 
-def _log_h_core(c: float, c_power: float, q: float, sigma: float) -> float:
-    """:func:`log_h_general` without its checks, for the power
-    c_power = (1 + beta - n)/4 of c and q = n + beta + 1."""
-    xs = _xi_star(c, sigma, q)
-    return c_power * math.log(c) + 0.5 * (0.5 * q * math.log(xs) + c * xs - xs * xs / sigma)
+def _bisect(f: Callable[[float], float], target: float, a: float, b: float) -> float:
+    """Where the increasing f reaches target in [a, b], f(a) <= target <=
+    f(b), to the last bit; geometric midpoints, since b/a may be huge."""
+    while True:
+        m = math.sqrt(a) * math.sqrt(b)
+        if not a < m < b:
+            return a
+        if f(m) < target:
+            a = m
+        else:
+            b = m
+
+
+class _Shape:
+    """The shape of one criterion formula at one sigma: log H without the
+    mode's factor (``log_h``) and its slope (``slope``), both unchecked
+    functions of a positive finite c; the closed-form local minima of
+    log H (``at_rest``); the stretches on which the slope rises
+    (``rising``, worked out only when asked); and from those the local
+    minima of log H - rate c (:meth:`minima`).  :func:`_shape_of` builds it.
+
+    The slope is where the formula's shape shows:
+
+    * for the general core it is -p/(4c) + xi*(c)/2, p = n - 1 - beta,
+      since xi* is a critical point.  It rises on all of (0, inf) for
+      p >= 0; for p < 0 it is convex and rises beyond the zero of its own
+      derivative, itself found by bisection.  At rate 0 the only local
+      minimum is p / sqrt(2 n sigma), when p > 0;
+    * for beta = -1, n = 1 it is -1/(2c) + w (log M)'/2, w the weight of
+      the M term in log(1/ln 2 + 2 sqrt(3) M), where (log M)' is
+      2/(c^3 sigma) up to the branch point and 1/(2c) + xi* beyond.  It
+      equals sqrt(sigma) D(c sqrt(sigma)) for one fixed function D, which
+      rises from -inf through 0 at u*, peaks at t_peak, dips at the branch
+      point 2/sqrt(3) and then grows like t/4; so it rises on
+      [u*, t_peak]/sqrt(sigma) and beyond the branch point, and at rate 0
+      the only local minimum is u*/sqrt(sigma), u* the root of
+      -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2).
+    """
+
+    __slots__ = ("sigma",)
+
+    def minima(self, rate: float, lo: float, hi: float) -> List[float]:
+        """Local minima in [lo, hi) of log H - rate c: in closed form at
+        rate 0, else where the slope passes upward through rate on each
+        stretch on which it rises, by bisection to the last bit."""
+        if rate == 0.0:
+            points = self.at_rest()
+        else:
+            points = []
+            for a, b in self.rising():
+                a, b = max(a, lo), min(b, hi)
+                if a < b and self.slope(a) <= rate <= self.slope(b):
+                    points.append(_bisect(self.slope, rate, a, b))
+        return [c for c in points if lo <= c < hi]
+
+
+class _OneD(_Shape):
+    """:class:`_Shape` of the one-dimensional beta = -1 formula."""
+
+    __slots__ = ("threshold",)
+
+    def __init__(self, sigma: float):
+        self.sigma, self.threshold = sigma, oned_threshold(sigma)
+
+    def _log_m(self, c: float) -> tuple[float, Optional[float]]:
+        """(log M(c), xi*); xi* is None up to the branch point, where M
+        does not use it."""
+        if c <= self.threshold:
+            c2s = c * c * self.sigma
+            # c^2 underflows for c below ~1e-162; the branch value then
+            # vanishes entirely and only the constant term survives
+            return (1.0 - 1.0 / c2s if c2s > 0.0 else -math.inf), None
+        xs = _xi_star(c, self.sigma, 1.0)
+        return 0.5 * math.log(c * xs) + c * xs - xs * xs / self.sigma, xs
+
+    def log_h(self, c: float) -> float:
+        log_m, _ = self._log_m(c)
+        return -0.5 * math.log(c) + 0.5 * _logaddexp(_LOG_INV_LN2, _LOG_2_SQRT3 + log_m)
+
+    def slope(self, c: float) -> float:
+        log_m, xs = self._log_m(c)
+        z = _LOG_2_SQRT3 + log_m - _LOG_INV_LN2
+        w = 1.0 / (1.0 + math.exp(-z)) if z >= 0.0 else math.exp(z) / (1.0 + math.exp(z))
+        if w == 0.0:
+            return -0.5 / c
+        # c^3 sigma as c (c^2 sigma): c^3 underflows where c^2 sigma does not
+        d_log_m = 2.0 / (c * (c * c * self.sigma)) if xs is None else 0.5 / c + xs
+        return -0.5 / c + 0.5 * w * d_log_m
+
+    def at_rest(self) -> List[float]:
+        return [_ONED_U_STAR / math.sqrt(self.sigma)]
+
+    def rising(self) -> List[Tuple[float, float]]:
+        rs = math.sqrt(self.sigma)
+        return [(_ONED_U_STAR / rs, _ONED_T_PEAK / rs), (self.threshold, math.inf)]
+
+
+class _Core(_Shape):
+    """:class:`_Shape` of the general core, for p = n - 1 - beta,
+    q = n + beta + 1 and the power c_power = (1 + beta - n)/4 of c."""
+
+    __slots__ = ("n", "p", "q", "c_power")
+
+    def __init__(self, n: int, beta: float, sigma: float):
+        self.sigma, self.n = sigma, n
+        self.p, self.q = n - 1.0 - beta, n + beta + 1.0
+        self.c_power = 0.25 * (1.0 + beta - n)
+
+    def log_h(self, c: float) -> float:
+        xs = _xi_star(c, self.sigma, self.q)
+        return self.c_power * math.log(c) + 0.5 * (
+            0.5 * self.q * math.log(xs) + c * xs - xs * xs / self.sigma
+        )
+
+    def slope(self, c: float) -> float:
+        return -self.p / (4.0 * c) + 0.5 * _xi_star(c, self.sigma, self.q)
+
+    def at_rest(self) -> List[float]:
+        p = self.p
+        return [p / math.sqrt(2.0 * self.n * self.sigma)] if p > 0.0 else []
+
+    def rising(self) -> List[Tuple[float, float]]:
+        """The one stretch on which the slope rises: for p >= 0 both its
+        terms rise, from c = 0.  For p < 0 it rises beyond the zero of
+        its derivative p/(4c^2) + sigma/(4 + q sigma/xi*^2); since xi*'
+        lies in [sigma/4, sigma/2), that zero lies in
+        [sqrt(-p/sigma), sqrt(-2p/sigma)]."""
+        p, q, sigma = self.p, self.q, self.sigma
+        if p >= 0.0:
+            return [(0.0, math.inf)]
+
+        def curvature(c: float) -> float:
+            xs = _xi_star(c, sigma, q)
+            return p / (4.0 * c * c) + sigma / (4.0 + q * sigma / xs / xs)
+
+        start = _bisect(curvature, 0.0, math.sqrt(-p / sigma), math.sqrt(-2.0 * p / sigma))
+        return [(start, math.inf)]
+
+
+def _shape_of(spec: ProblemSpec) -> _Shape:
+    """The :class:`_Shape` of ``spec``'s criterion formula: the one place
+    that picks the formula.  Raises :class:`SpecError` for a spec no
+    criterion covers."""
+    if regime_for(spec.n, spec.beta) is Regime.BETA_NEG1_1D:
+        return _OneD(spec.sigma)
+    return _Core(spec.n, spec.beta, spec.sigma)
 
 
 def log_knee(spec: ProblemSpec, dc: DerivedConstants) -> float:
@@ -298,9 +426,7 @@ def _log_factor(c: float, eta_log_abs: float, log_c0: float) -> float:
     return -math.inf if log_abs > 709.0 else -math.exp(log_abs)
 
 
-def _check_kind(kind: Optional[CriterionKind], spec: ProblemSpec) -> None:
-    if kind is None:
-        return
+def _check_kind(kind: CriterionKind, spec: ProblemSpec) -> None:
     regime = regime_for(spec.n, spec.beta)
     if kind.regime is not regime or kind.mode is not spec.mode:
         raise SpecError(
@@ -325,7 +451,8 @@ def log_h_unified(
     modes add :func:`log_lambda_pow`.  It is the per-curve evaluator
     :func:`_log_h_of` of ``spec`` at the checked c.
     """
-    _check_kind(kind, spec)
+    if kind is not None:
+        _check_kind(kind, spec)
     log_h = _log_h_of(spec, dc)
     return log_h(_require_positive_c(c))
 
@@ -333,20 +460,15 @@ def log_h_unified(
 def _log_h_of(spec: ProblemSpec, dc: DerivedConstants) -> Callable[[float], float]:
     """log H of ``spec`` as an unchecked function of a positive finite c.
 
-    The formula, sigma, q and the mode's factor (log |eta| and the knee)
-    are picked once, here, and not at every point of a curve; the function
-    calls the helpers of :func:`log_h_beta_neg1_oned` or
-    :func:`log_h_general` and of :func:`log_lambda_pow`, so its values are
-    theirs to the bit.  Raises :class:`SpecError` for a spec no criterion
-    covers, and in fixed-b0 mode for constants without a knee.
+    The formula (:func:`_shape_of`) and the mode's factor (log |eta| and
+    the knee) are picked once, here, and not at every point of a curve;
+    the function is the ``log_h`` of the formula's :class:`_Shape`, which
+    :func:`log_h_beta_neg1_oned` and :func:`log_h_general` evaluate, plus
+    the helper of :func:`log_lambda_pow`, so its values are theirs to the
+    bit.  Raises :class:`SpecError` for a spec no criterion covers, and in
+    fixed-b0 mode for constants without a knee.
     """
-    sigma = spec.sigma
-    if regime_for(spec.n, spec.beta) is Regime.BETA_NEG1_1D:
-        threshold = oned_threshold(sigma)
-        core = lambda c: _log_h_oned(c, sigma, threshold)
-    else:
-        c_power, q = 0.25 * (1.0 + spec.beta - spec.n), spec.n + spec.beta + 1.0
-        core = lambda c: _log_h_core(c, c_power, q, sigma)
+    core = _shape_of(spec).log_h
     if spec.mode is Mode.PRACTICAL:
         return core
     eta_log_abs, log_c0 = dc.eta_log_abs, log_knee(spec, dc)
@@ -367,26 +489,10 @@ def finite_cap(spec: ProblemSpec, dc: DerivedConstants) -> float:
 
 
 def log_h_slope(c: float, spec: ProblemSpec) -> float:
-    """d/dc of log H(c) for the problem's criterion, without the mode's factor.
-
-    For the general core it is -p/(4c) + xi*/2, p = n - 1 - beta, since
-    xi* is a critical point.  For beta = -1, n = 1 it is -1/(2c) +
-    w (log M)'/2, w the weight of the M term in log(1/ln 2 + 2 sqrt(3) M),
-    where (log M)' is 2/(c^3 sigma) up to the branch point, 1/(2c) + xi* beyond.
-    """
+    """d/dc of log H(c) for the problem's criterion, without the mode's
+    factor: the ``slope`` of its :class:`_Shape`, at the checked c."""
     c = _require_positive_c(c)
-    if regime_for(spec.n, spec.beta) is Regime.GENERAL:
-        return -(spec.n - 1.0 - spec.beta) / (4.0 * c) + 0.5 * xi_star(
-            c, spec.sigma, spec.n + spec.beta + 1.0
-        )
-    log_m, xs = _oned_log_m(c, spec.sigma, oned_threshold(spec.sigma))
-    z = _LOG_2_SQRT3 + log_m - _LOG_INV_LN2
-    w = 1.0 / (1.0 + math.exp(-z)) if z >= 0.0 else math.exp(z) / (1.0 + math.exp(z))
-    if w == 0.0:
-        return -0.5 / c
-    # c^3 sigma as c (c^2 sigma): c^3 underflows where c^2 sigma does not
-    d_log_m = 2.0 / (c * (c * c * spec.sigma)) if xs is None else 0.5 / c + xs
-    return -0.5 / c + 0.5 * w * d_log_m
+    return _shape_of(spec).slope(c)
 
 
 def sample_curve(
@@ -412,7 +518,8 @@ def sample_curve(
         raise SpecError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
     if count < 2:
         raise SpecError(f"need at least 2 samples, got {count}")
-    _check_kind(kind, spec)
+    if kind is not None:
+        _check_kind(kind, spec)
     log_h = _log_h_of(spec, dc)
     c_lo, c_hi = float(c_lo), float(c_hi)
     u_lo = math.log(c_lo)

@@ -12,20 +12,11 @@ The minimizer is found with no scan.  Below the knee
 mode) the mode adds -eta c to log H, eta = |eta(delta)|; beyond it, and
 so everywhere in practical mode, it adds a constant (eta = 0).  The
 criterion is evaluated at c_min, at the local minima of log H - eta c on
-each piece, and at the knee; the least value wins.  A local minimum is
-where :func:`mqshape.criterion.log_h_slope` passes upward through eta,
-found by bisection, to the last bit, on each stretch on which it rises:
-
-* for the general core, -p/(4c) + xi*(c)/2 with p = n - 1 - beta, it
-  rises on all of (0, inf) for p >= 0; for p < 0 it is convex and rises
-  beyond the zero of its own derivative, itself found by bisection.  At
-  eta = 0 the only local minimum is p / sqrt(2 n sigma), when p > 0;
-* for beta = -1, n = 1 it equals sqrt(sigma) D(c sqrt(sigma)) for one
-  fixed function D, which rises from -inf through 0 at u*, peaks at
-  t_peak, dips at the branch point 2/sqrt(3) and then grows like t/4; so
-  it rises on [u*, t_peak]/sqrt(sigma) and beyond the branch point, and
-  at eta = 0 the only local minimum is u*/sqrt(sigma), u* the root of
-  -u^2/ln 2 + 2 sqrt(3) e^{1 - 1/u^2} (2 - u^2).
+each piece, and at the knee; the least value wins.  The criterion owns
+the shape of its curve: where its slope rises, where it meets eta, and
+its closed-form minima at eta = 0 (``minima`` of
+:func:`mqshape.criterion._shape_of`); this module only picks the pieces
+and the candidates.
 
 Beyond the cap the slope only grows, so a criterion that still falls
 there has its minimizer beyond it, near 4 eta/sigma, where log H is about
@@ -35,21 +26,11 @@ evaluated, and is refused.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .constants import DerivedConstants, ProblemSpec
-from .criterion import (
-    Regime,
-    finite_cap,
-    log_h_slope,
-    log_h_unified,
-    log_knee,
-    oned_threshold,
-    regime_for,
-    xi_star,
-)
+from .criterion import _shape_of, finite_cap, log_h_unified, log_knee
 from .errors import NumericError, PreconditionError, SpecError
 
 __all__ = [
@@ -60,9 +41,6 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 64
-# u* and t_peak of the module docstring, correctly rounded
-_ONED_U_STAR = 0.5166224863922065
-_ONED_T_PEAK = 0.6806753792204169
 
 
 class OptimalResult(NamedTuple):
@@ -136,55 +114,6 @@ def minimize_scalar(
     return x, _eval_checked(f, x)
 
 
-def _bisect(f: Callable[[float], float], target: float, a: float, b: float) -> float:
-    """Where the increasing f reaches target in [a, b], f(a) <= target <=
-    f(b), to the last bit; geometric midpoints, since b/a may be huge."""
-    while True:
-        m = math.sqrt(a) * math.sqrt(b)
-        if not a < m < b:
-            return a
-        if f(m) < target:
-            a = m
-        else:
-            b = m
-
-
-def _local_minima(
-    slope: Callable[[float], float],
-    rate: float,
-    stretches: List[Tuple[float, float]],
-    lo: float,
-    hi: float,
-) -> List[float]:
-    """Local minima in [lo, hi] of a function with slope ``slope - rate``:
-    where ``slope`` passes through ``rate`` on each stretch on which it
-    rises."""
-    minima = []
-    for a, b in stretches:
-        a, b = max(a, lo), min(b, hi)
-        if a < b and slope(a) <= rate <= slope(b):
-            minima.append(_bisect(slope, rate, a, b))
-    return minima
-
-
-def _core_rise_start(p: float, q: float, sigma: float) -> float:
-    """Where the core's slope -p/(4c) + xi*(c)/2 starts to rise for good.
-
-    For p >= 0 both terms rise, from c = 0.  For p < 0 the slope is convex,
-    and it rises beyond the zero of its derivative p/(4c^2) + sigma/(4 + q
-    sigma/xi*^2); since xi*' lies in [sigma/4, sigma/2), that zero lies in
-    [sqrt(-p/sigma), sqrt(-2p/sigma)].
-    """
-    if p >= 0.0:
-        return 0.0
-
-    def curvature(c: float) -> float:
-        xs = xi_star(c, sigma, q)
-        return p / (4.0 * c * c) + sigma / (4.0 + q * sigma / xs / xs)
-
-    return _bisect(curvature, 0.0, math.sqrt(-p / sigma), math.sqrt(-2.0 * p / sigma))
-
-
 def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     """Optimal shape parameter on the admissible interval.
 
@@ -201,7 +130,7 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     :class:`NumericError` when the criterion still falls at the cap, past
     which its minimizer lies.
     """
-    regime = regime_for(spec.n, spec.beta)
+    shape = _shape_of(spec)
     # every c >= c_min is admissible once c0 is, and none is otherwise
     if dc.log_c0 is not None and not dc.admits(dc.log_c0.log_value):
         bound = math.exp(dc.log_fill_cap_at_log_c(dc.log_c0.log_value))
@@ -229,35 +158,16 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
     pieces = [(c_min, knee, -dc.eta), (max(knee, c_min), cap, 0.0)]
     pieces = [piece for piece in pieces if piece[0] < piece[1]]
 
-    n, sigma = spec.n, spec.sigma
-    p, q = n - 1.0 - spec.beta, n + spec.beta + 1.0
-    oned = regime is Regime.BETA_NEG1_1D
-    rs = math.sqrt(sigma)
-    slope = functools.partial(log_h_slope, spec=spec)
-    if slope(cap) < pieces[-1][2]:
+    if shape.slope(cap) < pieces[-1][2]:
         raise NumericError(
             f"the criterion still decreases at c = {cap:g}, beyond which it is "
             "not finite in double precision; its minimizer lies past that cap"
         )
-    # the local minima where the rate is 0, in closed form
-    if oned:
-        at_rest = [_ONED_U_STAR / rs]
-    else:
-        at_rest = [p / math.sqrt(2.0 * n * sigma)] if p > 0.0 else []
     candidates = {lo for lo, _, _ in pieces[1:]}
     for lo, hi, rate in pieces:
-        if rate == 0.0:
-            points = at_rest
-        else:
-            rising = (
-                [(_ONED_U_STAR / rs, _ONED_T_PEAK / rs), (oned_threshold(sigma), math.inf)]
-                if oned
-                else [(_core_rise_start(p, q, sigma), math.inf)]
-            )
-            points = _local_minima(slope, rate, rising, lo, hi)
-        candidates.update(c for c in points if lo <= c < hi)
+        candidates.update(shape.minima(rate, lo, hi))
     # where the criterion falls at c_min, a point to its right is lower
-    if slope(c_min) >= pieces[0][2] or not candidates:
+    if shape.slope(c_min) >= pieces[0][2] or not candidates:
         candidates.add(c_min)
 
     # ascending, so that min() sends ties to the smaller c

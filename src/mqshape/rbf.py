@@ -41,12 +41,11 @@ Kernel values are formed in place, one row block of at most
 squared distances (each coordinate difference one exact K = 2 matrix
 product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
-otherwise), then the factor Gamma(-beta/2).  For beta < 0 assembly writes
-those blocks straight into the one saddle matrix it allocates; for
-beta > 0, whose kernel rows are strided within the saddle, it forms each
-block in one contiguous buffer, with blocks of half the size so that the
+otherwise), then the factor Gamma(-beta/2).  Assembly forms each block
+in one contiguous buffer, with blocks of half the size so that the
 buffer and its scratch add no more than one full block would, and copies
-it in.  :func:`evaluate` reuses one block buffer and applies the factor
+it into the one saddle matrix it allocates, whose kernel rows are strided
+for beta > 0.  :func:`evaluate` reuses one block buffer and applies the factor
 once per evaluation point, so its memory does not grow with the number
 of evaluation points.
 """
@@ -247,16 +246,14 @@ def _sq_dists(x: np.ndarray, rhs: np.ndarray, out=None, diff=None, lhs=None) -> 
     return d2
 
 
-def _kernel_rows(
-    kernel: Kernel, x: np.ndarray, y: np.ndarray, out=None, entries=_EVAL_BLOCK_ENTRIES
-):
+def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, entries=_EVAL_BLOCK_ENTRIES):
     """Yield (rows, block) for each row block of x of at most ``entries``
     entries: ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
     for the rows ``rows`` of x and every row of y, without the factor
-    Gamma(-beta/2).  The blocks are the rows of ``out`` when it is given,
-    else one contiguous buffer that every block reuses: each fresh
-    512 KiB array would be page-faulted in anew, and numpy's in-place
-    steps run at half speed on rows strided within a wider matrix.  y's
+    Gamma(-beta/2).  The blocks are one contiguous buffer that every
+    block reuses: each fresh 512 KiB array would be page-faulted in
+    anew, and numpy's in-place steps run at half speed on rows strided
+    within a wider matrix.  y's
     :func:`_difference_rhs` is built once, and so is the (rows, 2)
     left-hand side of :func:`_sq_dists`; the scratch for the second and
     later axes is allocated only for n > 1.
@@ -265,13 +262,13 @@ def _kernel_rows(
     rhs = _difference_rhs(y)
     step = max(1, entries // y.shape[0])
     shape = (min(step, count), y.shape[0])
-    buffer = np.empty(shape) if out is None else None
+    buffer = np.empty(shape)
     diff = np.empty(shape) if x.shape[1] > 1 else None
     lhs = np.ones((shape[0], 2))
     for start in range(0, count, step):
         rows = slice(start, min(start + step, count))
         size = rows.stop - start
-        block = out[rows] if buffer is None else buffer[:size]
+        block = buffer[:size]
         _sq_dists(
             x[rows], rhs, out=block, diff=None if diff is None else diff[:size], lhs=lhs[:size]
         )
@@ -489,18 +486,10 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     count, q = nodes.count, len(exponents)
     saddle = np.empty((count + q, count + q))
     centred = _centred(nodes, nodes.points)
-    # Two paths, each the faster on its own half: at N = 1024 in 2-D on
-    # one BLAS thread, buffering the beta < 0 rows costs up to 0.5 ms more
-    # than ~5 ms, and forming the strided beta > 0 rows in place 2.5-3.3 ms.
+    # form each block in a contiguous buffer and copy it in: numpy's
+    # in-place steps run at half speed on rows strided within the saddle
+    # (beta > 0); the buffer and its scratch take half a block each
     with np.errstate(**_BEYOND_RANGE):
-        if not q:
-            # the kernel rows are the saddle's rows: form them in place
-            for _, block in _kernel_rows(kernel, centred, centred, out=saddle):
-                block *= kernel.gamma_factor
-            return saddle, exponents
-        # the kernel rows are strided within the saddle: form each block
-        # in a contiguous buffer and copy it in; the buffer and its
-        # scratch take half a block each
         blocks = _kernel_rows(kernel, centred, centred, entries=_EVAL_BLOCK_ENTRIES // 2)
         for rows, block in blocks:
             np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])

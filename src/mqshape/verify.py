@@ -35,8 +35,15 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .constants import DerivedConstants, Mode, ProblemSpec, _Record, derive_constants
-from .criterion import finite_cap, log_h_unified
+from .constants import (
+    DerivedConstants,
+    Mode,
+    ProblemSpec,
+    _Record,
+    _validate_dimension,
+    derive_constants,
+)
+from .criterion import _require_positive_sigma, finite_cap, log_h_unified
 from .errors import InputError, NumericError, PreconditionError, SpecError
 from .rbf import (
     _EVAL_BLOCK_ENTRIES,
@@ -74,12 +81,15 @@ class GaussianBump(_Record):
         amplitude: float = 1.0,
         center: Optional[Tuple[float, ...]] = None,
     ):
-        if not a > 0.0:
-            raise SpecError(f"gaussian width parameter a must be positive, got {a}")
-        if n < 1:
-            raise SpecError(f"dimension must be >= 1, got {n}")
+        if not (a > 0.0 and math.isfinite(a)):
+            raise SpecError(f"gaussian width a must be a positive finite real, got {a}")
+        _validate_dimension(n)
+        if not math.isfinite(amplitude):
+            raise SpecError(f"amplitude must be finite, got {amplitude}")
         if center is not None and len(center) != n:
             raise SpecError("center dimension does not match n")
+        if center is not None and not all(map(math.isfinite, center)):
+            raise SpecError(f"center must be finite, got {center}")
         self._set(a, n, amplitude, center)
 
     def __call__(self, x) -> np.ndarray:
@@ -103,8 +113,7 @@ def e_sigma_norm(f: GaussianBump, sigma: float) -> float:
     Raises :class:`PreconditionError` when sigma <= 2a (the integral
     diverges).
     """
-    if sigma <= 0.0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
+    _require_positive_sigma(sigma)
     kappa = 1.0 / (2.0 * f.a) - 1.0 / sigma
     if kappa <= 0.0:
         raise PreconditionError(
@@ -198,7 +207,7 @@ def error_bound(
     """
     if not c > 0.0:
         raise SpecError(f"shape parameter c must be positive, got {c}")
-    if f_norm < 0.0:
+    if not f_norm >= 0.0:
         raise SpecError(f"function norm must be >= 0, got {f_norm}")
 
     n, beta = spec.n, spec.beta

@@ -25,6 +25,7 @@ from mqshape import (
     xi_star,
 )
 from mqshape.criterion import (
+    _shape_of,
     finite_cap,
     log_h_beta_neg1_multid_simplified,
     log_h_slope,
@@ -449,6 +450,99 @@ class TestSlope:
         c = math.exp(math.log(1e-300) + frac * (log_cap - math.log(1e-300)))
         for x in (c, math.exp(log_cap)):
             assert math.isfinite(log_h_slope(x, spec))
+
+
+# (n, beta) pairs of both formulas: the 1-D beta = -1 one, and cores with
+# p = n - 1 - beta above, at and below 0
+SHAPE_CASES = [
+    (1, -1.0),
+    (2, -1.0), (3, -1.5), (1, -2.0), (2, 0.5), (3, -0.5),
+    (2, 1.0), (4, 3.0),
+    (1, 0.5), (1, 1.0), (1, 3.0), (2, 1.5), (3, 3.0),
+]
+
+
+class TestShape:
+    """The curve shape the optimizer relies on: where the slope rises,
+    and the closed-form minima where the mode adds no rate."""
+
+    @given(
+        n_beta=st.sampled_from(SHAPE_CASES),
+        log_sigma=st.floats(math.log(1e-3), math.log(1e6)),
+        log_span=st.floats(1e-3, 60.0),
+    )
+    def test_slope_rises_on_every_rising_stretch(self, n_beta, log_sigma, log_span):
+        # the first log_span nats of each stretch, up to the finite cap
+        spec = _spec(*n_beta, math.exp(log_sigma))
+        shape = _shape_of(spec)
+        cap = finite_cap(spec, derive_constants(spec))
+        for a, b in shape.rising():
+            a = max(a, 1e-9 / math.sqrt(spec.sigma))
+            b = min(b, cap, a * math.exp(log_span))
+            slopes = [shape.slope(float(c)) for c in np.geomspace(a, b, 64)]
+            assert all(x <= y for x, y in zip(slopes, slopes[1:])), (a, b)
+
+    @given(
+        n_beta=st.sampled_from([nb for nb in SHAPE_CASES if nb[0] - 1.0 - nb[1] < 0.0]),
+        log_sigma=st.floats(math.log(1e-3), math.log(1e6)),
+    )
+    def test_negative_p_rise_starts_at_the_lowest_slope(self, n_beta, log_sigma):
+        shape = _shape_of(_spec(*n_beta, math.exp(log_sigma)))
+        ((start, end),) = shape.rising()
+        assert end == math.inf
+        at_start = shape.slope(start)
+        assert shape.slope(0.99 * start) > at_start < shape.slope(1.01 * start)
+
+    @given(
+        n_beta=st.sampled_from(SHAPE_CASES),
+        log_sigma=st.floats(math.log(1e-3), math.log(1e6)),
+    )
+    def test_closed_form_minima_are_slope_roots(self, n_beta, log_sigma):
+        shape = _shape_of(_spec(*n_beta, math.exp(log_sigma)))
+        minima = shape.minima(0.0, 0.0, math.inf)
+        p = n_beta[0] - 1.0 - n_beta[1]
+        assert len(minima) == (1 if n_beta == (1, -1.0) or p > 0.0 else 0)
+        for c in minima:
+            assert shape.slope(c * (1.0 - 1e-9)) < 0.0 < shape.slope(c * (1.0 + 1e-9))
+
+    @given(
+        n_beta=st.sampled_from(SHAPE_CASES),
+        log_sigma=st.floats(math.log(1e-3), math.log(1e6)),
+        log_c=st.floats(math.log(1e-300), math.log(1e150)),
+    )
+    def test_log_h_slope_is_the_shape_slope(self, n_beta, log_sigma, log_c):
+        spec = _spec(*n_beta, math.exp(log_sigma))
+        c = math.exp(log_c)
+        assert log_h_slope(c, spec).hex() == _shape_of(spec).slope(c).hex()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: xi_star(1.0, math.nan, 1.0),
+        lambda: xi_star(1.0, math.inf, 1.0),
+        lambda: xi_star(1.0, 1.0, math.nan),
+        lambda: oned_threshold(math.nan),
+        lambda: oned_threshold(math.inf),
+        lambda: log_h_general(1.0, 2, 1.0, math.nan),
+        lambda: log_h_general(1.0, 2, 1.0, math.inf),
+        lambda: log_h_beta_neg1_oned(1.0, math.nan),
+        lambda: log_h_beta_neg1_oned(1.0, math.inf),
+        lambda: log_h_beta_neg1_multid(1.0, 2, math.nan),
+        lambda: log_h_beta_neg1_multid(1.0, 2, -1.0),
+        lambda: log_h_beta_neg1_multid_simplified(1.0, 2, math.nan),
+        lambda: log_h_beta_neg1_multid_simplified(1.0, 2, -1.0),
+    ],
+    ids=[
+        "xi_star-sigma-nan", "xi_star-sigma-inf", "xi_star-q-nan",
+        "oned_threshold-nan", "oned_threshold-inf",
+        "general-nan", "general-inf", "oned-nan", "oned-inf",
+        "multid-nan", "multid-negative", "simplified-nan", "simplified-negative",
+    ],
+)
+def test_formulas_reject_a_sigma_that_is_not_positive_and_finite(call):
+    with pytest.raises(SpecError):
+        call()
 
 
 class TestKnee:

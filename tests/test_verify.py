@@ -14,6 +14,7 @@ from mqshape import (
     NumericError,
     PreconditionError,
     ProblemSpec,
+    SpecError,
     derive_constants,
     e_sigma_norm,
     error_bound,
@@ -85,6 +86,27 @@ class TestNorm:
         assert e_sigma_norm(GaussianBump(a=0.25, n=1, center=(4.0,)), 1.0) == e_sigma_norm(
             GaussianBump(a=0.25, n=1), 1.0
         )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GaussianBump(a=0.25, n=1, amplitude=math.nan),
+            lambda: GaussianBump(a=0.25, n=1, amplitude=math.inf),
+            lambda: GaussianBump(a=0.25, n=1, amplitude=-math.inf),
+            lambda: GaussianBump(a=math.inf, n=1),
+            lambda: GaussianBump(a=math.nan, n=1),
+            lambda: GaussianBump(a=0.25, n=1.5),
+            lambda: GaussianBump(a=0.25, n=0),
+            lambda: GaussianBump(a=0.25, n=2, center=(0.5, math.nan)),
+            lambda: e_sigma_norm(GaussianBump(a=0.25, n=1), math.nan),
+            lambda: e_sigma_norm(GaussianBump(a=0.25, n=1), math.inf),
+        ],
+        ids=["amplitude-nan", "amplitude-inf", "amplitude-minus-inf", "a-inf", "a-nan",
+             "n-fraction", "n-zero", "center-nan", "norm-sigma-nan", "norm-sigma-inf"],
+    )
+    def test_non_finite_or_fractional_parameters_rejected(self, make):
+        with pytest.raises(SpecError):
+            make()
 
     def test_bump_rejects_wrong_point_dimension(self):
         f = GaussianBump(a=0.25, n=1)
@@ -217,6 +239,15 @@ class TestErrorBound:
         b1 = error_bound(spec, dc, 14.0, 1.0)
         b2 = error_bound(spec, dc, 14.0, 2.0)
         assert b2 - b1 == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_nan_function_norm_rejected(self):
+        # NaN passed the f_norm < 0 check and then read as a zero norm,
+        # a bound of -inf that claimed a zero error
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0)
+        dc = derive_constants(spec)
+        with pytest.raises(SpecError):
+            error_bound(spec, dc, 14.0, math.nan)
+        assert error_bound(spec, dc, 14.0, 0.0) == -math.inf
 
     def test_fill_cap_precondition(self):
         spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.05, b0=1.0)
