@@ -16,11 +16,10 @@ Output: demos/output/curve_*.csv with header c,logH
 """
 
 import csv
-import math
 import os
 
 from mqshape import Mode, ProblemSpec, derive_constants, kind_for, sample_curve
-from mqshape.criterion import log_knee
+from mqshape.optimizer import curve_range
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -28,13 +27,8 @@ os.makedirs(OUT, exist_ok=True)
 
 def emit(name, spec, c_lo=None, c_hi=None, count=600):
     dc = derive_constants(spec)
-    lo = c_lo if c_lo is not None else dc.log_c_min.value
-    hi = c_hi
-    if hi is None:
-        hi = 1e3 * max(1.0, lo)
-        log_c0 = log_knee(spec, dc)
-        if -math.inf < log_c0 < 700:
-            hi = max(hi, 10.0 * math.exp(log_c0))
+    # the range `mqshape criterion` draws: past the knee and c*, up to the cap
+    lo, hi = curve_range(spec, dc, c_lo, c_hi)
     samples = sample_curve(spec, dc, kind_for(spec), lo, hi, count)
     path = os.path.join(OUT, f"curve_{name}.csv")
     with open(path, "w", newline="") as handle:

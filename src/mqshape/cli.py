@@ -9,8 +9,10 @@ stderr).  Exit codes: 0 ok, 2 usage or input error, 3 numeric failure,
 The selection commands (``constants``, ``criterion``, ``optimize``) are
 pure ``math`` code and load neither numpy nor scipy, nor the ``inspect``
 module, so most of their process time is the interpreter's own start-up;
-``criterion`` samples its curve with one per-curve evaluator
-(:func:`mqshape.criterion.sample_curve`) and writes the CSV rows as text.
+``criterion`` samples its curve on the range of
+:func:`mqshape.optimizer.curve_range`, the one owner of that range, with
+one per-curve evaluator (:func:`mqshape.criterion.sample_curve`) and
+writes the CSV rows as text.
 ``fit`` and ``verify`` import numpy, :mod:`mqshape.rbf` and
 :mod:`mqshape.verify` when they run, and the first factorization loads
 scipy's LAPACK extension without the ``scipy.linalg`` package.
@@ -28,7 +30,7 @@ import sys
 from typing import List, Optional
 
 from .constants import Mode, ProblemSpec, derive_constants
-from .criterion import finite_cap, log_knee, regime_for, sample_curve
+from .criterion import sample_curve
 from .errors import (
     ConditioningError,
     InputError,
@@ -36,7 +38,7 @@ from .errors import (
     PreconditionError,
     SpecError,
 )
-from .optimizer import optimal_c
+from .optimizer import curve_range, optimal_c
 
 __all__ = ["main", "build_parser"]
 
@@ -204,33 +206,7 @@ def _cmd_constants(args) -> str:
 def _cmd_criterion(args) -> str:
     spec = _spec_from_args(args)
     dc = derive_constants(spec)
-    regime_for(spec.n, spec.beta)  # a spec no criterion covers is refused first
-    cap = finite_cap(spec, dc)
-    c_lo = dc.log_c_min.value if args.c_lo is None else args.c_lo
-    if c_lo >= cap:
-        raise NumericError(
-            f"range start c_lo = {c_lo:g} is not below the finite cap {cap:g}, "
-            "beyond which the criterion is not finite in double precision; "
-            "pass a smaller --c-lo"
-        )
-    c_hi = args.c_hi
-    if c_hi is not None and c_hi > cap:
-        raise NumericError(
-            f"range end c_hi = {c_hi:g} lies past the finite cap {cap:g}; pass a smaller --c-hi"
-        )
-    if c_hi is None:
-        # past the mode's knee c0 and the minimizer c*, so the curve shows both
-        c_hi = 1e3 * max(1.0, c_lo)
-        log_c0 = log_knee(spec, dc)
-        if -math.inf < log_c0 < math.log(1e306):
-            c_hi = max(c_hi, 10.0 * math.exp(log_c0))
-        try:
-            c_hi = max(c_hi, 10.0 * optimal_c(spec, dc).c_star)
-        except NumericError:  # the criterion still falls at the cap
-            c_hi = cap
-        except PreconditionError:  # no c* to show; the curve is drawn all the same
-            pass
-        c_hi = min(c_hi, cap)
+    c_lo, c_hi = curve_range(spec, dc, args.c_lo, args.c_hi)
     samples = sample_curve(spec, dc, None, c_lo, c_hi, args.count)
     if args.format == "json":
         return _json([{"c": s.c, "logH": s.log_h} for s in samples])

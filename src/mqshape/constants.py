@@ -22,6 +22,7 @@ their fields derive from :class:`_Record`.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -78,6 +79,22 @@ def _validate_dimension(n: int) -> int:
     if n < 1:
         raise SpecError(f"dimension n must be >= 1, got {n}")
     return n
+
+
+def _require_positive_finite(value, name: str):
+    """``value``, unless it is not a positive finite real (:class:`SpecError`)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise SpecError(f"{name} must be a positive finite real, got {value}")
+    return value
+
+
+def _is_count(value, least: int) -> bool:
+    """The rule for sample and grid sizes: an integer of at least ``least``
+    (what ``numbers.Integral`` covers, without importing ``numbers``)."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
 
 
 class _Record:
@@ -161,12 +178,10 @@ class ProblemSpec(_Record):
     ):
         _validate_dimension(n)
         _validate_beta(beta)
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise SpecError(f"sigma must be a positive finite real, got {sigma}")
-        if not (delta > 0.0 and math.isfinite(delta)):
-            raise SpecError(f"delta must be a positive finite real, got {delta}")
-        if b0 is not None and not (b0 > 0.0 and math.isfinite(b0)):
-            raise SpecError(f"b0 must be a positive finite real, got {b0}")
+        _require_positive_finite(sigma, "sigma")
+        _require_positive_finite(delta, "delta")
+        if b0 is not None:
+            _require_positive_finite(b0, "b0")
         mode = Mode(mode)
         if mode is Mode.FIXED_B0 and b0 is None:
             raise SpecError("mode 'fixed-b0' requires a cube side b0")

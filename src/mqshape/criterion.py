@@ -13,8 +13,9 @@ c-dependent part of the error bound: :mod:`mqshape.optimizer` minimizes
 it, with the knee :func:`log_knee` and the shape of the curve
 (:func:`_shape_of`: its slope, the stretches on which the slope rises and
 the local minima), and :mod:`mqshape.verify` adds the bound's
-c-independent constants to it.  Both, and the CLI, stop at
-:func:`finite_cap`, past which it overflows.
+c-independent constants to it.  Both stop at :func:`finite_cap`, past
+which it overflows, as does :func:`mqshape.optimizer.curve_range`, the one
+owner of the range on which a curve is drawn.
 
 Everything is computed in the log domain.  H ranges over hundreds of
 orders of magnitude within a single curve (the exponential part behaves
@@ -43,7 +44,7 @@ import sys
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .constants import DerivedConstants, Mode, ProblemSpec
+from .constants import DerivedConstants, Mode, ProblemSpec, _is_count, _require_positive_finite
 from .errors import SpecError
 
 __all__ = [
@@ -92,20 +93,16 @@ class CurveSample(NamedTuple):
     log_h: float
 
 
-def _core_admissible(n: int, beta: float) -> bool:
-    return abs(n + beta) >= 1.0 and n + beta + 1.0 >= 0.0
-
-
 def regime_for(n: int, beta: float) -> Regime:
     """The criterion formula covering (n, beta).
 
     Raises :class:`SpecError` when no criterion covers the combination
     (n + beta + 1 < 0 or |n + beta| < 1, other than the one-dimensional
-    beta = -1 case).
+    beta = -1 case).  It is the one test of (n, beta).
     """
     if beta == -1.0 and n == 1:
         return Regime.BETA_NEG1_1D
-    if _core_admissible(n, beta):
+    if abs(n + beta) >= 1.0 and n + beta + 1.0 >= 0.0:
         return Regime.GENERAL
     raise SpecError(
         f"no criterion is available for n={n}, beta={beta:g}: "
@@ -118,15 +115,7 @@ def kind_for(spec: ProblemSpec) -> CriterionKind:
 
 
 def _require_positive_c(c: float) -> float:
-    c = float(c)
-    if not (c > 0.0 and math.isfinite(c)):
-        raise SpecError(f"shape parameter c must be a positive finite real, got {c}")
-    return c
-
-
-def _require_positive_sigma(sigma: float) -> None:
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise SpecError(f"sigma must be a positive finite real, got {sigma}")
+    return _require_positive_finite(float(c), "shape parameter c")
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -146,7 +135,7 @@ def xi_star(c: float, sigma: float, q: float) -> float:
     square.
     """
     c = _require_positive_c(c)
-    _require_positive_sigma(sigma)
+    _require_positive_finite(sigma, "sigma")
     if not q >= 0.0:
         raise SpecError(f"exponent parameter q must be >= 0, got {q}")
     return _xi_star(c, sigma, q)
@@ -177,7 +166,7 @@ def log_h_beta_neg1_multid(c: float, n: int, sigma: float) -> float:
     c = _require_positive_c(c)
     if n < 2:
         raise SpecError(f"this criterion requires n >= 2, got n={n}")
-    _require_positive_sigma(sigma)
+    _require_positive_finite(sigma, "sigma")
     r = math.hypot(c, 2.0 * math.sqrt(n / sigma))
     a = c * c + c * r
     return (
@@ -197,7 +186,7 @@ def log_h_beta_neg1_multid_simplified(c: float, n: int, sigma: float) -> float:
     c = _require_positive_c(c)
     if n < 2:
         raise SpecError(f"this criterion requires n >= 2, got n={n}")
-    _require_positive_sigma(sigma)
+    _require_positive_finite(sigma, "sigma")
     w = math.sqrt(1.0 + 4.0 * n / sigma / c / c)
     return (
         0.25 * n * math.log1p(w)
@@ -208,7 +197,7 @@ def log_h_beta_neg1_multid_simplified(c: float, n: int, sigma: float) -> float:
 
 def oned_threshold(sigma: float) -> float:
     """Branch point 2/sqrt(3 sigma) of the one-dimensional criterion."""
-    _require_positive_sigma(sigma)
+    _require_positive_finite(sigma, "sigma")
     return 2.0 / math.sqrt(3.0 * sigma)
 
 
@@ -231,15 +220,12 @@ def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
     H(c) = c^((1+beta-n)/4) [xi*^((n+beta+1)/2)
            e^{c xi* - xi*^2/sigma}]^(1/2)
     with xi* the critical point from :func:`xi_star` at q = n + beta + 1.
-    Requires |n + beta| >= 1 and n + beta + 1 >= 0.
+    Requires the (n, beta) for which :func:`regime_for` picks this core.
     """
     c = _require_positive_c(c)
-    if not _core_admissible(n, beta):
-        raise SpecError(
-            f"core criterion needs |n+beta| >= 1 and n+beta+1 >= 0, "
-            f"got n={n}, beta={beta:g}"
-        )
-    _require_positive_sigma(sigma)
+    if regime_for(n, beta) is not Regime.GENERAL:
+        raise SpecError(f"the core criterion does not cover n={n}, beta={beta:g}")
+    _require_positive_finite(sigma, "sigma")
     return _Core(n, beta, sigma).log_h(c)
 
 
@@ -516,7 +502,7 @@ def sample_curve(
     """
     if not (0.0 < c_lo < c_hi) or not math.isfinite(c_hi):
         raise SpecError(f"need 0 < c_lo < c_hi, got [{c_lo}, {c_hi}]")
-    if count < 2:
+    if not _is_count(count, 2):
         raise SpecError(f"need at least 2 samples, got {count}")
     if kind is not None:
         _check_kind(kind, spec)

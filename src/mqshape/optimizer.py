@@ -21,7 +21,8 @@ and the candidates.
 Beyond the cap the slope only grows, so a criterion that still falls
 there has its minimizer beyond it, near 4 eta/sigma, where log H is about
 -2 eta^2/sigma, far below any value under the cap; it cannot be
-evaluated, and is refused.
+evaluated, and is refused.  :func:`curve_range` alone sets the range on
+which a curve is drawn, from c_min past the knee and c* up to the cap.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import math
 from typing import Callable, NamedTuple, Tuple
 
 from .constants import DerivedConstants, ProblemSpec
-from .criterion import _shape_of, finite_cap, log_h_unified, log_knee
+from .criterion import _shape_of, finite_cap, log_h_unified, log_knee, regime_for
 from .errors import NumericError, PreconditionError, SpecError
 
 __all__ = [
     "OptimalResult",
+    "curve_range",
     "minimize_scalar",
     "optimal_c",
 ]
@@ -180,3 +182,42 @@ def optimal_c(spec: ProblemSpec, dc: DerivedConstants) -> OptimalResult:
         iterations=0,
         bracket=(c_min, cap),
     )
+
+
+def curve_range(
+    spec: ProblemSpec, dc: DerivedConstants, c_lo: float | None = None, c_hi: float | None = None
+) -> Tuple[float, float]:
+    """The range (c_lo, c_hi) on which ``spec``'s criterion curve is drawn.
+
+    By default from c_min to the largest of 1e3 max(1, c_lo), 10 c0 (the
+    finite knee) and 10 c*, at most the finite cap, which it is when the
+    criterion still falls there.  Raises :class:`SpecError` for a spec no
+    criterion covers, and :class:`NumericError` for a c_lo not below the
+    cap or a given c_hi past it.
+    """
+    regime_for(spec.n, spec.beta)  # a spec no criterion covers is refused first
+    cap = finite_cap(spec, dc)
+    c_lo = dc.log_c_min.value if c_lo is None else c_lo
+    if c_lo >= cap:
+        raise NumericError(
+            f"range start c_lo = {c_lo:g} is not below the finite cap {cap:g}, beyond which "
+            "the criterion is not finite in double precision; pass a smaller --c-lo"
+        )
+    if c_hi is not None and c_hi > cap:
+        raise NumericError(
+            f"range end c_hi = {c_hi:g} lies past the finite cap {cap:g}; pass a smaller --c-hi"
+        )
+    if c_hi is None:
+        # past the mode's knee c0 and the minimizer c*, so the curve shows both
+        c_hi = 1e3 * max(1.0, c_lo)
+        log_c0 = log_knee(spec, dc)
+        if -math.inf < log_c0 < math.log(1e306):
+            c_hi = max(c_hi, 10.0 * math.exp(log_c0))
+        try:
+            c_hi = max(c_hi, 10.0 * optimal_c(spec, dc).c_star)
+        except NumericError:  # the criterion still falls at the cap
+            c_hi = cap
+        except PreconditionError:  # no c* to show; the curve is drawn all the same
+            pass
+        c_hi = min(c_hi, cap)
+    return c_lo, c_hi

@@ -61,7 +61,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .constants import _Record, cpd_order
+from .constants import _is_count, _Record, _validate_dimension, cpd_order
 from .errors import ConditioningError, InputError, SpecError
 
 __all__ = [
@@ -141,6 +141,34 @@ def kernel_eval(kernel: Kernel, x) -> float:
     return float(kernel.radial(float(np.dot(x, x))))
 
 
+def _points(points) -> np.ndarray:
+    """``points`` as a float array, checked by :class:`NodeSet`'s rule: a
+    nonempty (N, n) array of finite coordinates (:class:`InputError`)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.size == 0:
+        raise InputError("node set must be a nonempty (N, n) array")
+    if not np.isfinite(pts).all():
+        raise InputError("node coordinates must be finite")
+    return pts
+
+
+def _cube(cube, n: int) -> Tuple[np.ndarray, float]:
+    """(corner, side) of ``cube`` as a float array and a float, checked by
+    :class:`NodeSet`'s rule: an n-vector corner and a positive side, all
+    finite (:class:`InputError`)."""
+    corner = np.asarray(cube[0], dtype=float).reshape(-1)
+    side = float(cube[1])
+    if corner.shape[0] != n:
+        raise InputError(
+            f"cube corner dimension {corner.shape[0]} does not match node dimension {n}"
+        )
+    if not side > 0.0:
+        raise InputError(f"cube side must be positive, got {side}")
+    if not (np.isfinite(corner).all() and math.isfinite(side)):
+        raise InputError("cube corner and side must be finite")
+    return corner, side
+
+
 class NodeSet(_Record):
     """Pairwise-distinct centers inside an axis-aligned cube.
 
@@ -151,22 +179,8 @@ class NodeSet(_Record):
     __slots__ = ("points", "cube")
 
     def __init__(self, points, cube: Tuple[np.ndarray, float]):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.size == 0:
-            raise InputError("node set must be a nonempty (N, n) array")
-        if not np.isfinite(pts).all():
-            raise InputError("node coordinates must be finite")
-        corner = np.asarray(cube[0], dtype=float).reshape(-1)
-        side = float(cube[1])
-        if corner.shape[0] != pts.shape[1]:
-            raise InputError(
-                f"cube corner dimension {corner.shape[0]} does not match "
-                f"node dimension {pts.shape[1]}"
-            )
-        if not side > 0.0:
-            raise InputError(f"cube side must be positive, got {side}")
-        if not (np.isfinite(corner).all() and math.isfinite(side)):
-            raise InputError("cube corner and side must be finite")
+        pts = _points(points)
+        corner, side = _cube(cube, pts.shape[1])
         slack = 1e-12 * max(side, 1.0)
         if (pts < corner - slack).any() or (pts > corner + side + slack).any():
             raise InputError("all nodes must lie inside the cube")
@@ -189,9 +203,9 @@ class NodeSet(_Record):
 
 def uniform_grid(corner, side: float, per_side: int, n: int) -> NodeSet:
     """Uniform tensor grid of per_side^n nodes filling the cube."""
-    if per_side < 1:
-        raise InputError(f"per_side must be >= 1, got {per_side}")
-    corner = np.asarray(corner, dtype=float).reshape(-1)
+    if not _is_count(per_side, 1):
+        raise InputError(f"per_side must be an integer >= 1, got {per_side!r}")
+    corner, side = _cube((corner, side), _validate_dimension(n))
     return NodeSet(points=_tensor_grid(corner, side, per_side, n), cube=(corner, side))
 
 

@@ -30,7 +30,6 @@ everywhere in this module.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -39,17 +38,21 @@ from .constants import (
     DerivedConstants,
     Mode,
     ProblemSpec,
+    _is_count,
     _Record,
+    _require_positive_finite,
     _validate_dimension,
     derive_constants,
 )
-from .criterion import _require_positive_sigma, finite_cap, log_h_unified
+from .criterion import Regime, finite_cap, log_h_unified, regime_for
 from .errors import InputError, NumericError, PreconditionError, SpecError
 from .rbf import (
     _EVAL_BLOCK_ENTRIES,
     Kernel,
     NodeSet,
+    _cube,
     _difference_rhs,
+    _points,
     _sq_dists,
     _tensor_grid,
     evaluate,
@@ -81,8 +84,7 @@ class GaussianBump(_Record):
         amplitude: float = 1.0,
         center: Optional[Tuple[float, ...]] = None,
     ):
-        if not (a > 0.0 and math.isfinite(a)):
-            raise SpecError(f"gaussian width a must be a positive finite real, got {a}")
+        _require_positive_finite(a, "gaussian width a")
         _validate_dimension(n)
         if not math.isfinite(amplitude):
             raise SpecError(f"amplitude must be finite, got {amplitude}")
@@ -113,7 +115,7 @@ def e_sigma_norm(f: GaussianBump, sigma: float) -> float:
     Raises :class:`PreconditionError` when sigma <= 2a (the integral
     diverges).
     """
-    _require_positive_sigma(sigma)
+    _require_positive_finite(sigma, "sigma")
     kappa = 1.0 / (2.0 * f.a) - 1.0 / sigma
     if kappa <= 0.0:
         raise PreconditionError(
@@ -142,24 +144,15 @@ def fill_distance(
     nearest, so the result equals that of an exhaustive scan.  r is the
     previous block's largest nearest-node distance; a block whose own
     largest exceeds it is scanned again with that larger radius.
+
+    The cube and raw node arrays are checked by :class:`NodeSet`'s rules
+    (:class:`InputError`), but the nodes need not lie inside the cube.
     """
-    if not (isinstance(grid_per_side, numbers.Integral) and grid_per_side >= 2):
+    if not _is_count(grid_per_side, 2):
         raise InputError(f"grid_per_side must be an integer >= 2, got {grid_per_side!r}")
-    pts = nodes.points if isinstance(nodes, NodeSet) else np.atleast_2d(
-        np.asarray(nodes, dtype=float)
-    )
-    if pts.size == 0:
-        raise InputError("fill distance needs a nonempty node set")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("fill distance needs finite node coordinates")
-    corner = np.asarray(cube[0], dtype=float).reshape(-1)
-    side = float(cube[1])
-    n = corner.shape[0]
-    if pts.shape[1] != n:
-        raise InputError(
-            f"nodes have dimension {pts.shape[1]}, the cube has dimension {n}"
-        )
-    grid = _tensor_grid(corner, side, grid_per_side, n)
+    pts = nodes.points if isinstance(nodes, NodeSet) else _points(nodes)
+    corner, side = _cube(cube, pts.shape[1])
+    grid = _tensor_grid(corner, side, grid_per_side, pts.shape[1])
 
     rhs = _difference_rhs(pts[np.argsort(pts[:, 0], kind="stable")])
     keys = rhs[0, 0]
@@ -211,7 +204,7 @@ def error_bound(
         raise SpecError(f"function norm must be >= 0, got {f_norm}")
 
     n, beta = spec.n, spec.beta
-    if n == 1 and beta == -1.0:
+    if regime_for(n, beta) is Regime.BETA_NEG1_1D:
         const = ((beta - 3.0) / 4.0) * _LN2 - 0.5 * _LNPI
     elif beta > 0.0:
         const = ((n + beta + 1.0) / 4.0) * _LN2 + ((n + 1.0) / 4.0) * _LNPI + dc.log_d0
@@ -272,7 +265,7 @@ def run_bound_experiment(
         raise InputError("dimension mismatch between spec, target, and nodes")
     grid_per_side = eval_grid if grid_per_side is None else grid_per_side
     for name, size in (("eval_grid", eval_grid), ("grid_per_side", grid_per_side)):
-        if not (isinstance(size, numbers.Integral) and size >= 2):
+        if not _is_count(size, 2):
             raise InputError(f"{name} must be an integer >= 2, got {size!r}")
     kern = Kernel(c=c, beta=spec.beta, n=spec.n)
     interp = fit(kern, nodes, f(nodes.points))

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from mqshape import Mode, ProblemSpec, derive_constants
-from mqshape.cli import main
+from mqshape.cli import build_parser, main
 from mqshape.criterion import finite_cap, log_h_unified
+from mqshape.optimizer import curve_range
 
 
 def run_cli(capsys, argv):
@@ -259,6 +260,28 @@ class TestCriterionCommand:
         )
         assert code == 3 and out == ""
         assert "c_hi = 1e+200" in err and "8.94427e+153" in err and "--c-hi" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--n", "1", "--beta", "-1", "--delta", "1e-4", "--b0", "1", "--mode", "fixed-b0"],
+            ["--n", "2", "--beta", "1", "--sigma", "0.5", "--delta", "1e-3"],
+            ["--n", "1", "--beta", "1", "--delta", "1e-5", "--mode", "dilation-invariant"],
+            ["--n", "3", "--beta", "-1", "--delta", "1e-200", "--b0", "1", "--c-lo", "2"],
+        ],
+    )
+    def test_range_is_the_library_curve_range(self, capsys, flags):
+        # the one owner of the range: the rows start and end on its ends, bit for bit
+        code, out, _ = run_cli(capsys, ["criterion", *flags, "--count", "5"])
+        assert code == 0
+        args = build_parser().parse_args(["criterion", *flags])
+        spec = ProblemSpec(
+            n=args.n, beta=args.beta, sigma=args.sigma, delta=args.delta, b0=args.b0,
+            mode=Mode(args.mode),
+        )
+        rows = list(csv.reader(out.splitlines()))[1:]
+        got = (float(rows[0][0]), float(rows[-1][0]))
+        assert got == curve_range(spec, derive_constants(spec), args.c_lo, args.c_hi)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -231,6 +231,19 @@ class TestRegimeSelection:
         with pytest.raises(SpecError):
             regime_for(2, -2.0)  # |n + beta| = 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [-5.0, -3.5, -2.5, -2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 3.0])
+    def test_core_covers_exactly_the_general_regime(self, n, beta):
+        try:
+            general = regime_for(n, beta) is Regime.GENERAL
+        except SpecError:
+            general = False
+        if general:
+            assert math.isfinite(log_h_general(1.0, n, beta, 1.0))
+        else:
+            with pytest.raises(SpecError):
+                log_h_general(1.0, n, beta, 1.0)
+
 
 class TestLambdaFactor:
     def test_practical_mode_refuses(self):
@@ -639,8 +652,11 @@ class TestSampleCurve:
         dc = derive_constants(spec)
         with pytest.raises(SpecError):
             sample_curve(spec, dc, kind_for(spec), 1.0, 0.5, 10)
-        with pytest.raises(SpecError):
-            sample_curve(spec, dc, kind_for(spec), 0.5, 1.0, 1)
+        # a count that is not an integer >= 2
+        for count in (1, 2.5, np.float64(3.0), "3"):
+            with pytest.raises(SpecError, match="samples"):
+                sample_curve(spec, dc, kind_for(spec), 0.5, 1.0, count)
+        assert len(sample_curve(spec, dc, None, 0.5, 1.0, np.int64(3))) == 3
 
 
 @pytest.mark.parametrize(

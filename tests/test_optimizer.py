@@ -822,3 +822,64 @@ def test_scan_points_are_linspace_bitwise():
         minimize_scalar(f, lo, hi)
         us = np.linspace(math.log(lo), math.log(hi), 64)
         assert probes[:64] == [math.exp(u) for u in us]
+
+
+class TestCurveRange:
+    """``optimizer.curve_range``: the range ``mqshape criterion`` and demo 02 draw."""
+
+    @pytest.mark.parametrize(
+        "delta, hi",
+        [(0.1, 131035.56007954622), (0.01, 13103.55600795462),
+         (1e-3, 1637.9445009943277), (1e-5, 1637.9445009943277)],
+    )
+    def test_default_range_of_the_one_dimensional_demo_curves(self, delta, hi):
+        # demo 02's fixed-b0 curves: 1e3 c_min at coarse fills, 10 c0 at fine ones
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=delta, b0=1.0, mode=Mode.FIXED_B0)
+        dc = derive_constants(spec)
+        assert optimizer.curve_range(spec, dc) == (
+            dc.log_c_min.value, pytest.approx(hi, rel=1e-12)
+        )
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "n, beta, sigma, delta",
+        [(1, -1.0, 1.0, 1e-4), (2, -1.0, 1.0, 1e-22), (1, 1.0, 1.0, 1e-5),
+         (3, 1.0, 0.3, 1e-200), (1, 1.0, 1.0, 1e-200), (1, -1.0, 16.0, 1e-3)],
+    )
+    def test_default_end_shows_c_star_and_the_knee_below_the_cap(
+        self, n, beta, sigma, delta, mode
+    ):
+        spec = ProblemSpec(n=n, beta=beta, sigma=sigma, delta=delta, b0=1.0, mode=mode)
+        dc = derive_constants(spec)
+        lo, hi = optimizer.curve_range(spec, dc)
+        cap = finite_cap(spec, dc)
+        assert lo == dc.log_c_min.value < hi <= cap
+        assert math.isfinite(log_h_unified(hi, spec, dc))
+        try:
+            wanted = [1e3 * max(1.0, lo), 10.0 * optimal_c(spec, dc).c_star]
+        except NumericError:  # still falling at the cap: the range ends there
+            wanted = [cap]
+        if mode is Mode.FIXED_B0:
+            wanted.append(10.0 * dc.log_c0.value)
+        assert hi == min(max(wanted), cap)
+
+    def test_given_ends_are_kept(self):
+        spec = ProblemSpec(n=2, beta=1.0, sigma=1.0, delta=1e-3)
+        dc = derive_constants(spec)
+        assert optimizer.curve_range(spec, dc, 0.5, 2.0) == (0.5, 2.0)
+        assert optimizer.curve_range(spec, dc, c_lo=0.5) == (
+            0.5, 10.0 * optimal_c(spec, dc).c_star
+        )
+
+    def test_refusals(self):
+        spec = ProblemSpec(n=1, beta=1.0, sigma=1.0, delta=1e-3, mode=Mode.DILATION_INVARIANT)
+        dc = derive_constants(spec)
+        cap = finite_cap(spec, dc)
+        with pytest.raises(NumericError, match="range start"):
+            optimizer.curve_range(spec, dc, c_lo=cap)
+        with pytest.raises(NumericError, match="range end"):
+            optimizer.curve_range(spec, dc, c_hi=2.0 * cap)
+        # a spec no criterion covers is refused before the range is looked at
+        bad = ProblemSpec(n=1, beta=-0.5, sigma=1.0, delta=1e-3)
+        with pytest.raises(SpecError, match="no criterion"):
+            optimizer.curve_range(bad, derive_constants(bad), c_lo=1e300)

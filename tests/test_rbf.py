@@ -167,6 +167,19 @@ class TestNodeSet:
     def test_accepts_large_grid(self):
         assert uniform_grid(np.zeros(2), 1.0, 45, 2).count == 2025
 
+    def test_uniform_grid_input_validation(self):
+        # per_side is an integer >= 1, and the cube passes NodeSet's rule
+        for per_side in (0, 2.5, np.float64(3.0)):
+            with pytest.raises(InputError, match="per_side"):
+                uniform_grid(np.zeros(1), 1.0, per_side, 1)
+        with pytest.raises(InputError, match="dimension"):
+            uniform_grid(np.zeros(1), 1.0, 3, 2)
+        with pytest.raises(InputError, match="cube"):
+            uniform_grid(np.zeros(1), math.nan, 3, 1)
+        with pytest.raises(SpecError, match="dimension"):
+            uniform_grid(np.zeros(0), 1.0, 3, 0)
+        assert uniform_grid(np.zeros(2), 1.0, np.int64(3), 2).count == 9
+
 
 class TestFit:
     def test_single_node(self):

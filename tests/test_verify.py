@@ -145,6 +145,18 @@ class TestFillDistance:
         for size in (2.5, 3.0, np.float64(3.0)):
             with pytest.raises(InputError, match="integer"):
                 fill_distance(nodes.cube, nodes, size)
+        # NodeSet's cube rule: a positive finite side and a finite corner
+        bad_cubes = [
+            (np.zeros(1), -1.0),
+            (np.zeros(1), math.nan),
+            (np.zeros(1), math.inf),
+            (np.array([math.nan]), 1.0),
+        ]
+        for cube in bad_cubes:
+            with pytest.raises(InputError, match="cube"):
+                fill_distance(cube, nodes, 11)
+        # raw arrays, and nodes outside the cube, are still measured
+        assert fill_distance((np.zeros(1), 1.0), np.array([[2.0]]), 11) == 2.0
 
 
 def kdtree_fill_distance(cube, pts, grid_per_side):
