@@ -11,6 +11,13 @@ e^{2 n gamma_n}, which already for n = 4 equals e^{5056} and overflows
 double precision, so every quantity that can carry that factor is stored
 as a natural logarithm.
 
+The module also owns the input rules that the other modules share, each
+with one message: the dimension n is an integer >= 1
+(:func:`_validate_dimension`), the shape parameter c is a positive
+finite real (:func:`_require_positive_c`), as are sigma, delta and b0
+(:func:`_require_positive_finite`), and a sample or grid size is an
+integer of at least a given value (:func:`_is_count`).
+
 All functions here are pure; the records are immutable and safe to share
 between threads.  They do without the ``dataclass`` decorator, whose
 module import and generated methods cost a fresh process more than the
@@ -86,6 +93,13 @@ def _require_positive_finite(value, name: str):
     if not (value > 0.0 and math.isfinite(value)):
         raise SpecError(f"{name} must be a positive finite real, got {value}")
     return value
+
+
+def _require_positive_c(c) -> float:
+    """``c`` as a float, unless it is not a positive finite real: a finite c
+    whose square overflows is a numeric failure, but c = inf is no shape
+    parameter at all (:class:`SpecError`)."""
+    return _require_positive_finite(float(c), "shape parameter c")
 
 
 def _is_count(value, least: int) -> bool:
@@ -380,9 +394,7 @@ class DerivedConstants(NamedTuple):
         return math.log(self.spec.delta) + self._log_min_c_c0(log_c) - self.log_c_min.log_value
 
     def log_fill_cap(self, c: float) -> float:
-        if not c > 0.0:
-            raise SpecError(f"shape parameter c must be positive, got {c}")
-        return self.log_fill_cap_at_log_c(math.log(c))
+        return self.log_fill_cap_at_log_c(math.log(_require_positive_c(c)))
 
     def admits(self, log_c: float) -> bool:
         """Whether delta <= delta0(c), i.e. c_min <= min(c, c0); the 1e-12
@@ -401,28 +413,16 @@ def derive_constants(spec: ProblemSpec) -> DerivedConstants:
     log_rho = math.log(rho)
     half_log_n = 0.5 * math.log(n)
 
-    log_c_min = (
-        _LN12
-        + log_rho
-        + half_log_n
-        + two_n_gamma
-        + math.log(gamma_n)
-        + math.log(m + 1.0)
-        + math.log(spec.delta)
-    )
+    # log of 12 rho sqrt(n) e^{2 n gamma_n} gamma_n, which c_min and eta
+    # share; Python sums left to right, so both keep their full sums' bits
+    log_scale = _LN12 + log_rho + half_log_n + two_n_gamma + math.log(gamma_n)
+    log_c_min = log_scale + math.log(m + 1.0) + math.log(spec.delta)
     log_c0 = None
     if spec.b0 is not None:
         log_c0 = LogScalar(
             _LN3 + math.log(spec.b0) + log_rho + half_log_n + two_n_gamma
         )
-    eta_log_abs = _LN_LN_3_2 - (
-        _LN12
-        + log_rho
-        + half_log_n
-        + two_n_gamma
-        + math.log(gamma_n)
-        + math.log(spec.delta)
-    )
+    eta_log_abs = _LN_LN_3_2 - (log_scale + math.log(spec.delta))
     log_d0 = d0_constant(n, spec.beta) if spec.beta > 0 else None
 
     return DerivedConstants(

@@ -44,7 +44,14 @@ import sys
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .constants import DerivedConstants, Mode, ProblemSpec, _is_count, _require_positive_finite
+from .constants import (
+    DerivedConstants,
+    Mode,
+    ProblemSpec,
+    _is_count,
+    _require_positive_c,
+    _require_positive_finite,
+)
 from .errors import SpecError
 
 __all__ = [
@@ -112,10 +119,6 @@ def regime_for(n: int, beta: float) -> Regime:
 
 def kind_for(spec: ProblemSpec) -> CriterionKind:
     return CriterionKind(regime_for(spec.n, spec.beta), spec.mode)
-
-
-def _require_positive_c(c: float) -> float:
-    return _require_positive_finite(float(c), "shape parameter c")
 
 
 def _logaddexp(a: float, b: float) -> float:

@@ -3,9 +3,11 @@
 The kernel is h(x) = Gamma(-beta/2) (c^2 + |x|^2)^(beta/2).  The
 prefactor Gamma(-beta/2) comes from :func:`math.gamma`; a pole (beta a
 nonnegative even integer) or an overflow (beta below about -343) is a
-:class:`SpecError`.  A shape parameter so large that c^2 or the kernel
-values overflow gives infinite or zero matrix entries, which the solve
-reports as a :class:`ConditioningError`.  For beta > 0 the kernel is
+:class:`SpecError`, and so are a dimension n that is not an integer
+>= 1 and a shape parameter c that is not a positive finite real, by the
+rules of :mod:`mqshape.constants`.  A finite c so large that c^2 or the
+kernel values overflow gives infinite or zero matrix entries, which the
+solve reports as a :class:`ConditioningError`.  For beta > 0 the kernel is
 conditionally positive definite of order m = ceil(beta/2) and the
 interpolant carries a polynomial tail of degree m - 1 plus moment side
 conditions on the kernel coefficients; for beta < 0 the tail is empty.
@@ -61,7 +63,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .constants import _is_count, _Record, _validate_dimension, cpd_order
+from .constants import _is_count, _Record, _require_positive_c, _validate_dimension, cpd_order
 from .errors import ConditioningError, InputError, SpecError
 
 __all__ = [
@@ -95,8 +97,8 @@ class Kernel(_Record):
     __slots__ = ("c", "beta", "n", "gamma_factor")
 
     def __init__(self, c: float, beta: float, n: int):
-        if not c > 0.0:
-            raise SpecError(f"shape parameter c must be positive, got {c}")
+        _require_positive_c(c)
+        _validate_dimension(n)
         try:
             g = math.gamma(-beta / 2.0)
         except (ValueError, OverflowError):  # a pole, or beyond double range
@@ -150,6 +152,21 @@ def _points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InputError("node coordinates must be finite")
     return pts
+
+
+def _point_batch(x, n: int) -> Tuple[np.ndarray, bool]:
+    """(points, one) for ``x``, one point or a (k, n) batch of them: the
+    points as a (k, n) float array, and whether ``x`` is one point, a
+    scalar or an n-vector, whose value is a float rather than an array.
+    Any other shape raises :class:`InputError`."""
+    pts = np.asarray(x, dtype=float)
+    batch = np.atleast_2d(pts)
+    if batch.ndim > 2 or batch.shape[1] != n:
+        raise InputError(
+            f"evaluation points must be one point of dimension {n} or a (k, {n}) batch, "
+            f"got shape {pts.shape}"
+        )
+    return batch, pts.ndim < 2
 
 
 def _cube(cube, n: int) -> Tuple[np.ndarray, float]:
@@ -302,8 +319,7 @@ def poly_basis(m: int, n: int) -> List[Tuple[int, ...]]:
     """
     if m < 0:
         raise SpecError(f"order must be >= 0, got {m}")
-    if n < 1:
-        raise SpecError(f"dimension must be >= 1, got {n}")
+    _validate_dimension(n)
     basis: List[Tuple[int, ...]] = []
 
     def compositions(total: int, parts: int):
@@ -568,16 +584,10 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     )
 
 
-def evaluate(interp: Interpolant, x) -> np.ndarray:
-    """Evaluate the interpolant at one point (n,) or a batch (k, n)."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != interp.nodes.dim:
-        raise InputError(
-            f"evaluation points have dimension {pts.shape[1]}, "
-            f"expected {interp.nodes.dim}"
-        )
+def evaluate(interp: Interpolant, x):
+    """Evaluate the interpolant at one point (n,), a float, or at a batch
+    (k, n), an array (:func:`_point_batch`); in 1-D a scalar is one point."""
+    pts, one = _point_batch(x, interp.nodes.dim)
     nodes, kernel = interp.nodes, interp.kernel
     s = np.empty(pts.shape[0])
     with np.errstate(**_BEYOND_RANGE):
@@ -588,7 +598,7 @@ def evaluate(interp: Interpolant, x) -> np.ndarray:
         s *= kernel.gamma_factor
     if interp.poly_exponents:
         s += _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs
-    return float(s[0]) if single else s
+    return float(s[0]) if one else s
 
 
 def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:

@@ -40,6 +40,7 @@ from .constants import (
     ProblemSpec,
     _is_count,
     _Record,
+    _require_positive_c,
     _require_positive_finite,
     _validate_dimension,
     derive_constants,
@@ -52,6 +53,7 @@ from .rbf import (
     NodeSet,
     _cube,
     _difference_rhs,
+    _point_batch,
     _points,
     _sq_dists,
     _tensor_grid,
@@ -94,17 +96,15 @@ class GaussianBump(_Record):
             raise SpecError(f"center must be finite, got {center}")
         self._set(a, n, amplitude, center)
 
-    def __call__(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[1] != self.n:
-            raise InputError(
-                f"points have dimension {pts.shape[1]}, expected {self.n}"
-            )
+    def __call__(self, x):
+        """The bump at one point, a float, or at a (k, n) batch, an array
+        (:func:`mqshape.rbf._point_batch`)."""
+        pts, one = _point_batch(x, self.n)
         if self.center is not None:
             pts = pts - np.asarray(self.center, dtype=float)
         r2 = np.sum(pts ** 2, axis=1)
         out = self.amplitude * np.exp(-self.a * r2)
-        return out if np.ndim(x) > 1 else float(out[0])
+        return float(out[0]) if one else out
 
 
 def e_sigma_norm(f: GaussianBump, sigma: float) -> float:
@@ -198,8 +198,7 @@ def error_bound(
     when ``dc.admits`` refuses c: the fill distance exceeds the admissible
     cap delta0(c) = delta min(c, c0) / c_min.
     """
-    if not c > 0.0:
-        raise SpecError(f"shape parameter c must be positive, got {c}")
+    _require_positive_c(c)
     if not f_norm >= 0.0:
         raise SpecError(f"function norm must be >= 0, got {f_norm}")
 

@@ -422,6 +422,18 @@ class TestFitCommand:
         assert out == ""
         assert "numeric failure" in err
 
+    def test_infinite_shape_parameter_is_an_input_error(self, capsys, tmp_path):
+        # c = inf is no shape parameter: exit 2, not the numeric failure
+        # (exit 3) of a finite c whose square overflows
+        path = tmp_path / "nodes.csv"
+        path.write_text("0.0,1.0\n0.5,2.0\n1.0,3.0\n")
+        code, out, err = run_cli(
+            capsys, ["fit", "--n", "1", "--beta", "-1", "--c", "inf", "--nodes", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape parameter c must be a positive finite real, got inf\n"
+
     @pytest.mark.parametrize(
         "beta, count, c", [("-1", 11, "0.5"), ("-1", 41, "20"), ("1", 11, "0.5")]
     )
@@ -508,6 +520,20 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "integer >= 2" in err
+
+    def test_infinite_shape_parameter_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
+        code, out, err = run_cli(
+            capsys,
+            [
+                "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0",
+                "--b0", "1.0", "--gauss-a", "0.25", "--c", "inf", "--nodes", str(path),
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape parameter c must be a positive finite real, got inf\n"
 
     def test_requires_cube_side(self, capsys, tmp_path):
         path = tmp_path / "nodes.csv"

@@ -275,6 +275,39 @@ def test_fill_cap_is_flat_beyond_the_knee():
         assert dc.log_fill_cap(2.0 * c0) == dc.log_fill_cap(10.0 * c0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_fill_cap_refuses_a_shape_parameter_that_is_not_positive_finite(c):
+    # c = inf returned the cap at the knee c0, log(1/8) = -2.079
+    dc = derive_constants(ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0))
+    with pytest.raises(SpecError, match="shape parameter c must be a positive finite real"):
+        dc.log_fill_cap(c)
+
+
+# float.hex of (log c_min, eta_log_abs, log c0) as formed by summing each
+# one's logs in full, left to right; c_min and eta share the scale
+# 12 rho sqrt(n) e^{2 n gamma_n} gamma_n, and forming it once must keep
+# these bits
+DERIVED_BITS = [
+    ((1, -1.0, 1e-2, None), "0x1.49544052782cep+1", "-0x1.bce0985bd6b46p+1", None),
+    ((1, -1.0, 1e-2, 1.0), "0x1.49544052782cep+1", "-0x1.bce0985bd6b46p+1", "0x1.464fa9eab40c3p+2"),
+    ((1, 1.0, 1e-50, None), "-0x1.ad083f368cf16p+6", "0x1.ac31a4d621446p+6", None),
+    ((2, -1.0, 1e-5, 2.0), "0x1.4e6d7d2efbdadp+5", "-0x1.55a642af91c35p+5", "0x1.911b4e5cf4574p+5"),
+    ((2, 3.0, 1e-200, None), "-0x1.961a1df1d9ae6p+8", "0x1.964c43e971c19p+8", None),
+    ((3, -1.0, 1e-100, 0.5), "0x1.ead7169cc5b6ap+7", "-0x1.eca547fceb30cp+7", "0x1.d53e116bcd39ep+8"),
+    ((3, 0.5, 1e-3, None), "0x1.d52d22e20c816p+8", "-0x1.d562c97a276c9p+8", None),
+    ((4, 1.0, 1e-200, 1e10), "0x1.1fdcd961d282bp+12", "-0x1.1fe033cb54316p+12", "0x1.3d8d14eea454cp+12"),
+]
+
+
+@pytest.mark.parametrize("problem, log_c_min, eta_log_abs, log_c0", DERIVED_BITS)
+def test_derived_logs_are_pinned_to_the_bit(problem, log_c_min, eta_log_abs, log_c0):
+    n, beta, delta, b0 = problem
+    dc = derive_constants(ProblemSpec(n=n, beta=beta, sigma=1.0, delta=delta, b0=b0))
+    assert dc.log_c_min.log_value.hex() == log_c_min
+    assert dc.eta_log_abs.hex() == eta_log_abs
+    assert (None if dc.log_c0 is None else dc.log_c0.log_value.hex()) == log_c0
+
+
 def test_log_scalar_arithmetic():
     a = LogScalar.from_value(3.0)
     b = LogScalar.from_value(4.0)

@@ -105,6 +105,17 @@ class TestKernel:
         with pytest.raises(SpecError):
             Kernel(c=1.0, beta=2.0, n=1)  # prefactor has a pole
 
+    def test_rejects_infinite_shape_parameter(self):
+        # a finite c whose square overflows is a numeric failure of the
+        # solve; c = inf is no shape parameter at all
+        with pytest.raises(SpecError, match="positive finite real, got inf"):
+            Kernel(c=math.inf, beta=-1.0, n=1)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_rejects_a_dimension_that_is_not_an_integer_of_at_least_one(self, n):
+        with pytest.raises(SpecError, match="dimension n must be"):
+            Kernel(c=1.0, beta=-1.0, n=n)
+
     @pytest.mark.parametrize(
         "beta", [-343.0, -200.5, -41.3, -11.68, -7.0, -3.0, -1.0, -0.5,
                  0.5, 1.0, 3.0, 5.5, 11.6, 41.0]
@@ -481,6 +492,13 @@ class TestEvaluate:
         nodes = uniform_grid(np.zeros(1), 1.0, 5, 1)
         interp = fit(Kernel(c=1.0, beta=-1.0, n=1), nodes, np.ones(5))
         assert isinstance(evaluate(interp, np.array([0.5])), float)
+
+    def test_one_dimensional_scalar_is_one_point(self):
+        nodes = uniform_grid(np.zeros(1), 1.0, 5, 1)
+        interp = fit(Kernel(c=1.0, beta=-1.0, n=1), nodes, np.arange(5.0))
+        value = evaluate(interp, 0.5)
+        assert isinstance(value, float)
+        assert value == evaluate(interp, np.array([0.5]))
 
 
 class TestAssembly:

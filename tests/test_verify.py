@@ -115,6 +115,24 @@ class TestNorm:
         assert isinstance(f(0.5), float)
         assert f(np.array([[0.1], [0.2]])).shape == (2,)
 
+    def test_bump_and_interpolant_share_the_point_rule(self):
+        # one point, a scalar in 1-D or an n-vector, is a float; any other
+        # shape than (n,) or (k, n) is refused with one message (a (k, 2, 2)
+        # array read as a batch: evaluate raised ValueError, the bump
+        # returned a (k, 2) array)
+        nodes = uniform_grid(np.zeros(2), 1.0, 3, 2)
+        interp = fit(Kernel(c=1.0, beta=-1.0, n=2), nodes, np.zeros(9))
+        f = GaussianBump(a=0.25, n=2)
+        calls = (f, lambda x: evaluate(interp, x))
+        for x in (0.5, np.zeros(3), np.zeros((4, 1)), np.zeros((4, 2, 2))):
+            messages = set()
+            for call in calls:
+                with pytest.raises(InputError) as caught:
+                    call(x)
+                messages.add(str(caught.value))
+            assert len(messages) == 1
+        assert all(isinstance(call(np.full(2, 0.5)), float) for call in calls)
+
 
 class TestFillDistance:
     def test_single_center_node(self):
@@ -260,6 +278,25 @@ class TestErrorBound:
         with pytest.raises(SpecError):
             error_bound(spec, dc, 14.0, math.nan)
         assert error_bound(spec, dc, 14.0, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_one_shape_parameter_rule(self, c):
+        # the kernel, the fill cap, the bound and the criterion refuse the
+        # same shape parameters with the same message
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.01, b0=1.0)
+        dc = derive_constants(spec)
+        calls = [
+            lambda: Kernel(c=c, beta=-1.0, n=1),
+            lambda: dc.log_fill_cap(c),
+            lambda: error_bound(spec, dc, c, 1.0),
+            lambda: log_h_unified(c, spec, dc),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(SpecError) as caught:
+                call()
+            messages.add(str(caught.value))
+        assert messages == {f"shape parameter c must be a positive finite real, got {c}"}
 
     def test_fill_cap_precondition(self):
         spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.05, b0=1.0)
