@@ -62,6 +62,7 @@ _LAZY = {
     "NodeSet": "rbf",
     "condition_estimate": "rbf",
     "evaluate": "rbf",
+    "fill_distance": "rbf",
     "fit": "rbf",
     "kernel_eval": "rbf",
     "poly_basis": "rbf",
@@ -70,7 +71,6 @@ _LAZY = {
     "GaussianBump": "verify",
     "e_sigma_norm": "verify",
     "error_bound": "verify",
-    "fill_distance": "verify",
     "run_bound_experiment": "verify",
 }
 _LAZY_SUBMODULES = ("rbf", "verify")

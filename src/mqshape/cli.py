@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import json
 import math
@@ -42,19 +41,16 @@ from .optimizer import curve_range, optimal_c
 
 __all__ = ["main", "build_parser"]
 
-# rbf and verify names that this module's namespace offers without
-# importing them (and numpy) at load time: code that reads or wraps
-# ``cli.fit`` and the like, as the traced benchmark pass does, resolves
-# them here on first access.
-_LAZY = {
-    "fit": ".rbf",
-    "run_bound_experiment": ".verify",
-}
+# Package exports that this module's namespace offers without importing
+# them (and numpy) at load time: code that reads or wraps ``cli.fit`` and
+# the like, as the traced benchmark pass does, resolves them on first
+# access through the package, whose lazy table names their modules.
+_LAZY = ("fit", "run_bound_experiment")
 
 
 def __getattr__(name: str):
     if name in _LAZY:
-        return getattr(importlib.import_module(_LAZY[name], __package__), name)
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -13,10 +13,14 @@ as a natural logarithm.
 
 The module also owns the input rules that the other modules share, each
 with one message: the dimension n is an integer >= 1
-(:func:`_validate_dimension`), the shape parameter c is a positive
-finite real (:func:`_require_positive_c`), as are sigma, delta and b0
-(:func:`_require_positive_finite`), and a sample or grid size is an
-integer of at least a given value (:func:`_is_count`).
+(:func:`_validate_dimension`), the kernel exponent beta is a finite real
+other than a nonnegative even integer (:func:`_validate_beta`), the
+shape parameter c is a positive finite real (:func:`_require_positive_c`),
+as are sigma, delta and b0 (:func:`_require_positive_finite`), and a
+sample or grid size is an integer of at least a given value
+(:func:`_is_count`).  A real is a number that ``math`` takes, never a
+parsed string, and the real-number rules return it as a float with its
+bits (:func:`_require_real`).
 
 All functions here are pure; the records are immutable and safe to share
 between threads.  They do without the ``dataclass`` decorator, whose
@@ -68,10 +72,26 @@ class Mode(str, Enum):
     DILATION_INVARIANT = "dilation-invariant"
 
 
-def _validate_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise SpecError(f"kernel exponent beta must be finite, got {beta}")
+def _require_real(value, rule: str, admits) -> float:
+    """``value`` as a float with its bits, unless it is not a real number
+    or ``admits`` refuses that float: :class:`SpecError` with the message
+    ``rule``, then the value.  A real number is one that ``math`` takes,
+    by ``__float__`` or ``__index__``, so a string is refused rather than
+    parsed, and so is an integer beyond double range."""
+    try:
+        math.isfinite(value)
+    except (TypeError, OverflowError):
+        raise SpecError(f"{rule}, got {value!r}") from None
+    x = float(value)
+    if not admits(x):
+        raise SpecError(f"{rule}, got {x}")
+    return x
+
+
+def _validate_beta(beta) -> float:
+    """``beta`` as a float, unless it is not a finite real or is a
+    nonnegative even integer, where Gamma(-beta/2) has a pole (:class:`SpecError`)."""
+    beta = _require_real(beta, "kernel exponent beta must be a finite real", math.isfinite)
     if beta >= 0.0 and beta.is_integer() and int(beta) % 2 == 0:
         raise SpecError(
             f"kernel exponent beta={beta:g} is a nonnegative even integer, "
@@ -88,18 +108,17 @@ def _validate_dimension(n: int) -> int:
     return n
 
 
-def _require_positive_finite(value, name: str):
-    """``value``, unless it is not a positive finite real (:class:`SpecError`)."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise SpecError(f"{name} must be a positive finite real, got {value}")
-    return value
+def _require_positive_finite(value, name: str) -> float:
+    """``value`` as a float, unless it is not a positive finite real (:class:`SpecError`)."""
+    rule = f"{name} must be a positive finite real"
+    return _require_real(value, rule, lambda x: x > 0.0 and math.isfinite(x))
 
 
 def _require_positive_c(c) -> float:
     """``c`` as a float, unless it is not a positive finite real: a finite c
     whose square overflows is a numeric failure, but c = inf is no shape
     parameter at all (:class:`SpecError`)."""
-    return _require_positive_finite(float(c), "shape parameter c")
+    return _require_positive_finite(c, "shape parameter c")
 
 
 def _is_count(value, least: int) -> bool:
@@ -191,7 +210,7 @@ class ProblemSpec(_Record):
         mode: Mode = Mode.PRACTICAL,
     ):
         _validate_dimension(n)
-        _validate_beta(beta)
+        beta = _validate_beta(beta)
         _require_positive_finite(sigma, "sigma")
         _require_positive_finite(delta, "delta")
         if b0 is not None:

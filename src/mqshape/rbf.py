@@ -38,8 +38,10 @@ an offset cube loses no digits to cancellation.  The polynomial tail is
 built in the same frame, scaled to [-1, 1]^n, so its coefficients refer
 to the cube and not to the origin.
 
-Kernel values are formed in place, one row block of at most
-``_EVAL_BLOCK_ENTRIES`` entries at a time (:func:`_kernel_rows`): the
+Every scan over a matrix of distances or kernel values runs in row
+blocks of at most ``_EVAL_BLOCK_ENTRIES`` entries, by one rule
+(:func:`_row_blocks`).  Kernel values are formed in place, one row block
+at a time (:func:`_kernel_rows`): the
 squared distances (each coordinate difference one exact K = 2 matrix
 product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
@@ -50,6 +52,13 @@ it into the one saddle matrix it allocates, whose kernel rows are strided
 for beta > 0.  :func:`evaluate` reuses one block buffer and applies the factor
 once per evaluation point, so its memory does not grow with the number
 of evaluation points.
+
+The fill distance of a node set in its cube, the one property of the
+nodes that the error bound depends on, is measured by a nearest-node
+scan over a tensor grid (:func:`fill_distance`), in the same row blocks
+and from the same squared distances, that skips the nodes too far along
+the first axis to be nearest; it is exact, needs no spatial index and,
+like the rest of the package apart from the linear solve, no scipy.
 """
 
 from __future__ import annotations
@@ -59,11 +68,13 @@ import importlib.util
 import math
 import os
 import sys
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .constants import _is_count, _Record, _require_positive_c, _validate_dimension, cpd_order
+from .constants import (
+    _is_count, _Record, _require_positive_c, _validate_beta, _validate_dimension, cpd_order
+)
 from .errors import ConditioningError, InputError, SpecError
 
 __all__ = [
@@ -76,12 +87,15 @@ __all__ = [
     "evaluate",
     "condition_estimate",
     "uniform_grid",
+    "fill_distance",
 ]
 
-# Entries per row block in _kernel_rows(), which serves both assembly and
-# evaluate(), and in verify.fill_distance(): each block is 512 KiB, so its
-# working set stays in a core's L2 cache and memory does not grow with the
-# number of evaluation points.
+# Entries per row block of _row_blocks(), the one blocking rule of every
+# scan over a matrix of distances or kernel values: assembly and evaluate()
+# (through _kernel_rows()), fill_distance(), and the norm, copy and product
+# passes of _factor().  Each block is 512 KiB, so its working set stays in
+# a core's L2 cache and memory does not grow with the number of evaluation
+# points.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may
@@ -97,11 +111,12 @@ class Kernel(_Record):
     __slots__ = ("c", "beta", "n", "gamma_factor")
 
     def __init__(self, c: float, beta: float, n: int):
-        _require_positive_c(c)
+        c = _require_positive_c(c)
+        beta = _validate_beta(beta)  # the poles of Gamma(-beta/2) are refused
         _validate_dimension(n)
         try:
             g = math.gamma(-beta / 2.0)
-        except (ValueError, OverflowError):  # a pole, or beyond double range
+        except OverflowError:
             g = math.inf
         if not math.isfinite(g):
             raise SpecError(
@@ -234,6 +249,59 @@ def _tensor_grid(corner: np.ndarray, side: float, per_side: int, n: int) -> np.n
     return np.column_stack([m.ravel() for m in mesh])
 
 
+def fill_distance(
+    cube: Tuple, nodes: Union[NodeSet, np.ndarray], grid_per_side: int
+) -> float:
+    """Approximate worst-case distance from the cube to the node set.
+
+    Maximizes the nearest-node distance over a uniform tensor grid with
+    grid_per_side points per axis (endpoints included), converging to the
+    true supremum from below as the grid refines.  The grid is scanned in
+    the row blocks of :func:`_row_blocks`, as :func:`evaluate` scans its
+    points, so memory stays bounded.  The nodes are sorted by their
+    first coordinate, and a block scans only the nodes within a radius r
+    of its first-coordinate range, r an upper bound on every nearest-node
+    distance in the block: a node farther than r along that axis cannot be
+    nearest, so the result equals that of an exhaustive scan.  r is the
+    previous block's largest nearest-node distance; a block whose own
+    largest exceeds it is scanned again with that larger radius.
+
+    The cube and raw node arrays are checked by :class:`NodeSet`'s rules
+    (:class:`InputError`), but the nodes need not lie inside the cube.
+    """
+    if not _is_count(grid_per_side, 2):
+        raise InputError(f"grid_per_side must be an integer >= 2, got {grid_per_side!r}")
+    pts = nodes.points if isinstance(nodes, NodeSet) else _points(nodes)
+    corner, side = _cube(cube, pts.shape[1])
+    grid = _tensor_grid(corner, side, grid_per_side, pts.shape[1])
+
+    rhs = _difference_rhs(pts[np.argsort(pts[:, 0], kind="stable")])
+    keys = rhs[0, 0]
+    lhs = np.ones((next(_row_blocks(grid.shape[0], len(keys))).stop, 2))
+
+    def nearest_sq(block: np.ndarray, radius: float) -> np.ndarray:
+        lo, hi = block[:, 0].min(), block[:, 0].max()
+        # relative slack so that rounding in the window bounds never drops
+        # a node that could be nearest; a wider window only costs time
+        pad = radius * (1.0 + 1e-12) + 1e-12 * (abs(lo) + abs(hi))
+        i = np.searchsorted(keys, lo - pad, side="left")
+        j = np.searchsorted(keys, hi + pad, side="right")
+        if i == j:  # no node within the radius: scan them all
+            i, j = 0, len(keys)
+        return _sq_dists(block, rhs[:, :, i:j], lhs=lhs[:len(block)]).min(axis=1)
+
+    radius = math.inf
+    worst_sq = 0.0
+    for rows in _row_blocks(grid.shape[0], len(keys)):
+        block = grid[rows]
+        block_sq = nearest_sq(block, radius).max()
+        if math.sqrt(block_sq) > radius:
+            block_sq = nearest_sq(block, math.sqrt(block_sq)).max()
+        radius = math.sqrt(block_sq)
+        worst_sq = max(worst_sq, block_sq)
+    return math.sqrt(worst_sq)
+
+
 def _difference_rhs(y: np.ndarray) -> np.ndarray:
     """The (n, 2, M) right-hand sides [y_a; -1], one per axis a, of the
     products that :func:`_sq_dists` forms its coordinate differences with,
@@ -277,9 +345,20 @@ def _sq_dists(x: np.ndarray, rhs: np.ndarray, out=None, diff=None, lhs=None) -> 
     return d2
 
 
+def _row_blocks(count: int, width: int, entries: int = _EVAL_BLOCK_ENTRIES):
+    """The slices of ``count`` rows of ``width`` entries each, in order,
+    that hold at most ``entries`` entries each, or one row each when a row
+    alone holds more: a temporary of all the rows would be page-faulted
+    in anew on every call.  Every slice but the last has the length of
+    the first, so a consumer sizes its buffers from that one."""
+    step = max(1, entries // width)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, entries=_EVAL_BLOCK_ENTRIES):
-    """Yield (rows, block) for each row block of x of at most ``entries``
-    entries: ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
+    """Yield (rows, block) for each row block of x (:func:`_row_blocks`
+    with ``entries``): ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
     for the rows ``rows`` of x and every row of y, without the factor
     Gamma(-beta/2).  The blocks are one contiguous buffer that every
     block reuses: each fresh 512 KiB array would be page-faulted in
@@ -289,16 +368,14 @@ def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, entries=_EVAL_BLO
     left-hand side of :func:`_sq_dists`; the scratch for the second and
     later axes is allocated only for n > 1.
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
-    count = x.shape[0]
+    count, width = x.shape[0], y.shape[0]
     rhs = _difference_rhs(y)
-    step = max(1, entries // y.shape[0])
-    shape = (min(step, count), y.shape[0])
+    shape = (next(_row_blocks(count, width, entries), slice(0, 0)).stop, width)
     buffer = np.empty(shape)
     diff = np.empty(shape) if x.shape[1] > 1 else None
     lhs = np.ones((shape[0], 2))
-    for start in range(0, count, step):
-        rows = slice(start, min(start + step, count))
-        size = rows.stop - start
+    for rows in _row_blocks(count, width, entries):
+        size = rows.stop - rows.start
         block = buffer[:size]
         _sq_dists(
             x[rows], rhs, out=block, diff=None if diff is None else diff[:size], lhs=lhs[:size]
@@ -391,15 +468,6 @@ def _lapack():
     return module
 
 
-def _row_blocks(size: int):
-    """Slices of the rows of a square matrix of order ``size``, each of at
-    most _EVAL_BLOCK_ENTRIES entries: a matrix-sized temporary would be
-    page-faulted in on every fit."""
-    step = max(1, _EVAL_BLOCK_ENTRIES // size)
-    for start in range(0, size, step):
-        yield slice(start, min(start + step, size))
-
-
 def _factor(matrix: np.ndarray, positive_definite: bool):
     """(solve, cond, factorization, product) for a bitwise symmetric
     matrix A, which it consumes: ``solve(b)`` solves A x = b from one
@@ -426,7 +494,7 @@ def _factor(matrix: np.ndarray, positive_definite: bool):
     lapack = _lapack()
     size = matrix.shape[0]
     # ||A||_1, the largest column sum of |A|, a row block at a time
-    col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size))
+    col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size, size))
     anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         message = "saddle system is numerically singular (cond ~ inf)"
@@ -484,7 +552,7 @@ def _symmetric_copy(upper: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     ``upper`` and whose diagonal is ``diagonal``, built a row block at a
     time: every entry is copied, so it equals the original to the bit."""
     full = np.empty_like(upper)
-    for rows in _row_blocks(upper.shape[0]):
+    for rows in _row_blocks(*upper.shape):
         full[rows, :rows.start] = upper[:rows.start, rows].T
         full[rows, rows] = _diagonal_block(upper, diagonal, rows)
         full[rows, rows.stop:] = upper[rows, rows.stop:]
@@ -497,7 +565,7 @@ def _symmetric_product(upper: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -
     each block's part right of the diagonal serves its own rows and,
     transposed, the rows below it."""
     y = np.zeros_like(x)
-    for rows in _row_blocks(upper.shape[0]):
+    for rows in _row_blocks(*upper.shape):
         right = upper[rows, rows.stop:]
         y[rows] += _diagonal_block(upper, diagonal, rows) @ x[rows] + right @ x[rows.stop:]
         y[rows.stop:] += right.T @ x[rows]

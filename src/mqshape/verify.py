@@ -5,11 +5,9 @@ closes the loop by fitting interpolants to concrete target functions,
 measuring the worst-case error on a grid, and comparing against the full
 error bound (constant prefactors included).  Bounds and errors are
 compared in the log domain because the convergence factor alone can span
-hundreds of orders of magnitude.  The fill distance is measured by a
-nearest-node scan over a tensor grid, in row blocks no larger than those
-of :func:`mqshape.rbf.evaluate`, that skips the nodes too far along the
-first axis to be nearest; it is exact, needs no spatial index and, like
-the rest of the package apart from the linear solve, no scipy.
+hundreds of orders of magnitude.  The fill distance at which the bound
+is evaluated is measured by :func:`mqshape.rbf.fill_distance`, which
+this module re-exports.
 
 The bound is c-independent constants plus the criterion log H(c) of
 :mod:`mqshape.criterion`, the formula the optimizer minimizes.  Its
@@ -30,7 +28,7 @@ everywhere in this module.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,19 +45,7 @@ from .constants import (
 )
 from .criterion import Regime, finite_cap, log_h_unified, regime_for
 from .errors import InputError, NumericError, PreconditionError, SpecError
-from .rbf import (
-    _EVAL_BLOCK_ENTRIES,
-    Kernel,
-    NodeSet,
-    _cube,
-    _difference_rhs,
-    _point_batch,
-    _points,
-    _sq_dists,
-    _tensor_grid,
-    evaluate,
-    fit,
-)
+from .rbf import Kernel, NodeSet, _point_batch, _tensor_grid, evaluate, fill_distance, fit
 
 __all__ = [
     "GaussianBump",
@@ -126,60 +112,6 @@ def e_sigma_norm(f: GaussianBump, sigma: float) -> float:
         * (math.pi / f.a) ** (0.5 * f.n)
         * (math.pi / kappa) ** (0.25 * f.n)
     )
-
-
-def fill_distance(
-    cube: Tuple, nodes: Union[NodeSet, np.ndarray], grid_per_side: int
-) -> float:
-    """Approximate worst-case distance from the cube to the node set.
-
-    Maximizes the nearest-node distance over a uniform tensor grid with
-    grid_per_side points per axis (endpoints included), converging to the
-    true supremum from below as the grid refines.  The grid is scanned in
-    row blocks of at most as many squared distances as :func:`evaluate`
-    holds at once, so memory stays bounded.  The nodes are sorted by their
-    first coordinate, and a block scans only the nodes within a radius r
-    of its first-coordinate range, r an upper bound on every nearest-node
-    distance in the block: a node farther than r along that axis cannot be
-    nearest, so the result equals that of an exhaustive scan.  r is the
-    previous block's largest nearest-node distance; a block whose own
-    largest exceeds it is scanned again with that larger radius.
-
-    The cube and raw node arrays are checked by :class:`NodeSet`'s rules
-    (:class:`InputError`), but the nodes need not lie inside the cube.
-    """
-    if not _is_count(grid_per_side, 2):
-        raise InputError(f"grid_per_side must be an integer >= 2, got {grid_per_side!r}")
-    pts = nodes.points if isinstance(nodes, NodeSet) else _points(nodes)
-    corner, side = _cube(cube, pts.shape[1])
-    grid = _tensor_grid(corner, side, grid_per_side, pts.shape[1])
-
-    rhs = _difference_rhs(pts[np.argsort(pts[:, 0], kind="stable")])
-    keys = rhs[0, 0]
-    step = max(1, _EVAL_BLOCK_ENTRIES // len(keys))
-    lhs = np.ones((min(step, grid.shape[0]), 2))
-
-    def nearest_sq(block: np.ndarray, radius: float) -> np.ndarray:
-        lo, hi = block[:, 0].min(), block[:, 0].max()
-        # relative slack so that rounding in the window bounds never drops
-        # a node that could be nearest; a wider window only costs time
-        pad = radius * (1.0 + 1e-12) + 1e-12 * (abs(lo) + abs(hi))
-        i = np.searchsorted(keys, lo - pad, side="left")
-        j = np.searchsorted(keys, hi + pad, side="right")
-        if i == j:  # no node within the radius: scan them all
-            i, j = 0, len(keys)
-        return _sq_dists(block, rhs[:, :, i:j], lhs=lhs[:len(block)]).min(axis=1)
-
-    radius = math.inf
-    worst_sq = 0.0
-    for start in range(0, grid.shape[0], step):
-        block = grid[start:start + step]
-        block_sq = nearest_sq(block, radius).max()
-        if math.sqrt(block_sq) > radius:
-            block_sq = nearest_sq(block, math.sqrt(block_sq)).max()
-        radius = math.sqrt(block_sq)
-        worst_sq = max(worst_sq, block_sq)
-    return math.sqrt(worst_sq)
 
 
 def error_bound(

@@ -535,6 +535,25 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: shape parameter c must be a positive finite real, got inf\n"
 
+    def test_mode_leaves_the_document_unchanged(self, capsys, tmp_path):
+        # the bound takes its convergence factor from --b0, which verify
+        # requires, so --mode changes nothing
+        path = tmp_path / "nodes.csv"
+        path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))
+        outs = set()
+        for mode in ["practical", "fixed-b0", "dilation-invariant"]:
+            code, out, err = run_cli(
+                capsys,
+                [
+                    "verify", "--n", "1", "--beta", "-1", "--sigma", "1.0",
+                    "--b0", "1.0", "--gauss-a", "0.25", "--c", "65.5",
+                    "--nodes", str(path), "--mode", mode,
+                ],
+            )
+            assert (code, err) == (0, "")
+            outs.add(out)
+        assert len(outs) == 1 and json.loads(outs.pop())["satisfied"] is True
+
     def test_requires_cube_side(self, capsys, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("0.5\n")

@@ -367,6 +367,43 @@ def test_problem_spec_fields_and_defaults():
         ProblemSpec(1, -1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("beta", "-1", "kernel exponent beta must be a finite real, got '-1'"),
+        ("beta", b"-1", "kernel exponent beta must be a finite real, got b'-1'"),
+        ("beta", None, "kernel exponent beta must be a finite real, got None"),
+        ("sigma", "1.0", "sigma must be a positive finite real, got '1.0'"),
+        ("delta", "0.1", "delta must be a positive finite real, got '0.1'"),
+        ("b0", "1", "b0 must be a positive finite real, got '1'"),
+        ("sigma", 1j, "sigma must be a positive finite real, got 1j"),
+    ],
+)
+def test_problem_spec_refuses_values_that_are_not_real_numbers(field, value, message):
+    # a string beta was parsed and kept as the string, and a string sigma,
+    # delta or b0 raised TypeError
+    fields = dict(n=1, beta=-1.0, sigma=1.0, delta=0.1, b0=1.0)
+    fields[field] = value
+    with pytest.raises(SpecError) as caught:
+        ProblemSpec(**fields)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("beta", [-1, np.float64(-1.0), np.float32(0.3), np.float64(2.5e-7), True])
+def test_problem_spec_stores_beta_as_a_float_with_its_bits(beta):
+    spec = ProblemSpec(n=2, beta=beta, sigma=1.0, delta=1e-3)
+    assert type(spec.beta) is float and spec.beta.hex() == float(beta).hex()
+    assert spec == ProblemSpec(n=2, beta=float(beta), sigma=1.0, delta=1e-3)
+    assert derive_constants(spec) == derive_constants(spec.replace(beta=float(beta)))
+
+
+def test_an_integer_beyond_double_range_is_refused():
+    with pytest.raises(SpecError, match="sigma must be a positive finite real"):
+        ProblemSpec(n=1, beta=-1.0, sigma=10 ** 400, delta=0.1)
+    with pytest.raises(SpecError, match="kernel exponent beta must be a finite real"):
+        ProblemSpec(n=1, beta=-(10 ** 400), sigma=1.0, delta=0.1)
+
+
 def test_problem_spec_replace_validates_again():
     spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.1)
     moved = spec.replace(delta=0.2, b0=1.0, mode=Mode.FIXED_B0)

@@ -32,6 +32,7 @@ from mqshape.rbf import (
     _factor,
     _kernel_rows,
     _lapack,
+    _row_blocks,
     _saddle,
     _sq_dists,
 )
@@ -104,6 +105,26 @@ class TestKernel:
             Kernel(c=0.0, beta=-1.0, n=1)
         with pytest.raises(SpecError):
             Kernel(c=1.0, beta=2.0, n=1)  # prefactor has a pole
+
+    @pytest.mark.parametrize("c", ["1.0", b"1", "abc", None, 1j, [1.0]])
+    def test_rejects_a_shape_parameter_that_is_not_a_real_number(self, c):
+        # a string was parsed: Kernel(c="1.0") constructed and fit ran on it
+        with pytest.raises(SpecError, match="shape parameter c must be a positive finite real"):
+            Kernel(c=c, beta=-1.0, n=1)
+
+    @pytest.mark.parametrize("beta", ["-1", b"1", None])
+    def test_rejects_an_exponent_that_is_not_a_real_number(self, beta):
+        with pytest.raises(SpecError, match="kernel exponent beta must be a finite real"):
+            Kernel(c=1.0, beta=beta, n=1)
+
+    @pytest.mark.parametrize(
+        "c, beta", [(0.3, -1.0), (np.float64(0.1), np.float64(3.0)), (np.float32(0.1), -1), (2, 1)]
+    )
+    def test_stores_numeric_inputs_as_floats_with_their_bits(self, c, beta):
+        k = Kernel(c=c, beta=beta, n=1)
+        assert type(k.c) is float and type(k.beta) is float
+        assert k.c.hex() == float(c).hex() and k.beta.hex() == float(beta).hex()
+        assert k.radial(0.25) == Kernel(c=float(c), beta=float(beta), n=1).radial(0.25)
 
     def test_rejects_infinite_shape_parameter(self):
         # a finite c whose square overflows is a numeric failure of the
@@ -558,6 +579,33 @@ class TestAssembly:
             p[:, j] = frame[:, 0] ** i * frame[:, 1] ** k
         oracle = np.block([[a, p], [p.T, np.zeros((q, q))]])
         assert np.array_equal(_saddle(kern, nodes)[0], oracle)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("count", [0, 1, 40001])
+    @pytest.mark.parametrize("width", [1, 625, 1025, 1 << 17])
+    @pytest.mark.parametrize("entries", [_EVAL_BLOCK_ENTRIES, _EVAL_BLOCK_ENTRIES // 2])
+    def test_slices_cover_every_row_once_in_order(self, count, width, entries):
+        blocks = list(_row_blocks(count, width, entries))
+        covered = [i for rows in blocks for i in range(rows.start, rows.stop)]
+        assert covered == list(range(count))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert all(rows.step is None for rows in blocks) and all(sizes)
+        if width > entries:
+            assert set(sizes) <= {1}  # a row too wide for a block is its own
+        else:
+            assert all(size * width <= entries for size in sizes)
+        # the first slice is as long as the rule allows, and so is every
+        # slice but the last: buffers are sized from the first
+        if blocks:
+            assert sizes[0] == count or (sizes[0] + 1) * width > entries
+            assert all(size == sizes[0] for size in sizes[:-1])
+
+    def test_default_block_is_the_evaluation_block(self):
+        for count, width in [(40001, 625), (1024, 1024), (3, 1 << 17)]:
+            assert list(_row_blocks(count, width)) == list(
+                _row_blocks(count, width, _EVAL_BLOCK_ENTRIES)
+            )
 
 
 class TestMemory:

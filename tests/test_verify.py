@@ -176,6 +176,37 @@ class TestFillDistance:
         # raw arrays, and nodes outside the cube, are still measured
         assert fill_distance((np.zeros(1), 1.0), np.array([[2.0]]), 11) == 2.0
 
+    def test_one_function_beside_the_node_set(self):
+        # rbf owns the scan; verify and the package name the same function
+        import mqshape
+        import mqshape.rbf
+        import mqshape.verify
+
+        assert mqshape.verify.fill_distance is mqshape.rbf.fill_distance
+        assert mqshape.fill_distance is mqshape.rbf.fill_distance
+        assert mqshape.rbf.fill_distance.__module__ == "mqshape.rbf"
+
+    def test_experiment_measures_through_the_verify_binding(self, monkeypatch):
+        # code that wraps verify.fill_distance, as the traced benchmark
+        # pass does, sees every measurement of an experiment
+        import mqshape.verify
+
+        calls = []
+        real = mqshape.verify.fill_distance
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(mqshape.verify, "fill_distance", counted)
+        nodes = uniform_grid(np.zeros(1), 1.0, 11, 1)
+        spec = ProblemSpec(n=1, beta=-1.0, sigma=1.0, delta=0.05, b0=1.0)
+        f = GaussianBump(a=0.25, n=1, center=(0.5,))
+        c = 24.0 * math.exp(4.0) * 0.05 * 1.2
+        rep = run_bound_experiment(spec, f, nodes, c, eval_grid=101, grid_per_side=201)
+        assert calls == [201]
+        assert rep.delta_measured == real(nodes.cube, nodes, 201)
+
 
 def kdtree_fill_distance(cube, pts, grid_per_side):
     """Oracle: the same grid, nearest nodes from a KD-tree."""
