@@ -72,19 +72,23 @@ class Mode(str, Enum):
     DILATION_INVARIANT = "dilation-invariant"
 
 
-def _require_real(value, rule: str, admits) -> float:
+def _require_real(value, rule: str, admits, error=SpecError) -> float:
     """``value`` as a float with its bits, unless it is not a real number
-    or ``admits`` refuses that float: :class:`SpecError` with the message
-    ``rule``, then the value.  A real number is one that ``math`` takes,
-    by ``__float__`` or ``__index__``, so a string is refused rather than
-    parsed, and so is an integer beyond double range."""
+    or ``admits`` refuses that float: ``error`` (:class:`SpecError` unless
+    given) with the message ``rule``, then the value.  A real number is
+    one that ``math`` takes, by ``__float__`` or ``__index__``, so a
+    string is refused rather than parsed, and so is an integer beyond
+    double range.  A numpy complex value, whose ``__float__`` drops the
+    imaginary part, is refused too."""
     try:
+        if getattr(getattr(value, "dtype", None), "kind", None) == "c":
+            raise TypeError("a numpy complex value")
         math.isfinite(value)
     except (TypeError, OverflowError):
-        raise SpecError(f"{rule}, got {value!r}") from None
+        raise error(f"{rule}, got {value!r}") from None
     x = float(value)
     if not admits(x):
-        raise SpecError(f"{rule}, got {x}")
+        raise error(f"{rule}, got {x}")
     return x
 
 

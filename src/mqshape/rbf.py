@@ -45,20 +45,30 @@ at a time (:func:`_kernel_rows`): the
 squared distances (each coordinate difference one exact K = 2 matrix
 product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
-otherwise), then the factor Gamma(-beta/2).  Assembly forms each block
-in one contiguous buffer, with blocks of half the size so that the
-buffer and its scratch add no more than one full block would, and copies
-it into the one saddle matrix it allocates, whose kernel rows are strided
-for beta > 0.  :func:`evaluate` reuses one block buffer and applies the factor
-once per evaluation point, so its memory does not grow with the number
-of evaluation points.
+otherwise), then the factor Gamma(-beta/2).  The row blocks do not
+depend on each other, and numpy's ufuncs and ``matmul`` release the GIL,
+so assembly and :func:`evaluate` deal their blocks round-robin to one
+strand per CPU that the process may run on, no more strands than blocks
+(:func:`_deal_kernel_rows`); each strand reuses its own buffers and
+writes its own rows, and the output does not depend on the number of
+strands.  :func:`evaluate` keeps the serial slices, one full block per
+strand, because a row's matrix-vector product may round differently in
+a block of another height; it applies the factor once per evaluation
+point, so its memory does not grow with the number of evaluation points.
+Assembly does only elementwise work, so its strands share one block:
+each forms blocks of a half block divided by the number of strands in
+one contiguous buffer, so that the buffers and their scratch add no more
+than one full block would, and copies them into the one saddle matrix it
+allocates, whose kernel rows are strided for beta > 0.
 
 The fill distance of a node set in its cube, the one property of the
 nodes that the error bound depends on, is measured by a nearest-node
 scan over a tensor grid (:func:`fill_distance`), in the same row blocks
 and from the same squared distances, that skips the nodes too far along
 the first axis to be nearest; it is exact, needs no spatial index and,
-like the rest of the package apart from the linear solve, no scipy.
+like the rest of the package apart from the linear solve, no scipy.  It
+runs on one strand: each block's search radius comes from the block
+before it.
 """
 
 from __future__ import annotations
@@ -68,12 +78,19 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
 from .constants import (
-    _is_count, _Record, _require_positive_c, _validate_beta, _validate_dimension, cpd_order
+    _is_count,
+    _Record,
+    _require_positive_c,
+    _require_real,
+    _validate_beta,
+    _validate_dimension,
+    cpd_order,
 )
 from .errors import ConditioningError, InputError, SpecError
 
@@ -92,10 +109,11 @@ __all__ = [
 
 # Entries per row block of _row_blocks(), the one blocking rule of every
 # scan over a matrix of distances or kernel values: assembly and evaluate()
-# (through _kernel_rows()), fill_distance(), and the norm, copy and product
-# passes of _factor().  Each block is 512 KiB, so its working set stays in
-# a core's L2 cache and memory does not grow with the number of evaluation
-# points.
+# (through _deal_kernel_rows()), fill_distance(), and the norm, copy and
+# product passes of _factor().  Each block is 512 KiB, so its working set
+# stays in a core's L2 cache and memory does not grow with the number of
+# evaluation points.  evaluate() holds one block per strand, one strand per
+# CPU; assembly's strands share one block.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may
@@ -187,17 +205,19 @@ def _point_batch(x, n: int) -> Tuple[np.ndarray, bool]:
 def _cube(cube, n: int) -> Tuple[np.ndarray, float]:
     """(corner, side) of ``cube`` as a float array and a float, checked by
     :class:`NodeSet`'s rule: an n-vector corner and a positive side, all
-    finite (:class:`InputError`)."""
-    corner = np.asarray(cube[0], dtype=float).reshape(-1)
-    side = float(cube[1])
+    finite real numbers by :func:`mqshape.constants._require_real`, so a
+    string is refused rather than parsed (:class:`InputError`)."""
+    real = lambda v: _require_real(
+        v, "cube corner and side must be finite real numbers", math.isfinite, InputError
+    )
+    corner = np.array([real(v) for v in np.ravel(cube[0])])
+    side = real(cube[1])
     if corner.shape[0] != n:
         raise InputError(
             f"cube corner dimension {corner.shape[0]} does not match node dimension {n}"
         )
     if not side > 0.0:
         raise InputError(f"cube side must be positive, got {side}")
-    if not (np.isfinite(corner).all() and math.isfinite(side)):
-        raise InputError("cube corner and side must be finite")
     return corner, side
 
 
@@ -356,31 +376,90 @@ def _row_blocks(count: int, width: int, entries: int = _EVAL_BLOCK_ENTRIES):
         yield slice(start, min(start + step, count))
 
 
-def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, entries=_EVAL_BLOCK_ENTRIES):
-    """Yield (rows, block) for each row block of x (:func:`_row_blocks`
-    with ``entries``): ``block`` holds (c^2 + |x_i - y_j|^2)^(beta/2)
-    for the rows ``rows`` of x and every row of y, without the factor
-    Gamma(-beta/2).  The blocks are one contiguous buffer that every
-    block reuses: each fresh 512 KiB array would be page-faulted in
-    anew, and numpy's in-place steps run at half speed on rows strided
-    within a wider matrix.  y's
-    :func:`_difference_rhs` is built once, and so is the (rows, 2)
-    left-hand side of :func:`_sq_dists`; the scratch for the second and
-    later axes is allocated only for n > 1.
+def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks=None):
+    """Yield (rows, block) for each slice ``rows`` of x in ``blocks``, by
+    default every slice of :func:`_row_blocks`: ``block`` holds
+    (c^2 + |x_i - y_j|^2)^(beta/2) for those rows of x and every row of
+    y, without the factor Gamma(-beta/2).  The blocks are one contiguous
+    buffer, sized from the first slice, that every block reuses: each
+    fresh 512 KiB array would be page-faulted in anew, and numpy's
+    in-place steps run at half speed on rows strided within a wider
+    matrix.  y's :func:`_difference_rhs` is built once, and so is the
+    (rows, 2) left-hand side of :func:`_sq_dists`; the scratch for the
+    second and later axes is allocated only for n > 1.
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
-    count, width = x.shape[0], y.shape[0]
+    blocks = list(_row_blocks(x.shape[0], y.shape[0]) if blocks is None else blocks)
     rhs = _difference_rhs(y)
-    shape = (next(_row_blocks(count, width, entries), slice(0, 0)).stop, width)
+    first = blocks[0] if blocks else slice(0, 0)
+    shape = (first.stop - first.start, y.shape[0])
     buffer = np.empty(shape)
     diff = np.empty(shape) if x.shape[1] > 1 else None
     lhs = np.ones((shape[0], 2))
-    for rows in _row_blocks(count, width, entries):
+    for rows in blocks:
         size = rows.stop - rows.start
         block = buffer[:size]
         _sq_dists(
             x[rows], rhs, out=block, diff=None if diff is None else diff[:size], lhs=lhs[:size]
         )
         yield rows, kernel._power(block)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _deal_kernel_rows(
+    kernel: Kernel, x: np.ndarray, y: np.ndarray, consume, entries=_EVAL_BLOCK_ENTRIES,
+    shared=False,
+) -> None:
+    """Call ``consume(rows, block)`` on every (rows, block) of
+    :func:`_kernel_rows`, the slices dealt round-robin to one strand per
+    CPU (:func:`_cpu_count`), but to no more strands than there are
+    slices of ``entries`` entries (:func:`_row_blocks`).  Each strand
+    forms its blocks in its own buffers, under its own
+    ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a context
+    variable, which a new thread does not inherit), and ``consume`` must
+    write only the rows it is given.  Without ``shared`` the slices are
+    those of ``entries``, so a strand holds a block of ``entries``; with
+    ``shared`` the strands split ``entries`` between them.
+
+    The calling thread runs the first strand, and each other strand is a
+    thread of its own, started here and joined before this returns,
+    whether a strand raised or not; once one has raised, the others stop
+    at their next block, and the first exception is raised again here.
+    One strand starts no thread."""
+    count, width = x.shape[0], y.shape[0]
+    blocks = list(_row_blocks(count, width, entries))
+    strands = max(1, min(_cpu_count(), len(blocks)))
+    if shared:
+        blocks = list(_row_blocks(count, width, entries // strands))
+    failed = []
+
+    def strand(first: int) -> None:
+        try:
+            with np.errstate(**_BEYOND_RANGE):
+                for rows, block in _kernel_rows(kernel, x, y, blocks[first::strands]):
+                    if failed:
+                        return
+                    consume(rows, block)
+        except BaseException as exc:  # raised again by the caller
+            failed.append(exc)
+
+    threads = [threading.Thread(target=strand, args=(k,)) for k in range(1, strands)]
+    try:
+        for thread in threads:
+            thread.start()
+        strand(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _centred(nodes: NodeSet, x: np.ndarray) -> np.ndarray:
@@ -587,10 +666,8 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     # form each block in a contiguous buffer and copy it in: numpy's
     # in-place steps run at half speed on rows strided within the saddle
     # (beta > 0); the buffer and its scratch take half a block each
-    with np.errstate(**_BEYOND_RANGE):
-        blocks = _kernel_rows(kernel, centred, centred, entries=_EVAL_BLOCK_ENTRIES // 2)
-        for rows, block in blocks:
-            np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])
+    consume = lambda rows, block: np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])
+    _deal_kernel_rows(kernel, centred, centred, consume, _EVAL_BLOCK_ENTRIES // 2, shared=True)
     p = _poly_matrix(exponents, nodes, nodes.points)
     saddle[:count, count:] = p
     saddle[count:, :count] = p.T
@@ -658,11 +735,9 @@ def evaluate(interp: Interpolant, x):
     pts, one = _point_batch(x, interp.nodes.dim)
     nodes, kernel = interp.nodes, interp.kernel
     s = np.empty(pts.shape[0])
+    consume = lambda rows, block: np.matmul(block, interp.kernel_coeffs, out=s[rows])
+    _deal_kernel_rows(kernel, _centred(nodes, pts), _centred(nodes, nodes.points), consume)
     with np.errstate(**_BEYOND_RANGE):
-        for rows, block in _kernel_rows(
-            kernel, _centred(nodes, pts), _centred(nodes, nodes.points)
-        ):
-            np.matmul(block, interp.kernel_coeffs, out=s[rows])
         s *= kernel.gamma_factor
     if interp.poly_exponents:
         s += _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs

@@ -40,6 +40,7 @@ from .constants import (
     _Record,
     _require_positive_c,
     _require_positive_finite,
+    _require_real,
     _validate_dimension,
     derive_constants,
 )
@@ -74,12 +75,12 @@ class GaussianBump(_Record):
     ):
         _require_positive_finite(a, "gaussian width a")
         _validate_dimension(n)
-        if not math.isfinite(amplitude):
-            raise SpecError(f"amplitude must be finite, got {amplitude}")
+        amplitude = _require_real(amplitude, "amplitude must be a finite real", math.isfinite)
         if center is not None and len(center) != n:
             raise SpecError("center dimension does not match n")
-        if center is not None and not all(map(math.isfinite, center)):
-            raise SpecError(f"center must be finite, got {center}")
+        if center is not None:
+            rule = "center coordinates must be finite reals"
+            center = tuple(_require_real(v, rule, math.isfinite) for v in center)
         self._set(a, n, amplitude, center)
 
     def __call__(self, x):

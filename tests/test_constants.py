@@ -389,6 +389,19 @@ def test_problem_spec_refuses_values_that_are_not_real_numbers(field, value, mes
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "value", [np.complex128(1.0), np.complex64(1.0), np.clongdouble(1.0), np.array(1.0 + 0j)]
+)
+def test_numpy_complex_values_are_refused(value):
+    # float() of a numpy complex drops the imaginary part with a warning;
+    # a Python complex was already refused
+    for field in ("beta", "sigma"):
+        fields = dict(n=1, beta=-1.0, sigma=1.0, delta=0.1, b0=1.0)
+        fields[field] = value
+        with pytest.raises(SpecError, match="must be a"):
+            ProblemSpec(**fields)
+
+
 @pytest.mark.parametrize("beta", [-1, np.float64(-1.0), np.float32(0.3), np.float64(2.5e-7), True])
 def test_problem_spec_stores_beta_as_a_float_with_its_bits(beta):
     spec = ProblemSpec(n=2, beta=beta, sigma=1.0, delta=1e-3)

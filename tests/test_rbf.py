@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -18,16 +20,19 @@ from mqshape import (
     SpecError,
     condition_estimate,
     evaluate,
+    fill_distance,
     fit,
     kernel_eval,
     poly_basis,
     uniform_grid,
 )
 from mqshape.constants import cpd_order
+from mqshape import rbf
 from mqshape.rbf import (
     _BEYOND_RANGE,
     _EVAL_BLOCK_ENTRIES,
     _cond1,
+    _deal_kernel_rows,
     _difference_rhs,
     _factor,
     _kernel_rows,
@@ -211,6 +216,38 @@ class TestNodeSet:
         with pytest.raises(SpecError, match="dimension"):
             uniform_grid(np.zeros(0), 1.0, 3, 0)
         assert uniform_grid(np.zeros(2), 1.0, np.int64(3), 2).count == 9
+
+    @pytest.mark.parametrize(
+        "cube",
+        [
+            (np.zeros(1), "1.0"),
+            (np.zeros(1), b"1"),
+            (np.zeros(1), None),
+            (np.zeros(1), 1.0 + 0j),
+            (["0"], 1.0),
+            (np.array(["0.0"]), 1.0),
+            ([None], 1.0),
+            ([0j], 1.0),
+        ],
+        ids=["side-str", "side-bytes", "side-none", "side-complex", "corner-str",
+             "corner-str-array", "corner-none", "corner-complex"],
+    )
+    def test_cube_that_is_not_real_numbers_is_refused(self, cube):
+        # the cube rule refuses a string rather than parsing it, as the
+        # constants rules do, with the InputError of every other cube fault
+        with pytest.raises(InputError, match="cube"):
+            NodeSet(np.array([[0.5]]), cube)
+        with pytest.raises(InputError, match="cube"):
+            uniform_grid(cube[0], cube[1], 3, 1)
+        with pytest.raises(InputError, match="cube"):
+            fill_distance(cube, np.array([[0.5]]), 11)
+
+    def test_cube_of_numbers_keeps_its_bits(self):
+        corner = np.array([0.1, -np.pi])
+        for given in (corner, list(corner), corner.astype(np.float32), [0, np.int64(-3)]):
+            nodes = NodeSet(np.array([[0.5, -2.0]]), (given, np.float32(3.3)))
+            assert np.array_equal(nodes.cube[0], np.asarray(given, dtype=float))
+            assert nodes.cube[1] == float(np.float32(3.3)) and type(nodes.cube[1]) is float
 
 
 class TestFit:
@@ -606,6 +643,121 @@ class TestRowBlocks:
             assert list(_row_blocks(count, width)) == list(
                 _row_blocks(count, width, _EVAL_BLOCK_ENTRIES)
             )
+
+
+class TestStrands:
+    """The kernel row blocks are dealt to one strand per CPU; the strand
+    count may change neither a bit of the output nor a failure."""
+
+    @staticmethod
+    def outputs(kern, nodes, vals, xs):
+        interp = fit(kern, nodes, vals)
+        residuals = [interp.node_residual, interp.side_condition_residual]
+        return [_saddle(kern, nodes)[0], interp.kernel_coeffs, interp.poly_coeffs, residuals,
+                evaluate(interp, xs)]
+
+    @pytest.mark.parametrize(
+        "n, beta, c",
+        [(2, -1.0, 0.1), (2, 1.0, 0.1), (1, -1.0, 0.01), (1, 1.0, 0.01)],
+    )
+    def test_strand_count_changes_no_bit(self, monkeypatch, n, beta, c):
+        # 2-D: 400 nodes and 4096 points; 1-D: 641 nodes and 40001 points,
+        # whose width does not divide the block
+        rng = np.random.default_rng(13)
+        if n == 2:
+            nodes = perturbed_grid_2d(rng, 20, spacing=0.05)
+            xs = rng.uniform(0.0, nodes.cube[1], (4096, 2))
+        else:
+            nodes = uniform_grid(np.zeros(1), 1.0, 641, 1)
+            xs = np.linspace(0.0, 1.0, 40001)[:, None]
+        assert _EVAL_BLOCK_ENTRIES % nodes.count
+        assert len(list(_row_blocks(nodes.count, nodes.count, _EVAL_BLOCK_ENTRIES // 2))) >= 3
+        kern = Kernel(c=c, beta=beta, n=n)
+        vals = np.cos(3.0 * nodes.points.sum(axis=1))
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
+            runs.append(self.outputs(kern, nodes, vals, xs))
+        for run in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+
+    def test_every_row_is_consumed_once(self, monkeypatch):
+        # 1000 rows take 16 blocks of at most 65; evaluate's slices are
+        # the serial ones, and there are no more strands than blocks; a
+        # short switch interval interleaves the strands finely
+        x = np.linspace(0.0, 1.0, 1000)[:, None]
+        kern = Kernel(c=1.0, beta=-1.0, n=1)
+        with np.errstate(**_BEYOND_RANGE):
+            ref = np.concatenate([block.copy() for _, block in _kernel_rows(kern, x, x)])
+        serial = list(_row_blocks(len(x), len(x)))
+        for cpus, shared in [(1, False), (3, False), (3, True), (64, False)]:
+            monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
+            out = np.full_like(ref, np.nan)
+            seen = []
+
+            def consume(rows, block):
+                seen.append((rows, threading.current_thread()))
+                out[rows] = block
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _deal_kernel_rows(kern, x, x, consume, shared=shared)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(out, ref)
+            assert sum(rows.stop - rows.start for rows, _ in seen) == len(x)
+            if not shared:
+                assert sorted((rows for rows, _ in seen), key=lambda r: r.start) == serial
+            assert len({thread for _, thread in seen}) == min(cpus, len(serial))
+
+    def test_a_failing_strand_raises_in_the_caller_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
+        x = np.linspace(0.0, 1.0, 1000)[:, None]
+        kern = Kernel(c=1.0, beta=-1.0, n=1)
+
+        class Failure(Exception):
+            pass
+
+        def consume(rows, block):
+            if threading.current_thread() is not threading.main_thread():
+                raise Failure(rows.start)
+
+        before = threading.active_count()
+        with pytest.raises(Failure):
+            _deal_kernel_rows(kern, x, x, consume)
+        assert threading.active_count() == before
+
+        def consume_in_the_caller(rows, block):
+            if threading.current_thread() is threading.main_thread():
+                raise Failure(rows.start)
+
+        with pytest.raises(Failure):
+            _deal_kernel_rows(kern, x, x, consume_in_the_caller)
+        assert threading.active_count() == before
+
+    def test_one_strand_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        nodes = uniform_grid(np.zeros(1), 1.0, 11, 1)
+        interp = fit(Kernel(c=1.0, beta=-1.0, n=1), nodes, np.arange(11.0))
+        evaluate(interp, np.linspace(0.0, 1.0, 400)[:, None])
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 1)
+        evaluate(interp, np.linspace(0.0, 1.0, 40001)[:, None])
+        assert started == []
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_out_of_range_kernel_warns_in_no_strand(self, monkeypatch, c):
+        # numpy's error state is not inherited by a new thread: each strand
+        # sets its own, or c^2 overflows or underflows with a warning there
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
+        nodes = uniform_grid(np.zeros(1), 1.0, 300, 1)
+        assert len(list(_row_blocks(nodes.count, nodes.count, _EVAL_BLOCK_ENTRIES // 2))) >= 2
+        kern = Kernel(c=c, beta=-1.0, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError):
+                fit(kern, nodes, np.ones(nodes.count))
 
 
 class TestMemory:

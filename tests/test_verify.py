@@ -108,6 +108,23 @@ class TestNorm:
         with pytest.raises(SpecError):
             make()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(amplitude="1"), dict(amplitude=None), dict(amplitude=1j), dict(center=("0.5",)),
+         dict(center=(None,)), dict(center=(np.complex128(0.5),)), dict(center="5")],
+        ids=["amplitude-str", "amplitude-none", "amplitude-complex", "center-str",
+             "center-none", "center-complex", "center-one-str"],
+    )
+    def test_bump_refuses_values_that_are_not_real_numbers(self, fields):
+        # a string amplitude or center coordinate raised TypeError
+        with pytest.raises(SpecError, match="amplitude|center"):
+            GaussianBump(a=0.25, n=1, **fields)
+
+    def test_bump_stores_numeric_inputs_as_floats_with_their_bits(self):
+        f = GaussianBump(a=0.25, n=2, amplitude=np.float32(0.3), center=(1, np.float64(0.1)))
+        assert type(f.amplitude) is float and f.amplitude == float(np.float32(0.3))
+        assert f.center == (1.0, 0.1) and all(type(v) is float for v in f.center)
+
     def test_bump_rejects_wrong_point_dimension(self):
         f = GaussianBump(a=0.25, n=1)
         with pytest.raises(InputError):
