@@ -47,19 +47,20 @@ product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
 otherwise), then the factor Gamma(-beta/2).  The row blocks do not
 depend on each other, and numpy's ufuncs and ``matmul`` release the GIL,
-so assembly and :func:`evaluate` deal their blocks round-robin to one
-strand per CPU that the process may run on, no more strands than blocks
-(:func:`_deal_kernel_rows`); each strand reuses its own buffers and
-writes its own rows, and the output does not depend on the number of
-strands.  :func:`evaluate` keeps the serial slices, one full block per
-strand, because a row's matrix-vector product may round differently in
-a block of another height; it applies the factor once per evaluation
-point, so its memory does not grow with the number of evaluation points.
-Assembly does only elementwise work, so its strands share one block:
-each forms blocks of a half block divided by the number of strands in
-one contiguous buffer, so that the buffers and their scratch add no more
-than one full block would, and copies them into the one saddle matrix it
-allocates, whose kernel rows are strided for beta > 0.
+so :func:`evaluate` deals its blocks round-robin to one strand per CPU
+that the process may run on, no more strands than blocks
+(:func:`_deal_kernel_rows`).  Each strand holds one full block in its
+own buffers and writes its own rows, and the slices stay the serial ones,
+because a row's matrix-vector product may round differently in a block of
+another height; so the output does not depend on the number of strands.
+:func:`evaluate` applies the factor once per evaluation point, so its
+memory does not grow with the number of evaluation points.  Assembly
+forms each block in one contiguous buffer, with blocks of half the size
+so that the buffer and its scratch add no more than one full block
+would, and copies it into the one saddle matrix it allocates, whose
+kernel rows are strided for beta > 0.  It runs on one strand: within
+that one block's memory, strands would take blocks of a quarter or less,
+and on those numpy's calls are too short for two threads to overlap.
 
 The fill distance of a node set in its cube, the one property of the
 nodes that the error bound depends on, is measured by a nearest-node
@@ -109,11 +110,11 @@ __all__ = [
 
 # Entries per row block of _row_blocks(), the one blocking rule of every
 # scan over a matrix of distances or kernel values: assembly and evaluate()
-# (through _deal_kernel_rows()), fill_distance(), and the norm, copy and
-# product passes of _factor().  Each block is 512 KiB, so its working set
+# (through _kernel_rows()), fill_distance(), and the norm, copy and product
+# passes of _factor().  Each block is 512 KiB, so its working set
 # stays in a core's L2 cache and memory does not grow with the number of
 # evaluation points.  evaluate() holds one block per strand, one strand per
-# CPU; assembly's strands share one block.
+# CPU; assembly holds one block on one strand.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may
@@ -412,31 +413,22 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _deal_kernel_rows(
-    kernel: Kernel, x: np.ndarray, y: np.ndarray, consume, entries=_EVAL_BLOCK_ENTRIES,
-    shared=False,
-) -> None:
+def _deal_kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, consume) -> None:
     """Call ``consume(rows, block)`` on every (rows, block) of
-    :func:`_kernel_rows`, the slices dealt round-robin to one strand per
-    CPU (:func:`_cpu_count`), but to no more strands than there are
-    slices of ``entries`` entries (:func:`_row_blocks`).  Each strand
-    forms its blocks in its own buffers, under its own
-    ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a context
-    variable, which a new thread does not inherit), and ``consume`` must
-    write only the rows it is given.  Without ``shared`` the slices are
-    those of ``entries``, so a strand holds a block of ``entries``; with
-    ``shared`` the strands split ``entries`` between them.
+    :func:`_kernel_rows`, its slices those of :func:`_row_blocks` dealt
+    round-robin to one strand per CPU (:func:`_cpu_count`), but to no
+    more strands than there are slices.  Each strand holds one block in
+    its own buffers and runs under its own ``np.errstate(**_BEYOND_RANGE)``
+    (numpy's error state is a context variable, which a new thread does
+    not inherit); ``consume`` must write only the rows it is given.
 
     The calling thread runs the first strand, and each other strand is a
     thread of its own, started here and joined before this returns,
     whether a strand raised or not; once one has raised, the others stop
     at their next block, and the first exception is raised again here.
     One strand starts no thread."""
-    count, width = x.shape[0], y.shape[0]
-    blocks = list(_row_blocks(count, width, entries))
+    blocks = list(_row_blocks(x.shape[0], y.shape[0]))
     strands = max(1, min(_cpu_count(), len(blocks)))
-    if shared:
-        blocks = list(_row_blocks(count, width, entries // strands))
     failed = []
 
     def strand(first: int) -> None:
@@ -666,8 +658,10 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     # form each block in a contiguous buffer and copy it in: numpy's
     # in-place steps run at half speed on rows strided within the saddle
     # (beta > 0); the buffer and its scratch take half a block each
-    consume = lambda rows, block: np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])
-    _deal_kernel_rows(kernel, centred, centred, consume, _EVAL_BLOCK_ENTRIES // 2, shared=True)
+    with np.errstate(**_BEYOND_RANGE):
+        blocks = _row_blocks(count, count, _EVAL_BLOCK_ENTRIES // 2)
+        for rows, block in _kernel_rows(kernel, centred, centred, blocks):
+            np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])
     p = _poly_matrix(exponents, nodes, nodes.points)
     saddle[:count, count:] = p
     saddle[count:, :count] = p.T
