@@ -111,10 +111,10 @@ __all__ = [
 # Entries per row block of _row_blocks(), the one blocking rule of every
 # scan over a matrix of distances or kernel values: assembly and evaluate()
 # (through _kernel_rows()), fill_distance(), and the norm, copy and product
-# passes of _factor().  Each block is 512 KiB, so its working set
-# stays in a core's L2 cache and memory does not grow with the number of
-# evaluation points.  evaluate() holds one block per strand, one strand per
-# CPU; assembly holds one block on one strand.
+# passes of _factor().  Each block is 512 KiB, so its working set stays in
+# a core's L2 cache and memory does not grow with the number of evaluation
+# points.  evaluate() holds one block per strand, one strand per CPU
+# (_deal_kernel_rows()); assembly holds one block on one strand.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may

@@ -76,9 +76,9 @@ class GaussianBump(_Record):
         _require_positive_finite(a, "gaussian width a")
         _validate_dimension(n)
         amplitude = _require_real(amplitude, "amplitude must be a finite real", math.isfinite)
-        if center is not None and len(center) != n:
-            raise SpecError("center dimension does not match n")
         if center is not None:
+            if len(center) != n:
+                raise SpecError("center dimension does not match n")
             rule = "center coordinates must be finite reals"
             center = tuple(_require_real(v, rule, math.isfinite) for v in center)
         self._set(a, n, amplitude, center)

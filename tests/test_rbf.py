@@ -646,8 +646,8 @@ class TestRowBlocks:
 
 
 class TestStrands:
-    """The kernel row blocks are dealt to one strand per CPU; the strand
-    count may change neither a bit of the output nor a failure."""
+    """evaluate's kernel row blocks are dealt to one strand per CPU; the
+    strand count may change neither a bit of the output nor a failure."""
 
     @staticmethod
     def outputs(kern, nodes, vals, xs):
@@ -671,7 +671,7 @@ class TestStrands:
             nodes = uniform_grid(np.zeros(1), 1.0, 641, 1)
             xs = np.linspace(0.0, 1.0, 40001)[:, None]
         assert _EVAL_BLOCK_ENTRIES % nodes.count
-        assert len(list(_row_blocks(nodes.count, nodes.count, _EVAL_BLOCK_ENTRIES // 2))) >= 3
+        assert len(list(_row_blocks(len(xs), nodes.count))) >= 3
         kern = Kernel(c=c, beta=beta, n=n)
         vals = np.cos(3.0 * nodes.points.sum(axis=1))
         runs = []
