@@ -47,14 +47,15 @@ product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
 otherwise), then the factor Gamma(-beta/2).  The row blocks do not
 depend on each other, and numpy's ufuncs and ``matmul`` release the GIL,
-so :func:`evaluate` deals its blocks round-robin to one strand per CPU
-that the process may run on, no more strands than blocks
-(:func:`_deal_kernel_rows`).  Each strand holds one full block in its
+so :func:`evaluate` deals its blocks round-robin to two strands
+(:func:`_deal_kernel_rows`), or fewer where the process may run on one
+CPU or there is one block.  Each strand holds one full block in its
 own buffers and writes its own rows, and the slices stay the serial ones,
 because a row's matrix-vector product may round differently in a block of
 another height; so the output does not depend on the number of strands.
-:func:`evaluate` applies the factor once per evaluation point, so its
-memory does not grow with the number of evaluation points.  Assembly
+:func:`evaluate` applies the factor once per evaluation point, and the
+strand count is capped by a constant, so its memory grows neither with
+the number of evaluation points nor with the number of CPUs.  Assembly
 forms each block in one contiguous buffer, with blocks of half the size
 so that the buffer and its scratch add no more than one full block
 would, and copies it into the one saddle matrix it allocates, whose
@@ -113,9 +114,16 @@ __all__ = [
 # (through _kernel_rows()), fill_distance(), and the norm, copy and product
 # passes of _factor().  Each block is 512 KiB, so its working set stays in
 # a core's L2 cache and memory does not grow with the number of evaluation
-# points.  evaluate() holds one block per strand, one strand per CPU
+# points.  evaluate() holds one block per strand, at most _STRANDS of them
 # (_deal_kernel_rows()); assembly holds one block on one strand.
 _EVAL_BLOCK_ENTRIES = 1 << 16
+
+# The most strands that evaluate() deals its row blocks to, one block of
+# memory each.  Two is the count measured faster than one, on two CPUs with
+# one BLAS thread (where OpenBLAS threads each strand's matrix-vector
+# product, two ran slower); a larger count would hold a block more per
+# strand and is unmeasured.
+_STRANDS = 2
 
 # Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may
 # overflow or underflow, and (c^2 + r^2)^(beta/2) may divide by zero.  The
@@ -416,8 +424,8 @@ def _cpu_count() -> int:
 def _deal_kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, consume) -> None:
     """Call ``consume(rows, block)`` on every (rows, block) of
     :func:`_kernel_rows`, its slices those of :func:`_row_blocks` dealt
-    round-robin to one strand per CPU (:func:`_cpu_count`), but to no
-    more strands than there are slices.  Each strand holds one block in
+    round-robin to ``_STRANDS`` strands, but to no more than there are
+    CPUs (:func:`_cpu_count`) or slices.  Each strand holds one block in
     its own buffers and runs under its own ``np.errstate(**_BEYOND_RANGE)``
     (numpy's error state is a context variable, which a new thread does
     not inherit); ``consume`` must write only the rows it is given.
@@ -428,7 +436,7 @@ def _deal_kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, consume) -> 
     at their next block, and the first exception is raised again here.
     One strand starts no thread."""
     blocks = list(_row_blocks(x.shape[0], y.shape[0]))
-    strands = max(1, min(_cpu_count(), len(blocks)))
+    strands = max(1, min(_STRANDS, _cpu_count(), len(blocks)))
     failed = []
 
     def strand(first: int) -> None:

@@ -646,8 +646,9 @@ class TestRowBlocks:
 
 
 class TestStrands:
-    """evaluate's kernel row blocks are dealt to one strand per CPU; the
-    strand count may change neither a bit of the output nor a failure."""
+    """evaluate's kernel row blocks are dealt to at most _STRANDS strands,
+    one per CPU; the strand count may change neither a bit of the output
+    nor a failure."""
 
     @staticmethod
     def outputs(kern, nodes, vals, xs):
@@ -674,6 +675,8 @@ class TestStrands:
         assert len(list(_row_blocks(len(xs), nodes.count))) >= 3
         kern = Kernel(c=c, beta=beta, n=n)
         vals = np.cos(3.0 * nodes.points.sum(axis=1))
+        # the cap is raised so that three strands run
+        monkeypatch.setattr(rbf, "_STRANDS", 3)
         runs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
@@ -683,13 +686,15 @@ class TestStrands:
 
     def test_every_row_is_consumed_once(self, monkeypatch):
         # 1000 rows take 16 blocks of at most 65: the slices are the
-        # serial ones, and there are no more strands than blocks; a short
-        # switch interval interleaves the strands finely
+        # serial ones, and there are no more strands than blocks (the cap
+        # is raised to 64 to see that); a short switch interval
+        # interleaves the strands finely
         x = np.linspace(0.0, 1.0, 1000)[:, None]
         kern = Kernel(c=1.0, beta=-1.0, n=1)
         with np.errstate(**_BEYOND_RANGE):
             ref = np.concatenate([block.copy() for _, block in _kernel_rows(kern, x, x)])
         serial = list(_row_blocks(len(x), len(x)))
+        monkeypatch.setattr(rbf, "_STRANDS", 64)
         for cpus in (1, 3, 64):
             monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
             out = np.full_like(ref, np.nan)
@@ -709,6 +714,16 @@ class TestStrands:
             assert sum(rows.stop - rows.start for rows, _ in seen) == len(x)
             assert sorted((rows for rows, _ in seen), key=lambda r: r.start) == serial
             assert len({thread for _, thread in seen}) == min(cpus, len(serial))
+
+    def test_strand_count_is_capped_whatever_the_cpu_count(self, monkeypatch):
+        x = np.linspace(0.0, 1.0, 1000)[:, None]
+        kern = Kernel(c=1.0, beta=-1.0, n=1)
+        assert len(list(_row_blocks(len(x), len(x)))) > rbf._STRANDS == 2
+        for cpus in (2, 64):
+            monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
+            threads = set()
+            _deal_kernel_rows(kern, x, x, lambda rows, block: threads.add(threading.current_thread()))
+            assert len(threads) == rbf._STRANDS
 
     def test_a_failing_strand_raises_in_the_caller_and_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
@@ -819,6 +834,21 @@ class TestMemory:
             lambda: evaluate(interp, small)
         )
         assert grown <= 32 * (len(large) - len(small))
+
+    def test_evaluate_peak_does_not_grow_with_cpus(self, monkeypatch):
+        # the bound above with 64 CPUs in the mask, where 4096 points take
+        # 40 blocks and 40000 take 385: a strand per CPU would hold ~1.06
+        # MB more for each extra strand; and 64 CPUs hold no more than two
+        rng = np.random.default_rng(4)
+        nodes = perturbed_grid_2d(rng, 25)
+        interp = fit(Kernel(c=1.0, beta=-1.0, n=2), nodes, rng.normal(size=nodes.count))
+        small, large = (rng.uniform(0.0, nodes.cube[1], (k, 2)) for k in (4096, 40000))
+        peaks = {}
+        for cpus in (2, 64):
+            monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
+            peaks[cpus] = [self.peak_bytes(lambda: evaluate(interp, xs)) for xs in (small, large)]
+        assert peaks[64][1] - peaks[64][0] <= 32 * (len(large) - len(small))
+        assert peaks[64][1] <= peaks[2][1] + 8 * _EVAL_BLOCK_ENTRIES // 4
 
 
 class TestTranslationInvariance:
