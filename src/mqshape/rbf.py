@@ -25,13 +25,17 @@ flops.  :attr:`Interpolant.factorization` records which.  That one
 factorization also gives the 1-norm condition estimate of the whole
 saddle (LAPACK ``dpocon``, ``dsycon`` or ``dgecon``, the Hager/Higham
 estimator: Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 15).  Cholesky and LDL^T overwrite one triangle and the diagonal, so
-:func:`_factor` keeps a copy of the diagonal and forms the residuals of
-:func:`fit` from it and the other triangle: the system is held once.  The
-LAPACK routines are called directly from scipy's f2py extension
-``scipy.linalg._flapack``, which is loaded on the first factorization
-without the ``scipy.linalg`` package (:func:`_lapack`), so the criterion
-and optimizer never load scipy and a fit loads only that one extension.
+ch. 15).  Cholesky and LDL^T are called on LAPACK's lower triangle of
+the transpose, which is the saddle's upper triangle (with one BLAS thread,
+OpenBLAS's lower Cholesky runs faster): they overwrite it and the
+diagonal, so :func:`_factor` keeps a copy of the diagonal and forms the
+residuals of :func:`fit` from it and the strict lower triangle, which they
+leave intact, read natively left of each row block's diagonal: the system
+is held once.  The LAPACK routines are called directly from scipy's f2py
+extension ``scipy.linalg._flapack``, which is loaded on the first
+factorization without the ``scipy.linalg`` package (:func:`_lapack`), so
+the criterion and optimizer never load scipy and a fit loads only that
+one extension.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -47,21 +51,24 @@ product, :func:`_sq_dists`), then + c^2, then the power
 (``sqrt`` for beta = 1, ``sqrt`` and a reciprocal for beta = -1, ``pow``
 otherwise), then the factor Gamma(-beta/2).  The row blocks do not
 depend on each other, and numpy's ufuncs and ``matmul`` release the GIL,
-so :func:`evaluate` deals its blocks round-robin to two strands
-(:func:`_deal_kernel_rows`), or fewer where the process may run on one
-CPU or there is one block.  Each strand holds one full block in its
-own buffers and writes its own rows, and the slices stay the serial ones,
-because a row's matrix-vector product may round differently in a block of
-another height; so the output does not depend on the number of strands.
+so they are dealt round-robin to two strands (:func:`_deal_kernel_rows`),
+or fewer where the process may run on one CPU or there is one block.
+:func:`evaluate` gives each strand one full
+block in its own buffers, and its slices stay the serial ones, because a
+row's matrix-vector product may round differently in a block of another
+height; so the output does not depend on the number of strands.
 :func:`evaluate` applies the factor once per evaluation point, and the
 strand count is capped by a constant, so its memory grows neither with
 the number of evaluation points nor with the number of CPUs.  Assembly
-forms each block in one contiguous buffer, with blocks of half the size
-so that the buffer and its scratch add no more than one full block
-would, and copies it into the one saddle matrix it allocates, whose
-kernel rows are strided for beta > 0.  It runs on one strand: within
-that one block's memory, strands would take blocks of a quarter or less,
-and on those numpy's calls are too short for two threads to overlap.
+(:func:`_saddle`) deals its blocks to the same strands and forms them in
+place, in the saddle's own rows, with no buffer and no copy: the
+right-hand side of :func:`_sq_dists` carries one padding point per
+polynomial term, so every block is whole, contiguous saddle rows for every
+beta (numpy's in-place steps run at half speed on rows strided within a
+wider matrix), and the polynomial tail then overwrites the padding
+columns.  Its blocks are half blocks, so that the scratch of two strands
+adds no more than one block, and every entry is formed elementwise, so the
+saddle does not depend on the number of strands either.
 
 The fill distance of a node set in its cube, the one property of the
 nodes that the error bound depends on, is measured by a nearest-node
@@ -115,14 +122,16 @@ __all__ = [
 # passes of _factor().  Each block is 512 KiB, so its working set stays in
 # a core's L2 cache and memory does not grow with the number of evaluation
 # points.  evaluate() holds one block per strand, at most _STRANDS of them
-# (_deal_kernel_rows()); assembly holds one block on one strand.
+# (_deal_kernel_rows()); assembly forms half blocks in the saddle itself,
+# and each of its strands holds only a half block of scratch.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
-# The most strands that evaluate() deals its row blocks to, one block of
-# memory each.  Two is the count measured faster than one, on two CPUs with
-# one BLAS thread (where OpenBLAS threads each strand's matrix-vector
-# product, two ran slower); a larger count would hold a block more per
-# strand and is unmeasured.
+# The most strands that evaluate() and assembly deal their row blocks to:
+# a block of memory each for evaluate(), half a block for assembly.  Two is
+# the count measured faster than one, on two CPUs with one BLAS thread
+# (where OpenBLAS threads each strand's matrix-vector product, evaluate()
+# on two ran slower); a larger count would hold more memory per strand and
+# is unmeasured.
 _STRANDS = 2
 
 # Kernel values beyond double range are inf (or 0 for beta < 0): c^2 may
@@ -213,14 +222,19 @@ def _point_batch(x, n: int) -> Tuple[np.ndarray, bool]:
 
 def _cube(cube, n: int) -> Tuple[np.ndarray, float]:
     """(corner, side) of ``cube`` as a float array and a float, checked by
-    :class:`NodeSet`'s rule: an n-vector corner and a positive side, all
-    finite real numbers by :func:`mqshape.constants._require_real`, so a
-    string is refused rather than parsed (:class:`InputError`)."""
+    :class:`NodeSet`'s rule: a (corner, side) pair of an n-vector corner
+    and a positive side, all finite real numbers by
+    :func:`mqshape.constants._require_real`, so a string is refused rather
+    than parsed (:class:`InputError`)."""
+    try:
+        corner, side = cube
+    except (TypeError, ValueError):
+        raise InputError(f"cube must be a (corner, side) pair, got {cube!r}") from None
     real = lambda v: _require_real(
         v, "cube corner and side must be finite real numbers", math.isfinite, InputError
     )
-    corner = np.array([real(v) for v in np.ravel(cube[0])])
-    side = real(cube[1])
+    corner = np.array([real(v) for v in np.ravel(corner)])
+    side = real(side)
     if corner.shape[0] != n:
         raise InputError(
             f"cube corner dimension {corner.shape[0]} does not match node dimension {n}"
@@ -385,15 +399,17 @@ def _row_blocks(count: int, width: int, entries: int = _EVAL_BLOCK_ENTRIES):
         yield slice(start, min(start + step, count))
 
 
-def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks=None):
+def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks=None, out=None):
     """Yield (rows, block) for each slice ``rows`` of x in ``blocks``, by
     default every slice of :func:`_row_blocks`: ``block`` holds
     (c^2 + |x_i - y_j|^2)^(beta/2) for those rows of x and every row of
-    y, without the factor Gamma(-beta/2).  The blocks are one contiguous
-    buffer, sized from the first slice, that every block reuses: each
-    fresh 512 KiB array would be page-faulted in anew, and numpy's
-    in-place steps run at half speed on rows strided within a wider
-    matrix.  y's :func:`_difference_rhs` is built once, and so is the
+    y, without the factor Gamma(-beta/2).  Each block is formed in place
+    in ``out[rows]`` where ``out``, a C-ordered array of x's rows and y's
+    columns, is given, and otherwise in one contiguous buffer, sized from
+    the first slice, that every block reuses: each fresh 512 KiB array
+    would be page-faulted in anew, and numpy's in-place steps run at half
+    speed on rows strided within a wider matrix, so a block is always
+    whole rows.  y's :func:`_difference_rhs` is built once, and so is the
     (rows, 2) left-hand side of :func:`_sq_dists`; the scratch for the
     second and later axes is allocated only for n > 1.
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
@@ -401,12 +417,12 @@ def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks=None):
     rhs = _difference_rhs(y)
     first = blocks[0] if blocks else slice(0, 0)
     shape = (first.stop - first.start, y.shape[0])
-    buffer = np.empty(shape)
+    buffer = np.empty(shape) if out is None else None
     diff = np.empty(shape) if x.shape[1] > 1 else None
     lhs = np.ones((shape[0], 2))
     for rows in blocks:
         size = rows.stop - rows.start
-        block = buffer[:size]
+        block = buffer[:size] if out is None else out[rows]
         _sq_dists(
             x[rows], rhs, out=block, diff=None if diff is None else diff[:size], lhs=lhs[:size]
         )
@@ -421,28 +437,33 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _deal_kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, consume) -> None:
+def _deal_kernel_rows(
+    kernel: Kernel, x: np.ndarray, y: np.ndarray, consume,
+    entries: int = _EVAL_BLOCK_ENTRIES, out=None,
+) -> None:
     """Call ``consume(rows, block)`` on every (rows, block) of
-    :func:`_kernel_rows`, its slices those of :func:`_row_blocks` dealt
+    :func:`_kernel_rows`, formed in ``out`` where it is given, its slices
+    those of :func:`_row_blocks` for blocks of ``entries`` entries, dealt
     round-robin to ``_STRANDS`` strands, but to no more than there are
-    CPUs (:func:`_cpu_count`) or slices.  Each strand holds one block in
-    its own buffers and runs under its own ``np.errstate(**_BEYOND_RANGE)``
-    (numpy's error state is a context variable, which a new thread does
-    not inherit); ``consume`` must write only the rows it is given.
+    CPUs (:func:`_cpu_count`) or slices.  Each strand holds its own
+    scratch, and its own buffer where there is no ``out``, and runs under
+    its own ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a
+    context variable, which a new thread does not inherit); ``consume``
+    must write only the rows it is given.
 
     The calling thread runs the first strand, and each other strand is a
     thread of its own, started here and joined before this returns,
     whether a strand raised or not; once one has raised, the others stop
     at their next block, and the first exception is raised again here.
     One strand starts no thread."""
-    blocks = list(_row_blocks(x.shape[0], y.shape[0]))
+    blocks = list(_row_blocks(x.shape[0], y.shape[0], entries))
     strands = max(1, min(_STRANDS, _cpu_count(), len(blocks)))
     failed = []
 
     def strand(first: int) -> None:
         try:
             with np.errstate(**_BEYOND_RANGE):
-                for rows, block in _kernel_rows(kernel, x, y, blocks[first::strands]):
+                for rows, block in _kernel_rows(kernel, x, y, blocks[first::strands], out):
                     if failed:
                         return
                     consume(rows, block)
@@ -561,15 +582,17 @@ def _factor(matrix: np.ndarray, positive_definite: bool):
     definite in floating point, and a copy of it, rebuilt from the intact
     triangle, is factored by a partially pivoted LU (``dgetrf``,
     ``dgecon``).  Any other matrix is factored by the symmetric indefinite
-    LDL^T (``dsytrf``, ``dsycon``).  Cholesky and LDL^T overwrite the lower
-    triangle and the diagonal of ``matrix`` and leave its strict upper
-    triangle as it was; the one copy of the diagonal taken beforehand
-    and that triangle give A back, to the LU and to ``product``.  An
-    exactly singular matrix estimates inf; non-finite entries raise
-    :class:`ConditioningError` with estimate inf.  The Cholesky and LU
-    calls and their arguments are those of scipy.linalg's ``cho_factor``,
-    ``cho_solve``, ``lu_factor`` and ``lu_solve`` without the finiteness
-    checks, so the factors and solutions are theirs to the bit."""
+    LDL^T (``dsytrf``, ``dsycon``).  Cholesky and LDL^T are called with
+    ``lower=1`` on ``matrix.T``: they overwrite the upper triangle and the
+    diagonal of ``matrix`` and leave its strict lower triangle as it was;
+    the one copy of the diagonal taken beforehand and that triangle give
+    A back, to the LU and to ``product``.  An exactly singular matrix
+    estimates inf; non-finite entries raise :class:`ConditioningError`
+    with estimate inf.  The LU calls and their arguments are those of
+    scipy.linalg's ``lu_factor`` and ``lu_solve``, and the Cholesky calls
+    those of ``cho_factor(lower=True)`` and ``cho_solve``, without the
+    finiteness checks, so the factors and solutions are theirs to the
+    bit."""
     lapack = _lapack()
     size = matrix.shape[0]
     # ||A||_1, the largest column sum of |A|, a row block at a time
@@ -580,22 +603,25 @@ def _factor(matrix: np.ndarray, positive_definite: bool):
         raise ConditioningError(message, condition_estimate=math.inf)
     diagonal = matrix.diagonal().copy()
     product = lambda x: _symmetric_product(matrix, diagonal, x)
+    # lower=1 on matrix.T is LAPACK's lower triangle, the upper one of
+    # ``matrix``: OpenBLAS's lower Cholesky runs faster on one BLAS thread,
+    # and LDL^T, as fast on either, takes the same one, so that the
+    # residuals read one triangle
     if not positive_definite:
-        lwork, _ = lapack.dsytrf_lwork(size)  # the default runs unblocked
-        ldl, ipiv, info = lapack.dsytrf(matrix.T, lwork=int(lwork), overwrite_a=1)
+        lwork, _ = lapack.dsytrf_lwork(size, lower=1)  # the default runs unblocked
+        ldl, ipiv, info = lapack.dsytrf(matrix.T, lower=1, lwork=int(lwork), overwrite_a=1)
         # info > 0 is an exactly zero pivot, which dsycon estimates as inf
-        rcond, info = lapack.dsycon(ldl, ipiv, anorm)
-        solve = lambda b: lapack.dsytrs(ldl, ipiv, b)[0]
+        rcond, info = lapack.dsycon(ldl, ipiv, anorm, lower=1)
+        solve = lambda b: lapack.dsytrs(ldl, ipiv, b, lower=1)[0]
         return solve, _from_rcond(rcond, info), "ldl", product
-    # LAPACK's upper triangle is the lower one of ``matrix``; clean=0, as
-    # in cho_factor, leaves the other triangle as it was
-    factor, info = lapack.dpotrf(matrix.T, clean=0, overwrite_a=1)
+    # clean=0, as in cho_factor, leaves the other triangle as it was
+    factor, info = lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info == 0:
-        rcond, info = lapack.dpocon(factor, anorm)
-        solve = lambda b: lapack.dpotrs(factor, b)[0]
+        rcond, info = lapack.dpocon(factor, anorm, uplo=b"L")
+        solve = lambda b: lapack.dpotrs(factor, b, lower=1)[0]
         return solve, _from_rcond(rcond, info), "cholesky", product
     # the LU overwrites all of its matrix, and product still reads the
-    # strict upper triangle of this one
+    # strict lower triangle of this one
     lu, piv, info = lapack.dgetrf(_symmetric_copy(matrix, diagonal).T, overwrite_a=1)
     # info > 0 is an exactly zero pivot, which estimates inf
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
@@ -617,37 +643,38 @@ def _cond1(matrix: np.ndarray, positive_definite: bool = False) -> float:
         return math.inf
 
 
-def _diagonal_block(upper: np.ndarray, diagonal: np.ndarray, rows: slice) -> np.ndarray:
-    """The symmetric block A[rows, rows] of the matrix A whose strict upper
-    triangle is that of ``upper`` and whose diagonal is ``diagonal``."""
-    strict = np.triu(upper[rows, rows], 1)
+def _diagonal_block(lower: np.ndarray, diagonal: np.ndarray, rows: slice) -> np.ndarray:
+    """The symmetric block A[rows, rows] of the matrix A whose strict lower
+    triangle is that of ``lower`` and whose diagonal is ``diagonal``."""
+    strict = np.tril(lower[rows, rows], -1)
     block = strict + strict.T
     np.fill_diagonal(block, diagonal[rows])
     return block
 
 
-def _symmetric_copy(upper: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose strict upper triangle is that of
-    ``upper`` and whose diagonal is ``diagonal``, built a row block at a
-    time: every entry is copied, so it equals the original to the bit."""
-    full = np.empty_like(upper)
-    for rows in _row_blocks(*upper.shape):
-        full[rows, :rows.start] = upper[:rows.start, rows].T
-        full[rows, rows] = _diagonal_block(upper, diagonal, rows)
-        full[rows, rows.stop:] = upper[rows, rows.stop:]
+def _symmetric_copy(lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose strict lower triangle is that of
+    ``lower`` and whose diagonal is ``diagonal``, in C order, built a row
+    block at a time: every entry is copied, so it equals the original to
+    the bit."""
+    full = np.empty(lower.shape)
+    for rows in _row_blocks(*lower.shape):
+        full[rows, :rows.start] = lower[rows, :rows.start]
+        full[rows, rows] = _diagonal_block(lower, diagonal, rows)
+        full[rows, rows.stop:] = lower[rows.stop:, rows].T
     return full
 
 
-def _symmetric_product(upper: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for the symmetric A whose strict upper triangle is that of
-    ``upper`` and whose diagonal is ``diagonal``, a row block at a time:
-    each block's part right of the diagonal serves its own rows and,
-    transposed, the rows below it."""
+def _symmetric_product(lower: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the symmetric A whose strict lower triangle is that of
+    ``lower`` and whose diagonal is ``diagonal``, a row block at a time:
+    each block's part left of the diagonal serves its own rows and,
+    transposed, the rows above it."""
     y = np.zeros_like(x)
-    for rows in _row_blocks(*upper.shape):
-        right = upper[rows, rows.stop:]
-        y[rows] += _diagonal_block(upper, diagonal, rows) @ x[rows] + right @ x[rows.stop:]
-        y[rows.stop:] += right.T @ x[rows]
+    for rows in _row_blocks(*lower.shape):
+        left = lower[rows, :rows.start]
+        y[rows] += _diagonal_block(lower, diagonal, rows) @ x[rows] + left @ x[:rows.start]
+        y[:rows.start] += left.T @ x[rows]
     return y
 
 
@@ -663,13 +690,13 @@ def _saddle(kernel: Kernel, nodes: NodeSet):
     count, q = nodes.count, len(exponents)
     saddle = np.empty((count + q, count + q))
     centred = _centred(nodes, nodes.points)
-    # form each block in a contiguous buffer and copy it in: numpy's
-    # in-place steps run at half speed on rows strided within the saddle
-    # (beta > 0); the buffer and its scratch take half a block each
-    with np.errstate(**_BEYOND_RANGE):
-        blocks = _row_blocks(count, count, _EVAL_BLOCK_ENTRIES // 2)
-        for rows, block in _kernel_rows(kernel, centred, centred, blocks):
-            np.multiply(block, kernel.gamma_factor, out=saddle[rows, :count])
+    # q padding points at the centre make every kernel block whole saddle
+    # rows, contiguous for numpy's in-place steps, for every beta; the
+    # polynomial tail then overwrites their columns.  A strand adds only
+    # its scratch for the later axes, half a block, so two add one block
+    padded = np.concatenate([centred, np.zeros((q, nodes.dim))])
+    scale = lambda rows, block: np.multiply(block, kernel.gamma_factor, out=block)
+    _deal_kernel_rows(kernel, centred, padded, scale, _EVAL_BLOCK_ENTRIES // 2, saddle[:count])
     p = _poly_matrix(exponents, nodes, nodes.points)
     saddle[:count, count:] = p
     saddle[count:, :count] = p.T

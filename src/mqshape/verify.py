@@ -77,8 +77,12 @@ class GaussianBump(_Record):
         _validate_dimension(n)
         amplitude = _require_real(amplitude, "amplitude must be a finite real", math.isfinite)
         if center is not None:
-            if len(center) != n:
-                raise SpecError("center dimension does not match n")
+            try:
+                size = len(center)
+            except TypeError:  # a number, or a 0-d array
+                size = None
+            if size != n:
+                raise SpecError(f"center must be a sequence of n = {n} coordinates, got {center!r}")
             rule = "center coordinates must be finite reals"
             center = tuple(_require_real(v, rule, math.isfinite) for v in center)
         self._set(a, n, amplitude, center)

@@ -242,6 +242,16 @@ class TestNodeSet:
         with pytest.raises(InputError, match="cube"):
             fill_distance(cube, np.array([[0.5]]), 11)
 
+    @pytest.mark.parametrize(
+        "cube", [1.0, (np.zeros(1), 1.0, 5), (np.zeros(1),)], ids=["side-alone", "triple", "corner-alone"]
+    )
+    def test_cube_that_is_not_a_corner_side_pair_is_refused(self, cube):
+        # a bare side raised TypeError, and a third element was ignored
+        with pytest.raises(InputError, match="cube"):
+            NodeSet(np.array([[0.5]]), cube)
+        with pytest.raises(InputError, match="cube"):
+            fill_distance(cube, np.array([[0.5]]), 11)
+
     def test_cube_of_numbers_keeps_its_bits(self):
         corner = np.array([0.1, -np.pi])
         for given in (corner, list(corner), corner.astype(np.float32), [0, np.int64(-3)]):
@@ -454,6 +464,26 @@ class TestFit:
         error = np.abs(product(y) - saddle @ y)
         assert np.all(error <= 8.0 * eps * (np.abs(saddle) @ np.abs(y)))
 
+    @pytest.mark.parametrize(
+        "beta, c, factorization",
+        [(-1.0, 1.0, "cholesky"), (1.0, 1.0, "ldl"), (3.0, 1.0, "ldl"), (-1.0, 30.0, "lu")],
+    )
+    def test_factorization_leaves_the_strict_lower_triangle(self, beta, c, factorization):
+        # LAPACK consumes the upper triangle and the diagonal, and the
+        # product reads only the strict lower triangle and its copy of the
+        # diagonal; 400 nodes take three row blocks
+        rng = np.random.default_rng(13)
+        nodes = perturbed_grid_2d(rng, 20)
+        saddle = _saddle(Kernel(c=c, beta=beta, n=2), nodes)[0]
+        factored = saddle.copy()
+        _, _, kind, product = _factor(factored, positive_definite=beta < 0)
+        assert kind == factorization
+        assert np.array_equal(np.tril(factored, -1), np.tril(saddle, -1))
+        factored[np.triu_indices_from(factored, 1)] = np.nan
+        y = rng.normal(size=saddle.shape[0])
+        error = np.abs(product(y) - saddle @ y)
+        assert np.all(error <= 8.0 * np.finfo(float).eps * (np.abs(saddle) @ np.abs(y)))
+
     @pytest.mark.parametrize("offset", [1e4, 1e5, 1e8])
     def test_tail_in_cube_frame(self, offset):
         # on raw coordinates the tail grows cond ~1000-fold by offset 1e4
@@ -659,7 +689,7 @@ class TestStrands:
 
     @pytest.mark.parametrize(
         "n, beta, c",
-        [(2, -1.0, 0.1), (2, 1.0, 0.1), (1, -1.0, 0.01), (1, 1.0, 0.01)],
+        [(2, -1.0, 0.1), (2, 1.0, 0.1), (1, -1.0, 0.01), (1, 1.0, 0.01), (2, 3.0, 0.1)],
     )
     def test_strand_count_changes_no_bit(self, monkeypatch, n, beta, c):
         # 2-D: 400 nodes and 4096 points; 1-D: 641 nodes and 40001 points,
@@ -777,6 +807,20 @@ class TestStrands:
         assert not np.isfinite(s).all() if c < 1.0 else (s == 0.0).all()
 
 
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_out_of_range_saddle_warns_in_no_strand(self, monkeypatch, c):
+        # assembly forms its rows on the strands too: c^2 overflows to a
+        # zero matrix, or 1/sqrt(c^2 + 0) divides by zero on the diagonal,
+        # and either is a ConditioningError with no warning
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
+        nodes = uniform_grid(np.zeros(1), 1.0, 300, 1)
+        assert len(list(_row_blocks(nodes.count, nodes.count, _EVAL_BLOCK_ENTRIES // 2))) >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError):
+                fit(Kernel(c=c, beta=-1.0, n=1), nodes, np.ones(nodes.count))
+
+
 class TestMemory:
     @staticmethod
     def peak_bytes(call):
@@ -798,6 +842,13 @@ class TestMemory:
         # the first fit also loads the LAPACK extension before the trace
         assert fit(kern, nodes, vals).factorization != "lu"
         assert self.peak_bytes(lambda: fit(kern, nodes, vals)) <= 1.25 * saddle_bytes
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0, 3.0])
+    def test_fit_holds_one_saddle_whatever_the_cpu_count(self, monkeypatch, beta):
+        # the assembly strands are capped as evaluate's are, and each adds
+        # only its half-block scratch
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 64)
+        self.test_fit_holds_one_saddle(beta)
 
     def test_cholesky_breakdown_holds_one_factor_copy(self):
         # at c = 30 Cholesky breaks down (cond ~6e19); its copy is freed

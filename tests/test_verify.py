@@ -120,6 +120,12 @@ class TestNorm:
         with pytest.raises(SpecError, match="amplitude|center"):
             GaussianBump(a=0.25, n=1, **fields)
 
+    @pytest.mark.parametrize("center", [0.5, np.float64(0.5), np.array(0.5)], ids=["float", "numpy-float", "0-d"])
+    def test_bump_center_that_is_not_a_sequence_is_refused(self, center):
+        # len(center) raised TypeError
+        with pytest.raises(SpecError, match="center"):
+            GaussianBump(a=1.0, n=1, center=center)
+
     def test_bump_stores_numeric_inputs_as_floats_with_their_bits(self):
         f = GaussianBump(a=0.25, n=2, amplitude=np.float32(0.3), center=(1, np.float64(0.1)))
         assert type(f.amplitude) is float and f.amplitude == float(np.float32(0.3))
