@@ -14,28 +14,34 @@ conditions on the kernel coefficients; for beta < 0 the tail is empty.
 The system is factored once and solved once, in place: the saddle is
 bitwise symmetric, so its transpose is the same matrix in LAPACK's column
 order, and LAPACK overwrites it without the transposing copy that a
-row-ordered argument costs.  For beta < 0 the kernel matrix is positive
-definite (Gamma(-beta/2) > 0), so it is factored by Cholesky; where
-Cholesky breaks down, the matrix is not positive definite in floating
-point (cond * eps >~ 1, the large-c regime) and a copy of it is factored
-by a partially pivoted LU instead.  Every beta > 0 saddle is indefinite
-and is factored by a symmetric indefinite LDL^T (Bunch-Kaufman pivoting:
-Bunch & Kaufman, *Math. Comp.* 31 (1977) 163-179), at half the LU's
-flops.  :attr:`Interpolant.factorization` records which.  That one
-factorization also gives the 1-norm condition estimate of the whole
-saddle (LAPACK ``dpocon``, ``dsycon`` or ``dgecon``, the Hager/Higham
-estimator: Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 15).  Cholesky and LDL^T are called on LAPACK's lower triangle of
-the transpose, which is the saddle's upper triangle (with one BLAS thread,
-OpenBLAS's lower Cholesky runs faster): they overwrite it and the
-diagonal, so :func:`_factor` keeps a copy of the diagonal and forms the
-residuals of :func:`fit` from it and the strict lower triangle, which they
-leave intact, read natively left of each row block's diagonal: the system
-is held once.  The LAPACK routines are called directly from scipy's f2py
-extension ``scipy.linalg._flapack``, which is loaded on the first
-factorization without the ``scipy.linalg`` package (:func:`_lapack`), so
-the criterion and optimizer never load scipy and a fit loads only that
-one extension.
+row-ordered argument costs.  Every beta takes one factorization, Cholesky.
+For beta < 0 the kernel matrix is positive definite (Gamma(-beta/2) > 0)
+and is factored as it is.  For beta > 0 the saddle is indefinite, but the
+kernel matrix is positive definite on the null space of P^T, the polynomial
+block's transpose (Wendland, *Scattered Data Approximation*, ch. 8):
+Householder reflectors of P reduce the saddle in place to that block,
+padded with the identity, and Cholesky factors it (a null-space method:
+Benzi, Golub & Liesen, *Acta Numer.* 14 (2005) 1-137; :func:`_reduce`).
+Where Cholesky breaks down, the matrix is not positive definite in
+floating point (cond * eps >~ 1, the large-c regime) and a copy of the
+saddle is factored by a partially pivoted LU instead.
+:attr:`Interpolant.factorization` records which.  That one factorization
+also gives the 1-norm condition estimate of the whole saddle (LAPACK
+``dpocon`` or ``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 15); for beta > 0 the estimate
+also takes the q polynomial columns of the saddle's inverse, which the
+reduced block does not see, at the cost of one solve.  The reduction and
+Cholesky write LAPACK's lower triangle of the transpose, which is the
+saddle's upper triangle (with one BLAS thread, OpenBLAS's lower Cholesky
+runs faster), and the diagonal, so :func:`_factor` keeps a copy of the
+diagonal and forms the residuals of :func:`fit` from it and the strict
+lower triangle, which they leave intact, read natively left of each row
+block's diagonal: the system is held once.  The LAPACK and BLAS routines
+are called directly from scipy's f2py extensions ``scipy.linalg._flapack``
+and ``scipy.linalg._fblas``, each loaded on its first use without the
+``scipy.linalg`` package (:func:`_linalg_extension`), so the criterion and
+optimizer never load scipy, and a fit loads only LAPACK's extension and,
+for beta > 0, BLAS's.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -537,19 +543,19 @@ class Interpolant(NamedTuple):
     side_condition_residual: float
     node_residual: float
     condition_estimate: float
-    factorization: str  # "cholesky", "ldl" or "lu", see _factor()
+    factorization: str  # "cholesky" or "lu", see _factor()
 
 
-def _lapack():
-    """scipy's f2py LAPACK extension, ``scipy.linalg._flapack``.  It is
-    loaded from its file and registered under its own name, which skips
+def _linalg_extension(name: str):
+    """scipy's f2py extension ``scipy.linalg.<name>``.  It is loaded from
+    its file and registered under its own name, which skips
     ``scipy/linalg/__init__.py``: that package costs ~0.25 s a process
     (its array-API layer imports ``numpy.testing`` and ``numpy.f2py``),
     against ~25 ms for ``import scipy`` and the extension.  A module
     already in ``sys.modules`` is reused, and a later ``import scipy.linalg``
     finds this one, so a process holds one copy either way.  Where the
     extension is not a file on scipy's path, the package imports it."""
-    name = "scipy.linalg._flapack"
+    name = "scipy.linalg." + name
     module = sys.modules.get(name)
     if module is not None:
         return module
@@ -559,67 +565,82 @@ def _lapack():
         name, [os.path.join(scipy.__path__[0], "linalg")]
     )
     if spec is None:
-        from scipy.linalg import _flapack
-
-        return _flapack
+        return importlib.import_module(name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
 
 
-def _factor(matrix: np.ndarray, positive_definite: bool):
-    """(solve, cond, factorization, product) for a bitwise symmetric
-    matrix A, which it consumes: ``solve(b)`` solves A x = b from one
-    factorization, cond is the 1-norm condition estimate ||A||_1 / rcond
-    with rcond from LAPACK on those same factors, factorization names
-    them and ``product(x)`` is A @ x (:func:`_symmetric_product`).
+def _lapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by
+    :func:`_linalg_extension` on the first factorization."""
+    return _linalg_extension("_flapack")
 
-    ``matrix.T`` is column-major and, A being symmetric, equal to A, so
-    LAPACK factors it in place, with no transposing copy.  A matrix known
-    to be positive definite is factored by Cholesky (``dpotrf``,
-    ``dpocon``); where that breaks down (``info > 0``), A is not positive
-    definite in floating point, and a copy of it, rebuilt from the intact
-    triangle, is factored by a partially pivoted LU (``dgetrf``,
-    ``dgecon``).  Any other matrix is factored by the symmetric indefinite
-    LDL^T (``dsytrf``, ``dsycon``).  Cholesky and LDL^T are called with
-    ``lower=1`` on ``matrix.T``: they overwrite the upper triangle and the
-    diagonal of ``matrix`` and leave its strict lower triangle as it was;
-    the one copy of the diagonal taken beforehand and that triangle give
-    A back, to the LU and to ``product``.  An exactly singular matrix
-    estimates inf; non-finite entries raise :class:`ConditioningError`
-    with estimate inf.  The LU calls and their arguments are those of
-    scipy.linalg's ``lu_factor`` and ``lu_solve``, and the Cholesky calls
-    those of ``cho_factor(lower=True)`` and ``cho_solve``, without the
-    finiteness checks, so the factors and solutions are theirs to the
-    bit."""
+
+def _factor(matrix: np.ndarray, q: int):
+    """(solve, cond, factorization, product) for a bitwise symmetric
+    matrix S, which it consumes, whose last q rows and columns are a
+    polynomial block [P^T, 0]: ``solve(b)`` solves S x = b from one
+    factorization, cond is the 1-norm condition estimate ||S||_1 / rcond
+    with rcond from LAPACK on those same factors (for q > 0 at least
+    ||S||_1 times the 1-norm of the last q columns of S^-1, which the
+    reduced factor does not see), factorization names them and
+    ``product(x)`` is S @ x (:func:`_symmetric_product`).
+
+    ``matrix.T`` is column-major and, S being symmetric, equal to S, so
+    LAPACK factors it in place, with no transposing copy.  For q = 0 the
+    matrix is factored by Cholesky (``dpotrf``, ``dpocon``).  For q > 0
+    it is first reduced in place to the kernel block on the null space of
+    P^T, padded with the identity (:func:`_reduce`), and that is factored
+    by Cholesky.  Where Cholesky breaks down (``info > 0``), the matrix
+    is not positive definite in floating point, and a copy of S, rebuilt
+    from the intact triangle, is factored by a partially pivoted LU
+    (``dgetrf``, ``dgecon``).  The reduction and Cholesky are called on
+    LAPACK's lower triangle of ``matrix.T``: they overwrite the upper
+    triangle and the diagonal of ``matrix`` and leave its strict lower
+    triangle as it was; the one copy of the diagonal taken beforehand and
+    that triangle give S back, to the LU and to ``product``.  An exactly
+    singular matrix estimates inf; non-finite entries raise
+    :class:`ConditioningError` with estimate inf.  The LU calls and their
+    arguments are those of scipy.linalg's ``lu_factor`` and ``lu_solve``,
+    and for q = 0 the Cholesky calls those of ``cho_factor(lower=True)``
+    and ``cho_solve``, without the finiteness checks, so the factors and
+    solutions are theirs to the bit."""
     lapack = _lapack()
     size = matrix.shape[0]
-    # ||A||_1, the largest column sum of |A|, a row block at a time
+    # ||S||_1, the largest column sum of |S|, a row block at a time
     col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size, size))
     anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         message = "saddle system is numerically singular (cond ~ inf)"
         raise ConditioningError(message, condition_estimate=math.inf)
+    if size < 2 * q:  # fewer nodes than polynomial terms: rank S <= 2 N < N + q
+        message = "saddle system is singular (fewer nodes than polynomial terms)"
+        raise ConditioningError(message, condition_estimate=math.inf)
     diagonal = matrix.diagonal().copy()
     product = lambda x: _symmetric_product(matrix, diagonal, x)
+    lift = _reduce(matrix, q) if q else None
     # lower=1 on matrix.T is LAPACK's lower triangle, the upper one of
-    # ``matrix``: OpenBLAS's lower Cholesky runs faster on one BLAS thread,
-    # and LDL^T, as fast on either, takes the same one, so that the
-    # residuals read one triangle
-    if not positive_definite:
-        lwork, _ = lapack.dsytrf_lwork(size, lower=1)  # the default runs unblocked
-        ldl, ipiv, info = lapack.dsytrf(matrix.T, lower=1, lwork=int(lwork), overwrite_a=1)
-        # info > 0 is an exactly zero pivot, which dsycon estimates as inf
-        rcond, info = lapack.dsycon(ldl, ipiv, anorm, lower=1)
-        solve = lambda b: lapack.dsytrs(ldl, ipiv, b, lower=1)[0]
-        return solve, _from_rcond(rcond, info), "ldl", product
+    # ``matrix``: OpenBLAS's lower Cholesky runs faster on one BLAS thread;
     # clean=0, as in cho_factor, leaves the other triangle as it was
     factor, info = lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         rcond, info = lapack.dpocon(factor, anorm, uplo=b"L")
+        cond = _from_rcond(rcond, info)
         solve = lambda b: lapack.dpotrs(factor, b, lower=1)[0]
-        return solve, _from_rcond(rcond, info), "cholesky", product
+        if lift is None:
+            return solve, cond, "cholesky", product
+        solve = lift(solve)
+        # dpocon sees M alone; the polynomial block's share of S^-1 is in
+        # its last q columns, one solve with q right-hand sides
+        with np.errstate(all="ignore"):
+            try:
+                poly_norm = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
+            except np.linalg.LinAlgError:  # R~ is singular: P has dependent columns
+                poly_norm = math.inf
+        cond = max(cond, anorm * poly_norm) if poly_norm < math.inf else math.inf
+        return solve, cond, "cholesky", product
     # the LU overwrites all of its matrix, and product still reads the
     # strict lower triangle of this one
     lu, piv, info = lapack.dgetrf(_symmetric_copy(matrix, diagonal).T, overwrite_a=1)
@@ -629,16 +650,83 @@ def _factor(matrix: np.ndarray, positive_definite: bool):
     return solve, _from_rcond(rcond, info), "lu", product
 
 
+def _reduce(matrix: np.ndarray, q: int):
+    """Reduce the saddle S = [[A, P], [P^T, 0]] in ``matrix``, of order
+    N + q, to the kernel block on the null space of P^T, in place in its
+    upper triangle, and return ``lift``: ``lift(solve)`` solves S x = b
+    given ``solve``, the solve with the factored upper triangle.
+
+    q Householder reflectors of P with its rows reversed give an
+    orthogonal G = I - W V^T with G P = [0; R~], R~ (q x q) in the last q
+    node rows (Benzi, Golub & Liesen, *Acta Numer.* 14 (2005) 1-137).
+    With m = N - q, M = (G A G^T)[:m, :m] is positive definite
+    wherever the kernel is conditionally positive definite, since G^T's
+    first m columns span the null space of P^T.  G A G^T = A - W Z^T -
+    Z W^T for Z = A V - W (V^T A V) / 2, a symmetric rank-2q update
+    (BLAS ``dsyr2``, or ``dsyr2k`` for q > 1), whose vectors are zero
+    past m, so it writes M over the upper triangle of A's leading block.
+    The upper triangle's entries from column m on are then set to the
+    identity, so LAPACK's lower triangle of ``matrix.T`` is
+    blockdiag(M, I) and factors in place; the q columns (G A G^T)[:, m:N]
+    and R~ are kept aside.  ``matrix``'s strict lower triangle is not
+    written.  For S [a; b] = [f; g], u = G^T a solves
+    R~^T u[m:] = g, M u[:m] = (G f)[:m] - (G A G^T)[:m, m:] u[m:] and
+    R~ b = (G f)[m:] - (G A G^T)[m:, :] u."""
+    count = matrix.shape[0] - q
+    m = count - q
+    # Q^T (J P) = [R; 0] for the row reversal J, and G = J Q^T J
+    h, tau = np.linalg.qr(matrix[count - 1::-1, count:], mode="raw")
+    v = np.tril(h.T, -1)
+    v[range(q), range(q)] = 1.0
+    t = np.zeros((q, q))  # Q = I - V T V^T, the compact WY form of dlarft
+    for i in range(q):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ (v[:, :i].T @ v[:, i]))
+        t[i, i] = tau[i]
+    r = np.triu(h.T[:q])
+    v = np.ascontiguousarray(v[::-1])  # a reversed view would not reach BLAS
+    w = v @ t.T
+    av = matrix[:count, :count] @ v  # from A intact, before any write
+    vav = v.T @ av
+    z = av - 0.5 * (w @ (0.5 * (vav + vav.T)))
+    border = matrix[:count, m:count] - w @ z[m:].T - z @ w[m:].T  # (G A G^T)[:, m:N]
+    padded = np.zeros((2, count + q, q))
+    padded[0, :m], padded[1, :m] = w[:m], z[:m]
+    blas = _linalg_extension("_fblas")
+    if q == 1:
+        blas.dsyr2(-1.0, padded[0, :, 0], padded[1, :, 0], lower=1, a=matrix.T, overwrite_a=1)
+    else:
+        blas.dsyr2k(-1.0, padded[0], padded[1], beta=1.0, c=matrix.T, lower=1, overwrite_c=1)
+    matrix[:m, m:] = 0.0
+    np.copyto(matrix[m:, m:], np.eye(2 * q), where=np.triu(np.ones((2 * q, 2 * q), dtype=bool)))
+
+    def lift(solve):
+        def lifted(b: np.ndarray) -> np.ndarray:
+            f, g = b[:count], b[count:]
+            gf = f - w @ (v.T @ f)
+            u = np.zeros(b.shape)
+            # R~ = J R, so R~^T u[m:] = g is R^T (J u[m:]) = g
+            u[m:count] = np.linalg.solve(r.T, g)[::-1]
+            u[:m] = gf[:m] - border[:m] @ u[m:count]
+            u[:m] = solve(u)[:m]
+            poly = np.linalg.solve(r, (gf[m:] - border.T @ u[:count])[::-1])
+            return np.concatenate([u[:count] - v @ (w.T @ u[:count]), poly])
+
+        return lifted
+
+    return lift
+
+
 def _from_rcond(rcond: float, info: int) -> float:
     """The condition estimate 1/rcond from a LAPACK estimator's output."""
     return 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
 
 
-def _cond1(matrix: np.ndarray, positive_definite: bool = False) -> float:
-    """The 1-norm condition estimate of a symmetric matrix, which it
-    consumes (:func:`_factor`); inf for non-finite entries."""
+def _cond1(matrix: np.ndarray, q: int = 0) -> float:
+    """The 1-norm condition estimate of a symmetric matrix with a q x q
+    polynomial block, which it consumes (:func:`_factor`); inf for
+    non-finite entries."""
     try:
-        return _factor(matrix, positive_definite)[1]
+        return _factor(matrix, q)[1]
     except ConditioningError:
         return math.inf
 
@@ -728,7 +816,7 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     q = len(exponents)
     if q:
         svals = np.linalg.svd(saddle[:n_nodes, n_nodes:], compute_uv=False)
-        if svals[-1] <= 1e-10 * svals[0]:
+        if len(svals) < q or svals[-1] <= 1e-10 * svals[0]:  # N < q nodes: rank P < q
             raise InputError(
                 f"node set is not unisolvent for the degree-{cpd_order(kernel.beta) - 1} "
                 "polynomial tail"
@@ -736,7 +824,7 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     # One factorization serves the solve, the estimate and the residuals.
     rhs = np.concatenate([values, np.zeros(q)])
-    solve, cond, factorization, product = _factor(saddle, positive_definite=not q)
+    solve, cond, factorization, product = _factor(saddle, q)
     solution = solve(rhs)
     if not np.isfinite(solution).all():
         raise ConditioningError(
@@ -777,4 +865,4 @@ def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:
     """1-norm condition estimate of the full saddle matrix, the same
     number :func:`fit` reports for these nodes."""
     saddle, exponents = _saddle(kernel, nodes)
-    return _cond1(saddle, positive_definite=not exponents)
+    return _cond1(saddle, len(exponents))

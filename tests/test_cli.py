@@ -703,14 +703,28 @@ def test_rbf_commands_load_numpy_and_lapack_but_not_scipy_linalg(tmp_path, comma
     assert code == "0"
     assert "numpy" in modules
     assert_lapack_without_scipy_linalg(modules)
+    # beta = -1 has no polynomial tail to reduce, so no BLAS extension
+    assert "scipy.linalg._fblas" not in modules
+
+
+def test_tail_reduction_loads_blas_but_not_scipy_linalg(tmp_path):
+    # a beta = +1 fit reduces its saddle by a BLAS rank-2 update
+    path = tmp_path / "nodes.csv"
+    path.write_text("".join(f"{x},{math.sin(x)}\n" for x in np.linspace(0.0, 1.0, 11)))
+    argv = ["fit", "--n", "1", "--beta", "1", "--c", "0.5", "--nodes", str(path)]
+    code, modules = scipy_modules_after(argv)
+    assert code == "0"
+    assert_lapack_without_scipy_linalg(modules)
+    assert "scipy.linalg._fblas" in modules
 
 
 FIT_PROBE = """
 from mqshape import rbf
 nodes = rbf.uniform_grid([0.0], 1.0, 11, 1)
 interp = rbf.fit(rbf.Kernel(c=0.5, beta=1.0, n=1), nodes, np.sin(nodes.points[:, 0]))
-assert interp.factorization == 'ldl'
+assert interp.factorization == 'cholesky'
 used = rbf._lapack()
+used_blas = rbf._linalg_extension('_fblas')
 """
 
 SCIPY_LINALG_PROBE = """
@@ -719,7 +733,9 @@ import scipy.linalg
 
 SAME_LAPACK_PROBE = """
 assert sys.modules['scipy.linalg._flapack'] is used
-assert scipy.linalg.lapack.dsytrf is used.dsytrf
+assert scipy.linalg.lapack.dpotrf is used.dpotrf
+assert sys.modules['scipy.linalg._fblas'] is used_blas
+assert scipy.linalg.blas.dsyr2 is used_blas.dsyr2
 a = np.array([[4.0, 1.0], [2.0, 3.0]])
 x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0])
 assert np.allclose(a @ x, [1.0, 2.0])
@@ -756,8 +772,9 @@ assert 'scipy.linalg' in sys.modules
 )
 def test_one_lapack_module_with_scipy_linalg(steps):
     # mqshape's loader and an import of scipy.linalg, in either order,
-    # share one copy of the extension, and scipy.linalg still works; where
-    # no extension file is found, the loader imports the package
+    # share one copy of each extension, LAPACK's and BLAS's, and
+    # scipy.linalg still works; where no extension file is found, the
+    # loader imports the package
     source = "import sys\nimport numpy as np\n" + "".join(steps) + SAME_LAPACK_PROBE
     assert run_fresh(source).split() == ["ok"]
 

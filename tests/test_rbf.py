@@ -60,6 +60,15 @@ def perturbed_grid_2d(rng, per_side, spacing=1.5):
     return NodeSet(points=pts, cube=(np.zeros(2), side))
 
 
+def perturbed_grid_3d(rng, per_side, spacing=1.5):
+    side = spacing * per_side
+    base = (np.arange(per_side) + 0.5) * spacing
+    mesh = np.meshgrid(base, base, base, indexing="ij")
+    pts = np.column_stack([m.ravel() for m in mesh])
+    pts += 0.3 * spacing * rng.uniform(-1.0, 1.0, pts.shape)
+    return NodeSet(points=pts, cube=(np.zeros(3), side))
+
+
 class TestKernel:
     def test_inverse_multiquadric_values(self):
         k = Kernel(c=1.0, beta=-1.0, n=1)
@@ -299,10 +308,22 @@ class TestFit:
         with pytest.raises(InputError):
             fit(Kernel(c=0.5, beta=3.0, n=2), nodes, np.ones(8))
 
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 2)])
+    def test_fewer_nodes_than_tail_terms_are_not_unisolvent(self, n, count):
+        # beta = 3 has n + 1 tail terms, which fewer nodes cannot pin down,
+        # and its saddle is singular
+        pts = np.linspace(0.2, 0.8, count * n).reshape(count, n)
+        nodes = NodeSet(points=pts, cube=(np.zeros(n), 1.0))
+        kern = Kernel(c=0.5, beta=3.0, n=n)
+        with pytest.raises(InputError, match="unisolvent"):
+            fit(kern, nodes, np.ones(count))
+        assert condition_estimate(kern, nodes) == math.inf
+
     def test_exactly_singular_system(self):
         # the squared distances vanish below the ulp of c^2, so every
         # kernel entry collapses to the same number; for beta > 0 the
-        # LDL^T meets an exactly zero pivot
+        # kernel block on the null space of P^T is not positive definite,
+        # and the LU that takes over meets an exactly zero pivot
         for beta, c, count in [(-1.0, 1e150, 3), (1.0, 1e100, 11), (3.0, 1e100, 11)]:
             nodes = uniform_grid(np.zeros(1), 1.0, count, 1)
             with pytest.raises(ConditioningError) as caught:
@@ -355,10 +376,10 @@ class TestFit:
                 rel = np.abs(p.T @ coef) / max(np.sum(np.abs(coef)), 1e-300)
                 assert np.max(rel) < 1e-9
 
-    ROUTINES = ("dpotrf", "dpotrs", "dsytrf", "dsytrs", "dgetrf", "dgetrs")
+    ROUTINES = ("dpotrf", "dpotrs", "dgetrf", "dgetrs")
 
     @staticmethod
-    def count_lapack_calls(monkeypatch, names=("dpotrf", "dpotrs", "dgetrf", "dgetrs")):
+    def count_lapack_calls(monkeypatch, names=ROUTINES):
         """Count the calls of the named factor and solve routines on the
         LAPACK module, and the dpotrf calls that report a breakdown
         (info > 0)."""
@@ -379,22 +400,20 @@ class TestFit:
         return calls, failed
 
     def test_one_factorization_one_solve(self, monkeypatch):
-        calls, _ = self.count_lapack_calls(monkeypatch, self.ROUTINES)
+        calls, _ = self.count_lapack_calls(monkeypatch)
         nodes = perturbed_grid_2d(np.random.default_rng(3), 5)
         interp = fit(Kernel(c=1.0, beta=3.0, n=2), nodes, np.ones(nodes.count))
-        assert calls == {
-            "dpotrf": 0, "dpotrs": 0, "dsytrf": 1, "dsytrs": 1, "dgetrf": 0, "dgetrs": 0
-        }
-        assert interp.factorization == "ldl"
+        # one solve of the data and one of the q polynomial columns that
+        # the condition estimate reads
+        assert calls == {"dpotrf": 1, "dpotrs": 2, "dgetrf": 0, "dgetrs": 0}
+        assert interp.factorization == "cholesky"
 
     def test_positive_definite_system_takes_cholesky(self, monkeypatch):
-        calls, failed = self.count_lapack_calls(monkeypatch, self.ROUTINES)
+        calls, failed = self.count_lapack_calls(monkeypatch)
         nodes = perturbed_grid_2d(np.random.default_rng(3), 6)
         kern = Kernel(c=0.2, beta=-1.0, n=2)
         interp = fit(kern, nodes, np.cos(nodes.points.sum(axis=1)))
-        assert calls == {
-            "dpotrf": 1, "dpotrs": 1, "dsytrf": 0, "dsytrs": 0, "dgetrf": 0, "dgetrs": 0
-        }
+        assert calls == {"dpotrf": 1, "dpotrs": 1, "dgetrf": 0, "dgetrs": 0}
         assert failed == {"dpotrf": 0}
         assert interp.factorization == "cholesky"
         assert interp.node_residual < 1e-12
@@ -418,9 +437,62 @@ class TestFit:
         assert np.array_equal(interp.kernel_coeffs, direct)
         assert condition_estimate(kern, nodes) == interp.condition_estimate
 
+    def test_reduced_cholesky_breakdown_falls_back_to_lu(self, monkeypatch):
+        # beta = 1 on the nodes above, cond ~2e18-5e19 by the GEMM kernel:
+        # the kernel block on the null space of P^T is not positive
+        # definite in floating point, and the LU takes the whole saddle
+        import scipy.linalg
+
+        nodes = uniform_grid(np.zeros(1), 1.0, 41, 1)
+        kern = Kernel(c=20.0, beta=1.0, n=1)
+        vals = np.exp(-0.25 * (nodes.points[:, 0] - 0.5) ** 2)
+        saddle = _saddle(kern, nodes)[0]
+        direct = scipy.linalg.lu_solve(scipy.linalg.lu_factor(saddle), np.append(vals, 0.0))
+        calls, failed = self.count_lapack_calls(monkeypatch)
+        interp = fit(kern, nodes, vals)
+        assert calls == {"dpotrf": 1, "dpotrs": 0, "dgetrf": 1, "dgetrs": 1}
+        assert failed == {"dpotrf": 1}
+        assert interp.factorization == "lu"
+        assert np.array_equal(interp.kernel_coeffs, direct[:-1])
+        assert np.array_equal(interp.poly_coeffs, direct[-1:])
+        assert condition_estimate(kern, nodes) == interp.condition_estimate
+
+    @pytest.mark.parametrize(
+        "n, beta, c, q",
+        [(1, 3.0, 1.0, 2), (2, 3.0, 1.0, 3), (2, 5.0, 1.0, 6), (3, 1.0, 3.0, 1)],
+    )
+    def test_every_tail_is_solved_on_the_null_space(self, n, beta, c, q):
+        # Cholesky of the kernel block on the null space of P^T, for q = 2,
+        # 3, 6 and 1 polynomial terms, against scipy's LU of the saddle
+        import scipy.linalg
+
+        rng = np.random.default_rng(5)
+        grid = {1: lambda: perturbed_grid_1d(rng, 30), 2: lambda: perturbed_grid_2d(rng, 8)}
+        nodes = grid.get(n, lambda: perturbed_grid_3d(rng, 4))()
+        kern = Kernel(c=c, beta=beta, n=n)
+        vals = rng.normal(size=nodes.count)
+        interp = fit(kern, nodes, vals)
+        assert interp.factorization == "cholesky" and len(interp.poly_exponents) == q
+        saddle = _saddle(kern, nodes)[0]
+        lu = scipy.linalg.lu_factor(saddle)
+        cond = np.linalg.cond(saddle, 1)
+        eps = np.finfo(float).eps
+        direct = scipy.linalg.lu_solve(lu, np.concatenate([vals, np.zeros(q)]))
+        x = np.concatenate([interp.kernel_coeffs, interp.poly_coeffs])
+        assert np.abs(x - direct).max() <= cond * eps * np.abs(direct).max()
+        p, a = saddle[:nodes.count, nodes.count:], interp.kernel_coeffs
+        assert np.abs(p.T @ a).max() <= 4.0 * eps * (np.abs(p.T) @ np.abs(a)).max()
+        assert cond / 3.0 <= interp.condition_estimate <= 3.0 * cond
+        assert interp.condition_estimate == condition_estimate(kern, nodes)
+        # a right-hand side with side conditions P^T a = g, g != 0
+        b = rng.normal(size=saddle.shape[0])
+        direct = scipy.linalg.lu_solve(lu, b)
+        solve = _factor(saddle.copy(), q)[0]
+        assert np.abs(solve(b) - direct).max() <= cond * eps * np.abs(direct).max()
+
     @pytest.mark.parametrize(
         "beta, count, c, factorization",
-        [(-1.0, 11, 0.5, "cholesky"), (-1.0, 41, 20.0, "lu"), (1.0, 11, 0.5, "ldl")],
+        [(-1.0, 11, 0.5, "cholesky"), (-1.0, 41, 20.0, "lu"), (1.0, 11, 0.5, "cholesky")],
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_input_errors(self, beta, count, c, factorization, bad):
@@ -435,7 +507,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "beta, c, factorization",
-        [(-1.0, 1.0, "cholesky"), (1.0, 1.0, "ldl"), (3.0, 1.0, "ldl"), (-1.0, 30.0, "lu")],
+        [(-1.0, 1.0, "cholesky"), (1.0, 1.0, "cholesky"), (3.0, 1.0, "cholesky"), (-1.0, 30.0, "lu")],
     )
     def test_residuals_against_the_assembled_saddle(self, beta, c, factorization):
         # fit reads its residuals from the triangle the factorization left
@@ -457,7 +529,7 @@ class TestFit:
         # a residual is itself of the order of those ulps, so check the
         # product on a factored saddle also where it is not small
         factored = _saddle(kern, nodes)[0]
-        _, _, kind, product = _factor(factored, positive_definite=beta < 0)
+        _, _, kind, product = _factor(factored, len(interp.poly_exponents))
         assert kind == factorization
         assert not np.array_equal(np.tril(factored), np.tril(saddle))
         y = rng.normal(size=x.shape[0])
@@ -466,7 +538,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "beta, c, factorization",
-        [(-1.0, 1.0, "cholesky"), (1.0, 1.0, "ldl"), (3.0, 1.0, "ldl"), (-1.0, 30.0, "lu")],
+        [(-1.0, 1.0, "cholesky"), (1.0, 1.0, "cholesky"), (3.0, 1.0, "cholesky"), (-1.0, 30.0, "lu")],
     )
     def test_factorization_leaves_the_strict_lower_triangle(self, beta, c, factorization):
         # LAPACK consumes the upper triangle and the diagonal, and the
@@ -476,7 +548,7 @@ class TestFit:
         nodes = perturbed_grid_2d(rng, 20)
         saddle = _saddle(Kernel(c=c, beta=beta, n=2), nodes)[0]
         factored = saddle.copy()
-        _, _, kind, product = _factor(factored, positive_definite=beta < 0)
+        _, _, kind, product = _factor(factored, len(poly_basis(cpd_order(beta), 2)))
         assert kind == factorization
         assert np.array_equal(np.tril(factored, -1), np.tril(saddle, -1))
         factored[np.triu_indices_from(factored, 1)] = np.nan
@@ -1016,8 +1088,9 @@ class TestConditioning:
         interp = fit(k, nodes, rng.normal(size=nodes.count))
         assert interp.condition_estimate == est
         assert oracle / 3.0 <= est <= 3.0 * oracle
-        # the beta < 0 cases check the dpocon estimate, the others dsycon
-        assert interp.factorization == ("cholesky" if beta < 0 else "ldl")
+        # beta < 0 checks the dpocon estimate; beta = 1 checks dpocon on the
+        # reduced block together with the saddle's polynomial columns
+        assert interp.factorization == "cholesky"
 
     def test_estimate_rejects_dimension_mismatch(self):
         nodes = uniform_grid(np.zeros(2), 1.0, 3, 2)
@@ -1073,7 +1146,7 @@ class TestRecords:
     def test_interpolant_fields(self):
         nodes = uniform_grid([0.0], 1.0, 5, 1)
         interp = fit(Kernel(0.5, 1.0, 1), nodes, np.sin(nodes.points[:, 0]))
-        assert interp.nodes is nodes and interp.factorization == "ldl"
+        assert interp.nodes is nodes and interp.factorization == "cholesky"
         with pytest.raises(AttributeError):
             interp.node_residual = 0.0
         assert repr(interp).startswith("Interpolant(") and "condition_estimate=" in repr(interp)
