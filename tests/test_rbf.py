@@ -438,7 +438,7 @@ class TestFit:
         assert condition_estimate(kern, nodes) == interp.condition_estimate
 
     def test_reduced_cholesky_breakdown_falls_back_to_lu(self, monkeypatch):
-        # beta = 1 on the nodes above, cond ~2e18-5e19 by the GEMM kernel:
+        # beta = 1 on the nodes above, cond ~3e18-5e19 by the GEMM kernel:
         # the kernel block on the null space of P^T is not positive
         # definite in floating point, and the LU takes the whole saddle
         import scipy.linalg
