@@ -104,9 +104,16 @@ def _validate_beta(beta) -> float:
     return beta
 
 
-def _validate_dimension(n: int) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise SpecError(f"dimension n must be an integer, got {n!r}")
+def _validate_dimension(n) -> int:
+    """``n`` as a Python int, unless it is not an integer of at least 1
+    (:class:`SpecError`): any integer that :func:`operator.index` takes,
+    numpy's included, as for :func:`_is_count`, but not a bool."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError("a bool")
+        n = operator.index(n)
+    except TypeError:
+        raise SpecError(f"dimension n must be an integer, got {n!r}") from None
     if n < 1:
         raise SpecError(f"dimension n must be >= 1, got {n}")
     return n
@@ -213,7 +220,7 @@ class ProblemSpec(_Record):
         b0: Optional[float] = None,
         mode: Mode = Mode.PRACTICAL,
     ):
-        _validate_dimension(n)
+        n = _validate_dimension(n)
         beta = _validate_beta(beta)
         _require_positive_finite(sigma, "sigma")
         _require_positive_finite(delta, "delta")
@@ -287,7 +294,7 @@ def gamma_seq(n: int) -> int:
     Evaluated with exact (arbitrary precision) integer arithmetic, since the
     value seeds exponents where even a one-ulp slip scales results by e.
     """
-    _validate_dimension(n)
+    n = _validate_dimension(n)
     g = 2
     for k in range(2, n + 1):
         g = 2 * k * (1 + g)
@@ -324,7 +331,7 @@ def rho_delta0(n: int, beta: float) -> tuple[float, float]:
     product is 1.  Delta_0 is returned as its natural log because the
     products grow factorially.
     """
-    _validate_dimension(n)
+    n = _validate_dimension(n)
     beta = _validate_beta(beta)
     if beta < n - 3:
         s = math.ceil((n - beta - 3) / 2.0)
@@ -349,7 +356,7 @@ def multiindex_count(m: int, n: int) -> int:
     """Number of n-dimensional multi-indices of total order m."""
     if m < 0:
         raise SpecError(f"multi-index order must be >= 0, got {m}")
-    _validate_dimension(n)
+    n = _validate_dimension(n)
     return math.comb(m + n - 1, n - 1)
 
 
@@ -362,7 +369,7 @@ def d0_constant(n: int, beta: float) -> float:
     beta = _validate_beta(beta)
     if not beta > 0.0:
         raise SpecError(f"d0 is defined only for beta > 0, got beta={beta:g}")
-    _validate_dimension(n)
+    n = _validate_dimension(n)
     m = cpd_order(beta)
     log_mfact = math.lgamma(m + 1.0)
     log_count = math.log(multiindex_count(m, n))

@@ -23,8 +23,9 @@ Householder reflectors of P reduce the saddle in place to that block,
 padded with the identity, and Cholesky factors it (a null-space method:
 Benzi, Golub & Liesen, *Acta Numer.* 14 (2005) 1-137; :func:`_reduce`).
 Where Cholesky breaks down, the matrix is not positive definite in
-floating point (cond * eps >~ 1, the large-c regime) and a copy of the
-saddle is factored by a partially pivoted LU instead.
+floating point (cond * eps >~ 1, the large-c regime) and the saddle,
+assembled again, is factored by a partially pivoted LU instead; every
+entry is formed elementwise, so it is the same matrix to the bit.
 :attr:`Interpolant.factorization` records which.  That one factorization
 also gives the 1-norm condition estimate of the whole saddle (LAPACK
 ``dpocon`` or ``dgecon``, the Hager/Higham estimator: Higham, *Accuracy and
@@ -33,15 +34,16 @@ also takes the q polynomial columns of the saddle's inverse, which the
 reduced block does not see, at the cost of one solve.  The reduction and
 Cholesky write LAPACK's lower triangle of the transpose, which is the
 saddle's upper triangle (with one BLAS thread, OpenBLAS's lower Cholesky
-runs faster), and the diagonal, so :func:`_factor` keeps a copy of the
-diagonal and forms the residuals of :func:`fit` from it and the strict
-lower triangle, which they leave intact, read natively left of each row
-block's diagonal: the system is held once.  The LAPACK and BLAS routines
-are called directly from scipy's f2py extensions ``scipy.linalg._flapack``
+runs faster), and the diagonal, and leave the strict lower triangle
+intact.  :func:`_factor` keeps a copy of the diagonal, writes it back once
+the solve has spent the factor, and forms the residuals S x - b of
+:func:`fit`, the solve's backward error (Higham, ch. 7), by one BLAS
+symmetric matrix-vector product (``dsymv``) that reads only that lower
+triangle: the system is held once.  The LAPACK and BLAS routines are
+called directly from scipy's f2py extensions ``scipy.linalg._flapack``
 and ``scipy.linalg._fblas``, each loaded on its first use without the
 ``scipy.linalg`` package (:func:`_linalg_extension`), so the criterion and
-optimizer never load scipy, and a fit loads only LAPACK's extension and,
-for beta > 0, BLAS's.
+optimizer never load scipy, and a fit loads only those two extensions.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -124,12 +126,12 @@ __all__ = [
 
 # Entries per row block of _row_blocks(), the one blocking rule of every
 # scan over a matrix of distances or kernel values: assembly and evaluate()
-# (through _kernel_rows()), fill_distance(), and the norm, copy and product
-# passes of _factor().  Each block is 512 KiB, so its working set stays in
-# a core's L2 cache and memory does not grow with the number of evaluation
-# points.  evaluate() holds one block per strand, at most _STRANDS of them
-# (_deal_kernel_rows()); assembly forms half blocks in the saddle itself,
-# and each of its strands holds only a half block of scratch.
+# (through _kernel_rows()), fill_distance(), and the norm pass of _factor().
+# Each block is 512 KiB, so its working set stays in a core's L2 cache and
+# memory does not grow with the number of evaluation points.  evaluate()
+# holds one block per strand, at most _STRANDS of them (_deal_kernel_rows());
+# assembly forms half blocks in the saddle itself, and each of its strands
+# holds only a half block of scratch.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # The most strands that evaluate() and assembly deal their row blocks to:
@@ -155,7 +157,7 @@ class Kernel(_Record):
     def __init__(self, c: float, beta: float, n: int):
         c = _require_positive_c(c)
         beta = _validate_beta(beta)  # the poles of Gamma(-beta/2) are refused
-        _validate_dimension(n)
+        n = _validate_dimension(n)
         try:
             g = math.gamma(-beta / 2.0)
         except OverflowError:
@@ -194,16 +196,27 @@ class Kernel(_Record):
 
 def kernel_eval(kernel: Kernel, x) -> float:
     """Evaluate the kernel at offset x (an n-vector)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(_real_array(x, "kernel offset"))
     if x.shape != (kernel.n,):
         raise InputError(f"expected an offset of shape ({kernel.n},), got {x.shape}")
     return float(kernel.radial(float(np.dot(x, x))))
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array, unless its entries are strings, bytes or
+    complex numbers (:class:`InputError`, naming ``what``): numpy would
+    parse the strings and drop the imaginary parts, where the rule for
+    scalars (:func:`mqshape.constants._require_real`) refuses both."""
+    data = np.asarray(x)
+    if data.dtype.kind in "SUc":
+        raise InputError(f"{what} must be real numbers, got {data.dtype} entries")
+    return data.astype(float, copy=False)
+
+
 def _points(points) -> np.ndarray:
     """``points`` as a float array, checked by :class:`NodeSet`'s rule: a
-    nonempty (N, n) array of finite coordinates (:class:`InputError`)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    nonempty (N, n) array of finite real coordinates (:class:`InputError`)."""
+    pts = np.atleast_2d(_real_array(points, "node coordinates"))
     if pts.ndim != 2 or pts.size == 0:
         raise InputError("node set must be a nonempty (N, n) array")
     if not np.isfinite(pts).all():
@@ -215,8 +228,9 @@ def _point_batch(x, n: int) -> Tuple[np.ndarray, bool]:
     """(points, one) for ``x``, one point or a (k, n) batch of them: the
     points as a (k, n) float array, and whether ``x`` is one point, a
     scalar or an n-vector, whose value is a float rather than an array.
-    Any other shape raises :class:`InputError`."""
-    pts = np.asarray(x, dtype=float)
+    Any other shape, or entries that are not real numbers
+    (:func:`_real_array`), raise :class:`InputError`."""
+    pts = _real_array(x, "evaluation points")
     batch = np.atleast_2d(pts)
     if batch.ndim > 2 or batch.shape[1] != n:
         raise InputError(
@@ -502,7 +516,7 @@ def poly_basis(m: int, n: int) -> List[Tuple[int, ...]]:
     """
     if m < 0:
         raise SpecError(f"order must be >= 0, got {m}")
-    _validate_dimension(n)
+    n = _validate_dimension(n)
     basis: List[Tuple[int, ...]] = []
 
     def compositions(total: int, parts: int):
@@ -578,15 +592,16 @@ def _lapack():
     return _linalg_extension("_flapack")
 
 
-def _factor(matrix: np.ndarray, q: int):
-    """(solve, cond, factorization, product) for a bitwise symmetric
-    matrix S, which it consumes, whose last q rows and columns are a
-    polynomial block [P^T, 0]: ``solve(b)`` solves S x = b from one
-    factorization, cond is the 1-norm condition estimate ||S||_1 / rcond
-    with rcond from LAPACK on those same factors (for q > 0 at least
-    ||S||_1 times the 1-norm of the last q columns of S^-1, which the
-    reduced factor does not see), factorization names them and
-    ``product(x)`` is S @ x (:func:`_symmetric_product`).
+def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
+    """(solution, residual, cond, factorization) for the saddle S of
+    ``kernel`` on ``nodes`` in ``matrix`` (:func:`_saddle`), which it
+    consumes, with q = order - N polynomial rows and columns [P^T, 0]:
+    the solution x of S x = ``rhs`` from one factorization, the residual
+    |S x - rhs|, the 1-norm condition estimate ||S||_1 / rcond with rcond
+    from LAPACK on those same factors (for q > 0 at least ||S||_1 times
+    the 1-norm of the last q columns of S^-1, which the reduced factor
+    does not see), and the name of the factorization.  Without ``rhs``,
+    solution and residual are empty.
 
     ``matrix.T`` is column-major and, S being symmetric, equal to S, so
     LAPACK factors it in place, with no transposing copy.  For q = 0 the
@@ -594,32 +609,34 @@ def _factor(matrix: np.ndarray, q: int):
     it is first reduced in place to the kernel block on the null space of
     P^T, padded with the identity (:func:`_reduce`), and that is factored
     by Cholesky.  Where Cholesky breaks down (``info > 0``), the matrix
-    is not positive definite in floating point, and a copy of S, rebuilt
-    from the intact triangle, is factored by a partially pivoted LU
-    (``dgetrf``, ``dgecon``).  The reduction and Cholesky are called on
-    LAPACK's lower triangle of ``matrix.T``: they overwrite the upper
-    triangle and the diagonal of ``matrix`` and leave its strict lower
-    triangle as it was; the one copy of the diagonal taken beforehand and
-    that triangle give S back, to the LU and to ``product``.  An exactly
-    singular matrix estimates inf; non-finite entries raise
-    :class:`ConditioningError` with estimate inf.  The LU calls and their
-    arguments are those of scipy.linalg's ``lu_factor`` and ``lu_solve``,
-    and for q = 0 the Cholesky calls those of ``cho_factor(lower=True)``
-    and ``cho_solve``, without the finiteness checks, so the factors and
-    solutions are theirs to the bit."""
+    is not positive definite in floating point, and a fresh saddle from
+    :func:`_saddle`, equal to S to the bit, is factored by a partially
+    pivoted LU (``dgetrf``, ``dgecon``).  The reduction and Cholesky are
+    called on LAPACK's lower triangle of ``matrix.T``: they overwrite the
+    upper triangle and the diagonal of ``matrix`` and leave its strict
+    lower triangle as it was.  Once the solve has spent the factor, the
+    copy of the diagonal taken beforehand is written back, and one BLAS
+    ``dsymv`` on that lower triangle forms S x - rhs.  An exactly
+    singular matrix estimates inf; non-finite entries, or fewer nodes
+    than polynomial terms, raise :class:`ConditioningError` with
+    estimate inf.  The LU calls and their arguments are those of
+    scipy.linalg's ``lu_factor`` and ``lu_solve``, and for q = 0 the
+    Cholesky calls those of ``cho_factor(lower=True)`` and ``cho_solve``,
+    without the finiteness checks, so the factors and solutions are
+    theirs to the bit."""
     lapack = _lapack()
     size = matrix.shape[0]
+    q = size - nodes.count
     # ||S||_1, the largest column sum of |S|, a row block at a time
     col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size, size))
     anorm = float(col_sums.max())  # a NaN or inf entry propagates here
     if not math.isfinite(anorm):
         message = "saddle system is numerically singular (cond ~ inf)"
         raise ConditioningError(message, condition_estimate=math.inf)
-    if size < 2 * q:  # fewer nodes than polynomial terms: rank S <= 2 N < N + q
+    if nodes.count < q:  # rank S <= 2 N < N + q
         message = "saddle system is singular (fewer nodes than polynomial terms)"
         raise ConditioningError(message, condition_estimate=math.inf)
     diagonal = matrix.diagonal().copy()
-    product = lambda x: _symmetric_product(matrix, diagonal, x)
     lift = _reduce(matrix, q) if q else None
     # lower=1 on matrix.T is LAPACK's lower triangle, the upper one of
     # ``matrix``: OpenBLAS's lower Cholesky runs faster on one BLAS thread;
@@ -629,25 +646,33 @@ def _factor(matrix: np.ndarray, q: int):
         rcond, info = lapack.dpocon(factor, anorm, uplo=b"L")
         cond = _from_rcond(rcond, info)
         solve = lambda b: lapack.dpotrs(factor, b, lower=1)[0]
-        if lift is None:
-            return solve, cond, "cholesky", product
-        solve = lift(solve)
-        # dpocon sees M alone; the polynomial block's share of S^-1 is in
-        # its last q columns, one solve with q right-hand sides
-        with np.errstate(all="ignore"):
-            try:
-                poly_norm = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
-            except np.linalg.LinAlgError:  # R~ is singular: P has dependent columns
-                poly_norm = math.inf
-        cond = max(cond, anorm * poly_norm) if poly_norm < math.inf else math.inf
-        return solve, cond, "cholesky", product
-    # the LU overwrites all of its matrix, and product still reads the
-    # strict lower triangle of this one
-    lu, piv, info = lapack.dgetrf(_symmetric_copy(matrix, diagonal).T, overwrite_a=1)
-    # info > 0 is an exactly zero pivot, which estimates inf
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
-    return solve, _from_rcond(rcond, info), "lu", product
+        if lift is not None:
+            solve = lift(solve)
+            # dpocon sees M alone; the polynomial block's share of S^-1 is
+            # in its last q columns, one solve with q right-hand sides
+            with np.errstate(all="ignore"):
+                try:
+                    poly_norm = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
+                except np.linalg.LinAlgError:  # R~ is singular: P has dependent columns
+                    poly_norm = math.inf
+            cond = max(cond, anorm * poly_norm) if poly_norm < math.inf else math.inf
+        factorization = "cholesky"
+    else:
+        lu, piv, info = lapack.dgetrf(_saddle(kernel, nodes)[0].T, overwrite_a=1)
+        # info > 0 is an exactly zero pivot, which estimates inf
+        rcond, info = lapack.dgecon(lu, anorm, norm="1")
+        cond = _from_rcond(rcond, info)
+        solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
+        factorization = "lu"
+    if rhs is None:
+        return np.empty(0), np.empty(0), cond, factorization
+    solution = solve(rhs)
+    # the factor is spent: with the diagonal back, the strict lower
+    # triangle is S's, LAPACK's upper triangle of matrix.T
+    np.fill_diagonal(matrix, diagonal)
+    blas = _linalg_extension("_fblas")
+    residual = blas.dsymv(1.0, matrix.T, solution, beta=-1.0, y=rhs, lower=0)
+    return solution, np.abs(residual), cond, factorization
 
 
 def _reduce(matrix: np.ndarray, q: int):
@@ -721,51 +746,6 @@ def _from_rcond(rcond: float, info: int) -> float:
     return 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
 
 
-def _cond1(matrix: np.ndarray, q: int = 0) -> float:
-    """The 1-norm condition estimate of a symmetric matrix with a q x q
-    polynomial block, which it consumes (:func:`_factor`); inf for
-    non-finite entries."""
-    try:
-        return _factor(matrix, q)[1]
-    except ConditioningError:
-        return math.inf
-
-
-def _diagonal_block(lower: np.ndarray, diagonal: np.ndarray, rows: slice) -> np.ndarray:
-    """The symmetric block A[rows, rows] of the matrix A whose strict lower
-    triangle is that of ``lower`` and whose diagonal is ``diagonal``."""
-    strict = np.tril(lower[rows, rows], -1)
-    block = strict + strict.T
-    np.fill_diagonal(block, diagonal[rows])
-    return block
-
-
-def _symmetric_copy(lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose strict lower triangle is that of
-    ``lower`` and whose diagonal is ``diagonal``, in C order, built a row
-    block at a time: every entry is copied, so it equals the original to
-    the bit."""
-    full = np.empty(lower.shape)
-    for rows in _row_blocks(*lower.shape):
-        full[rows, :rows.start] = lower[rows, :rows.start]
-        full[rows, rows] = _diagonal_block(lower, diagonal, rows)
-        full[rows, rows.stop:] = lower[rows.stop:, rows].T
-    return full
-
-
-def _symmetric_product(lower: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for the symmetric A whose strict lower triangle is that of
-    ``lower`` and whose diagonal is ``diagonal``, a row block at a time:
-    each block's part left of the diagonal serves its own rows and,
-    transposed, the rows above it."""
-    y = np.zeros_like(x)
-    for rows in _row_blocks(*lower.shape):
-        left = lower[rows, :rows.start]
-        y[rows] += _diagonal_block(lower, diagonal, rows) @ x[rows] + left @ x[:rows.start]
-        y[:rows.start] += left.T @ x[rows]
-    return y
-
-
 def _saddle(kernel: Kernel, nodes: NodeSet):
     """(saddle matrix, exponents) of the interpolation system on
     ``nodes``: [[A, P], [P^T, 0]], with A the kernel matrix and P the
@@ -797,13 +777,14 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     The system is [[A, P], [P^T, 0]] [coef; poly] = [values; 0] with
     A the kernel matrix and P the polynomial block.  It is held once:
-    :func:`_factor` factors it in place and forms the products the
-    residuals are read from.  Raises :class:`InputError` for mismatched
-    or non-finite data or a node set that cannot determine the
-    polynomial tail, and :class:`ConditioningError` for non-finite
-    system entries or coefficients (expected behaviour for very large c).
+    :func:`_factor` factors it in place, solves it and forms the residuals
+    from the triangle the factorization leaves intact.  Raises
+    :class:`InputError` for mismatched, non-finite or non-real data or a
+    node set that cannot determine the polynomial tail, and
+    :class:`ConditioningError` for non-finite system entries or
+    coefficients (expected behaviour for very large c).
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = _real_array(values, "data values").reshape(-1)
     n_nodes = nodes.count
     if values.shape[0] != n_nodes:
         raise InputError(
@@ -824,15 +805,13 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     # One factorization serves the solve, the estimate and the residuals.
     rhs = np.concatenate([values, np.zeros(q)])
-    solve, cond, factorization, product = _factor(saddle, q)
-    solution = solve(rhs)
+    solution, residual, cond, factorization = _factor(kernel, nodes, saddle, rhs)
     if not np.isfinite(solution).all():
         raise ConditioningError(
             f"saddle solve produced non-finite coefficients (cond ~ {cond:.3e})",
             condition_estimate=cond,
         )
 
-    residual = np.abs(product(solution) - rhs)
     return Interpolant(
         kernel=kernel,
         nodes=nodes,
@@ -864,5 +843,8 @@ def evaluate(interp: Interpolant, x):
 def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:
     """1-norm condition estimate of the full saddle matrix, the same
     number :func:`fit` reports for these nodes."""
-    saddle, exponents = _saddle(kernel, nodes)
-    return _cond1(saddle, len(exponents))
+    saddle = _saddle(kernel, nodes)[0]
+    try:
+        return _factor(kernel, nodes, saddle)[2]
+    except ConditioningError:
+        return math.inf

@@ -74,7 +74,7 @@ class GaussianBump(_Record):
         center: Optional[Tuple[float, ...]] = None,
     ):
         _require_positive_finite(a, "gaussian width a")
-        _validate_dimension(n)
+        n = _validate_dimension(n)
         amplitude = _require_real(amplitude, "amplitude must be a finite real", math.isfinite)
         if center is not None:
             try:

@@ -689,31 +689,22 @@ def test_verify_loads_lapack_but_not_scipy_linalg(tmp_path):
     assert_lapack_without_scipy_linalg(modules)
 
 
-@pytest.mark.parametrize("command", ["fit", "verify"])
+@pytest.mark.parametrize("command", ["fit", "fit-tail", "verify"])
 def test_rbf_commands_load_numpy_and_lapack_but_not_scipy_linalg(tmp_path, command):
+    # every fit forms its residuals by a BLAS product, and a beta = +1 fit
+    # ("fit-tail") also reduces its saddle by a BLAS rank-2 update
     path = tmp_path / "nodes.csv"
     xs = np.linspace(0.0, 1.0, 11)
-    if command == "fit":
+    if command.startswith("fit"):
         path.write_text("".join(f"{x},{math.sin(x)}\n" for x in xs))
-        argv = ["fit", "--n", "1", "--beta", "-1", "--c", "0.5", "--nodes", str(path)]
+        beta = "1" if command == "fit-tail" else "-1"
+        argv = ["fit", "--n", "1", "--beta", beta, "--c", "0.5", "--nodes", str(path)]
     else:
         path.write_text("".join(f"{x}\n" for x in xs))
         argv = [*VERIFY_ARGV, "--nodes", str(path)]
     code, modules = scipy_modules_after(argv)
     assert code == "0"
     assert "numpy" in modules
-    assert_lapack_without_scipy_linalg(modules)
-    # beta = -1 has no polynomial tail to reduce, so no BLAS extension
-    assert "scipy.linalg._fblas" not in modules
-
-
-def test_tail_reduction_loads_blas_but_not_scipy_linalg(tmp_path):
-    # a beta = +1 fit reduces its saddle by a BLAS rank-2 update
-    path = tmp_path / "nodes.csv"
-    path.write_text("".join(f"{x},{math.sin(x)}\n" for x in np.linspace(0.0, 1.0, 11)))
-    argv = ["fit", "--n", "1", "--beta", "1", "--c", "0.5", "--nodes", str(path)]
-    code, modules = scipy_modules_after(argv)
-    assert code == "0"
     assert_lapack_without_scipy_linalg(modules)
     assert "scipy.linalg._fblas" in modules
 
@@ -736,6 +727,7 @@ assert sys.modules['scipy.linalg._flapack'] is used
 assert scipy.linalg.lapack.dpotrf is used.dpotrf
 assert sys.modules['scipy.linalg._fblas'] is used_blas
 assert scipy.linalg.blas.dsyr2 is used_blas.dsyr2
+assert scipy.linalg.blas.dsymv is used_blas.dsymv
 a = np.array([[4.0, 1.0], [2.0, 3.0]])
 x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0])
 assert np.allclose(a @ x, [1.0, 2.0])

@@ -26,17 +26,17 @@ from mqshape import (
     poly_basis,
     uniform_grid,
 )
-from mqshape.constants import cpd_order
+from mqshape.constants import ProblemSpec, cpd_order
 from mqshape import rbf
 from mqshape.rbf import (
     _BEYOND_RANGE,
     _EVAL_BLOCK_ENTRIES,
-    _cond1,
     _deal_kernel_rows,
     _difference_rhs,
     _factor,
     _kernel_rows,
     _lapack,
+    _linalg_extension,
     _row_blocks,
     _saddle,
     _sq_dists,
@@ -150,6 +150,13 @@ class TestKernel:
     def test_rejects_a_dimension_that_is_not_an_integer_of_at_least_one(self, n):
         with pytest.raises(SpecError, match="dimension n must be"):
             Kernel(c=1.0, beta=-1.0, n=n)
+
+    def test_accepts_a_numpy_integer_dimension(self):
+        # the dimension rule takes any integer, as the count rule does, and
+        # the records store it as a Python int
+        assert type(Kernel(c=1.0, beta=-1.0, n=np.int64(2)).n) is int
+        spec = ProblemSpec(n=np.int64(2), beta=-1.0, sigma=1.0, delta=1e-3)
+        assert spec.n == 2 and type(spec.n) is int
 
     @pytest.mark.parametrize(
         "beta", [-343.0, -200.5, -41.3, -11.68, -7.0, -3.0, -1.0, -0.5,
@@ -267,6 +274,39 @@ class TestNodeSet:
             nodes = NodeSet(np.array([[0.5, -2.0]]), (given, np.float32(3.3)))
             assert np.array_equal(nodes.cube[0], np.asarray(given, dtype=float))
             assert nodes.cube[1] == float(np.float32(3.3)) and type(nodes.cube[1]) is float
+
+
+UNIT_CUBE = (np.zeros(1), 1.0)
+KERN = Kernel(c=1.0, beta=-1.0, n=1)
+GRID = uniform_grid(np.zeros(1), 1.0, 3, 1)
+
+
+def grid_interpolant():
+    return fit(KERN, GRID, [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: NodeSet([["0.1"], ["0.5"]], UNIT_CUBE),
+        lambda: NodeSet(np.array([[0.1 + 1j], [0.5]]), UNIT_CUBE),
+        lambda: fill_distance(UNIT_CUBE, [["0.5"]], 11),
+        lambda: fit(KERN, GRID, ["1", "2", "3"]),
+        lambda: fit(KERN, GRID, np.array([1.0, 2.0, 3.0]) + 0j),
+        lambda: evaluate(grid_interpolant(), "0.5"),
+        lambda: evaluate(grid_interpolant(), b"0.5"),
+        lambda: evaluate(grid_interpolant(), [0.5 + 0.5j]),
+        lambda: kernel_eval(KERN, "0.5"),
+        lambda: kernel_eval(KERN, 0.5j),
+    ],
+    ids=["nodes-str", "nodes-complex", "fill-nodes-str", "values-str", "values-complex",
+         "points-str", "points-bytes", "points-complex", "offset-str", "offset-complex"],
+)
+def test_array_inputs_that_are_not_real_numbers_are_refused(call):
+    # strings were parsed, and complex numbers cut to their real parts with
+    # only a ComplexWarning, where the scalar rules refuse both
+    with pytest.raises(InputError, match="must be real numbers"):
+        call()
 
 
 class TestFit:
@@ -487,8 +527,8 @@ class TestFit:
         # a right-hand side with side conditions P^T a = g, g != 0
         b = rng.normal(size=saddle.shape[0])
         direct = scipy.linalg.lu_solve(lu, b)
-        solve = _factor(saddle.copy(), q)[0]
-        assert np.abs(solve(b) - direct).max() <= cond * eps * np.abs(direct).max()
+        x = _factor(kern, nodes, saddle.copy(), b)[0]
+        assert np.abs(x - direct).max() <= cond * eps * np.abs(direct).max()
 
     @pytest.mark.parametrize(
         "beta, count, c, factorization",
@@ -511,7 +551,7 @@ class TestFit:
     )
     def test_residuals_against_the_assembled_saddle(self, beta, c, factorization):
         # fit reads its residuals from the triangle the factorization left
-        # intact, a row block at a time; 400 nodes take three blocks
+        # intact and its copy of the diagonal, by one BLAS dsymv
         rng = np.random.default_rng(13)
         nodes = perturbed_grid_2d(rng, 20)
         kern = Kernel(c=c, beta=beta, n=2)
@@ -527,13 +567,15 @@ class TestFit:
         assert abs(interp.node_residual - residual[:nodes.count].max()) <= ulps
         assert abs(interp.side_condition_residual - side) <= ulps
         # a residual is itself of the order of those ulps, so check the
-        # product on a factored saddle also where it is not small
+        # residual pass on a factored saddle also where it is not small: the
+        # same dsymv on what _factor leaves, at a random x
         factored = _saddle(kern, nodes)[0]
-        _, _, kind, product = _factor(factored, len(interp.poly_exponents))
+        kind = _factor(kern, nodes, factored, rng.normal(size=x.shape[0]))[3]
         assert kind == factorization
-        assert not np.array_equal(np.tril(factored), np.tril(saddle))
+        assert not np.array_equal(np.triu(factored, 1), np.triu(saddle, 1))
         y = rng.normal(size=x.shape[0])
-        error = np.abs(product(y) - saddle @ y)
+        product = _linalg_extension("_fblas").dsymv(1.0, factored.T, y, lower=0)
+        error = np.abs(product - saddle @ y)
         assert np.all(error <= 8.0 * eps * (np.abs(saddle) @ np.abs(y)))
 
     @pytest.mark.parametrize(
@@ -542,19 +584,21 @@ class TestFit:
     )
     def test_factorization_leaves_the_strict_lower_triangle(self, beta, c, factorization):
         # LAPACK consumes the upper triangle and the diagonal, and the
-        # product reads only the strict lower triangle and its copy of the
-        # diagonal; 400 nodes take three row blocks
+        # residuals read only the strict lower triangle and the copy of the
+        # diagonal, while the upper triangle still holds the factor
         rng = np.random.default_rng(13)
         nodes = perturbed_grid_2d(rng, 20)
-        saddle = _saddle(Kernel(c=c, beta=beta, n=2), nodes)[0]
+        kern = Kernel(c=c, beta=beta, n=2)
+        saddle = _saddle(kern, nodes)[0]
         factored = saddle.copy()
-        _, _, kind, product = _factor(factored, len(poly_basis(cpd_order(beta), 2)))
+        b = rng.normal(size=saddle.shape[0])
+        x, residual, _, kind = _factor(kern, nodes, factored, b)
         assert kind == factorization
         assert np.array_equal(np.tril(factored, -1), np.tril(saddle, -1))
-        factored[np.triu_indices_from(factored, 1)] = np.nan
-        y = rng.normal(size=saddle.shape[0])
-        error = np.abs(product(y) - saddle @ y)
-        assert np.all(error <= 8.0 * np.finfo(float).eps * (np.abs(saddle) @ np.abs(y)))
+        assert not np.array_equal(np.triu(factored, 1), np.triu(saddle, 1))
+        error = np.abs(residual - np.abs(saddle @ x - b))
+        scale = np.abs(saddle) @ np.abs(x) + np.abs(b)
+        assert np.all(error <= 8.0 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("offset", [1e4, 1e5, 1e8])
     def test_tail_in_cube_frame(self, offset):
@@ -1053,12 +1097,6 @@ class TestConditioning:
             for beta in (-1.0, 1.0, 3.0):
                 saddle = _saddle(Kernel(c=0.8, beta=beta, n=n), nodes)[0]
                 assert np.array_equal(saddle, saddle.T)
-
-    def test_identity_estimate(self):
-        assert _cond1(np.eye(6)) == pytest.approx(1.0)
-
-    def test_singular_estimate(self):
-        assert _cond1(np.zeros((3, 3))) == math.inf
 
     def test_single_node_estimate(self):
         nodes = NodeSet(points=np.array([[0.2]]), cube=(np.zeros(1), 1.0))
