@@ -40,7 +40,6 @@ from .criterion import (
     log_lambda_pow,
     regime_for,
     sample_curve,
-    xi_star,
 )
 from .errors import (
     ConditioningError,
@@ -64,7 +63,6 @@ _LAZY = {
     "evaluate": "rbf",
     "fill_distance": "rbf",
     "fit": "rbf",
-    "kernel_eval": "rbf",
     "poly_basis": "rbf",
     "uniform_grid": "rbf",
     "BoundReport": "verify",
@@ -107,7 +105,6 @@ __all__ = [
     "fill_distance",
     "fit",
     "gamma_seq",
-    "kernel_eval",
     "kind_for",
     "log_h_beta_neg1_multid",
     "log_h_beta_neg1_oned",
@@ -123,7 +120,6 @@ __all__ = [
     "run_bound_experiment",
     "sample_curve",
     "uniform_grid",
-    "xi_star",
 ]
 
 

@@ -222,10 +222,10 @@ class ProblemSpec(_Record):
     ):
         n = _validate_dimension(n)
         beta = _validate_beta(beta)
-        _require_positive_finite(sigma, "sigma")
-        _require_positive_finite(delta, "delta")
+        sigma = _require_positive_finite(sigma, "sigma")
+        delta = _require_positive_finite(delta, "delta")
         if b0 is not None:
-            _require_positive_finite(b0, "b0")
+            b0 = _require_positive_finite(b0, "b0")
         mode = Mode(mode)
         if mode is Mode.FIXED_B0 and b0 is None:
             raise SpecError("mode 'fixed-b0' requires a cube side b0")
@@ -239,36 +239,14 @@ class ProblemSpec(_Record):
 
 
 class LogScalar(_Record):
-    """A strictly positive real represented by its natural logarithm.
-
-    Multiplication of the represented values is addition of ``log_value``,
-    and the ordering of ``LogScalar`` instances matches the ordering of the
-    represented values, so huge constants like e^{2 n gamma_n} can be
-    combined and compared without ever leaving the representable range.
-    """
+    """A strictly positive real represented by its natural logarithm, so
+    that huge constants like e^{2 n gamma_n} are stored without ever
+    leaving the representable range."""
 
     __slots__ = ("log_value",)
 
     def __init__(self, log_value: float):
         self._set(log_value)
-
-    def __lt__(self, other):
-        return self.log_value < other.log_value if other.__class__ is LogScalar else NotImplemented
-
-    def __le__(self, other):
-        return self.log_value <= other.log_value if other.__class__ is LogScalar else NotImplemented
-
-    def __gt__(self, other):
-        return self.log_value > other.log_value if other.__class__ is LogScalar else NotImplemented
-
-    def __ge__(self, other):
-        return self.log_value >= other.log_value if other.__class__ is LogScalar else NotImplemented
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogScalar":
-        if not value > 0.0:
-            raise SpecError(f"LogScalar requires a positive value, got {value}")
-        return cls(math.log(value))
 
     @property
     def value(self) -> float:
@@ -277,15 +255,6 @@ class LogScalar(_Record):
             return math.exp(self.log_value)
         except OverflowError:
             return math.inf
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(self.log_value - other.log_value)
-
-    def __pow__(self, exponent: float) -> "LogScalar":
-        return LogScalar(self.log_value * exponent)
 
 
 def gamma_seq(n: int) -> int:

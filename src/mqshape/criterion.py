@@ -33,8 +33,8 @@ sigma, q and the mode's factor once; :func:`log_h_unified` is its checks
 plus that evaluator, and :func:`sample_curve` checks its range once and
 calls the evaluator at every point.  The formula is picked in one place,
 :func:`_shape_of`, whose record holds each formula's one body: its
-public function, the evaluator, :func:`log_h_slope` and the optimizer
-all call it, so curves, single evaluations and slopes agree to the bit.
+public function, the evaluator and the optimizer all call it, so curves,
+single evaluations and slopes agree to the bit.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "CurveSample",
     "regime_for",
     "kind_for",
-    "xi_star",
     "log_h_beta_neg1_multid",
     "log_h_beta_neg1_multid_simplified",
     "log_h_beta_neg1_oned",
@@ -68,10 +67,8 @@ __all__ = [
     "log_knee",
     "log_lambda_pow",
     "log_h_unified",
-    "log_h_slope",
     "finite_cap",
     "sample_curve",
-    "oned_threshold",
 ]
 
 _LOG_INV_LN2 = -math.log(math.log(2.0))
@@ -130,22 +127,14 @@ def _logaddexp(a: float, b: float) -> float:
     return m + math.log1p(math.exp(-abs(a - b)))
 
 
-def xi_star(c: float, sigma: float, q: float) -> float:
-    """Positive critical point of xi^(q/2) e^(c xi - xi^2/sigma).
+def _xi_star(c: float, sigma: float, q: float) -> float:
+    """Positive critical point of xi^(q/2) e^(c xi - xi^2/sigma), for a
+    positive finite c and sigma and q >= 0, unchecked.
 
     Equals (c sigma + sqrt(c^2 sigma^2 + 4 sigma q)) / 4.  Evaluated so
     that neither very small nor very large c overflows the intermediate
     square.
     """
-    c = _require_positive_c(c)
-    _require_positive_finite(sigma, "sigma")
-    if not q >= 0.0:
-        raise SpecError(f"exponent parameter q must be >= 0, got {q}")
-    return _xi_star(c, sigma, q)
-
-
-def _xi_star(c: float, sigma: float, q: float) -> float:
-    """:func:`xi_star` without its checks."""
     u = c * sigma
     if u > 1e150:
         # c^2 sigma^2 would overflow; factor c sigma out of the radical.
@@ -198,12 +187,6 @@ def log_h_beta_neg1_multid_simplified(c: float, n: int, sigma: float) -> float:
     )
 
 
-def oned_threshold(sigma: float) -> float:
-    """Branch point 2/sqrt(3 sigma) of the one-dimensional criterion."""
-    _require_positive_finite(sigma, "sigma")
-    return 2.0 / math.sqrt(3.0 * sigma)
-
-
 def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     """log of the criterion for beta=-1 in one dimension.
 
@@ -214,7 +197,7 @@ def log_h_beta_neg1_oned(c: float, sigma: float) -> float:
     join continuously because xi* = 1/c exactly at the branch point.
     """
     c = _require_positive_c(c)
-    return _OneD(sigma).log_h(c)
+    return _OneD(_require_positive_finite(sigma, "sigma")).log_h(c)
 
 
 def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
@@ -222,7 +205,7 @@ def log_h_general(c: float, n: int, beta: float, sigma: float) -> float:
 
     H(c) = c^((1+beta-n)/4) [xi*^((n+beta+1)/2)
            e^{c xi* - xi*^2/sigma}]^(1/2)
-    with xi* the critical point from :func:`xi_star` at q = n + beta + 1.
+    with xi* the critical point from :func:`_xi_star` at q = n + beta + 1.
     Requires the (n, beta) for which :func:`regime_for` picks this core.
     """
     c = _require_positive_c(c)
@@ -289,12 +272,13 @@ class _Shape:
 
 
 class _OneD(_Shape):
-    """:class:`_Shape` of the one-dimensional beta = -1 formula."""
+    """:class:`_Shape` of the one-dimensional beta = -1 formula, for a
+    positive finite sigma, with its branch point 2/sqrt(3 sigma)."""
 
     __slots__ = ("threshold",)
 
     def __init__(self, sigma: float):
-        self.sigma, self.threshold = sigma, oned_threshold(sigma)
+        self.sigma, self.threshold = sigma, 2.0 / math.sqrt(3.0 * sigma)
 
     def _log_m(self, c: float) -> tuple[float, Optional[float]]:
         """(log M(c), xi*); xi* is None up to the branch point, where M
@@ -475,13 +459,6 @@ def finite_cap(spec: ProblemSpec, dc: DerivedConstants) -> float:
     cap = min(math.sqrt(min(8e307 / spec.sigma, sys.float_info.max)), 2.6e154 / spec.sigma)
     log_eta_cap = 709.0 - dc.eta_log_abs - 1e-9
     return math.exp(log_eta_cap) if log_eta_cap < min(math.log(cap), log_knee(spec, dc)) else cap
-
-
-def log_h_slope(c: float, spec: ProblemSpec) -> float:
-    """d/dc of log H(c) for the problem's criterion, without the mode's
-    factor: the ``slope`` of its :class:`_Shape`, at the checked c."""
-    c = _require_positive_c(c)
-    return _shape_of(spec).slope(c)
 
 
 def sample_curve(

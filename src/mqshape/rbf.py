@@ -115,7 +115,6 @@ __all__ = [
     "Kernel",
     "NodeSet",
     "Interpolant",
-    "kernel_eval",
     "poly_basis",
     "fit",
     "evaluate",
@@ -194,22 +193,19 @@ class Kernel(_Record):
         return t
 
 
-def kernel_eval(kernel: Kernel, x) -> float:
-    """Evaluate the kernel at offset x (an n-vector)."""
-    x = np.atleast_1d(_real_array(x, "kernel offset"))
-    if x.shape != (kernel.n,):
-        raise InputError(f"expected an offset of shape ({kernel.n},), got {x.shape}")
-    return float(kernel.radial(float(np.dot(x, x))))
-
-
 def _real_array(x, what: str) -> np.ndarray:
     """``x`` as a float array, unless its entries are strings, bytes or
     complex numbers (:class:`InputError`, naming ``what``): numpy would
     parse the strings and drop the imaginary parts, where the rule for
-    scalars (:func:`mqshape.constants._require_real`) refuses both."""
+    scalars (:func:`mqshape.constants._require_real`) refuses both.  The
+    entries of an object array are held to that rule one by one."""
     data = np.asarray(x)
+    rule = f"{what} must be real numbers"
     if data.dtype.kind in "SUc":
-        raise InputError(f"{what} must be real numbers, got {data.dtype} entries")
+        raise InputError(f"{rule}, got {data.dtype} entries")
+    if data.dtype.kind == "O":
+        real = [_require_real(v, rule, lambda x: True, InputError) for v in data.flat]
+        return np.array(real, dtype=float).reshape(data.shape)
     return data.astype(float, copy=False)
 
 
@@ -268,13 +264,13 @@ class NodeSet(_Record):
     """Pairwise-distinct centers inside an axis-aligned cube.
 
     ``cube`` is (corner, side): the cube spans corner + [0, side]^n.
-    ``points`` and the corner are read-only float arrays.
+    ``points`` and the corner are read-only float arrays of its own.
     """
 
     __slots__ = ("points", "cube")
 
     def __init__(self, points, cube: Tuple[np.ndarray, float]):
-        pts = _points(points)
+        pts = _points(points).copy()  # frozen below, so never the caller's
         corner, side = _cube(cube, pts.shape[1])
         slack = 1e-12 * max(side, 1.0)
         if (pts < corner - slack).any() or (pts > corner + side + slack).any():
@@ -617,9 +613,11 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
     lower triangle as it was.  Once the solve has spent the factor, the
     copy of the diagonal taken beforehand is written back, and one BLAS
     ``dsymv`` on that lower triangle forms S x - rhs.  An exactly
-    singular matrix estimates inf; non-finite entries, or fewer nodes
-    than polynomial terms, raise :class:`ConditioningError` with
-    estimate inf.  The LU calls and their arguments are those of
+    singular matrix estimates inf, and non-finite entries raise
+    :class:`ConditioningError` with estimate inf.  Nodes that do not
+    determine the polynomial tail raise :class:`InputError`: fewer nodes
+    than polynomial terms, or numerically dependent columns of P
+    (:func:`_reduce`).  The LU calls and their arguments are those of
     scipy.linalg's ``lu_factor`` and ``lu_solve``, and for q = 0 the
     Cholesky calls those of ``cho_factor(lower=True)`` and ``cho_solve``,
     without the finiteness checks, so the factors and solutions are
@@ -633,11 +631,13 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
     if not math.isfinite(anorm):
         message = "saddle system is numerically singular (cond ~ inf)"
         raise ConditioningError(message, condition_estimate=math.inf)
-    if nodes.count < q:  # rank S <= 2 N < N + q
-        message = "saddle system is singular (fewer nodes than polynomial terms)"
-        raise ConditioningError(message, condition_estimate=math.inf)
     diagonal = matrix.diagonal().copy()
     lift = _reduce(matrix, q) if q else None
+    if q and lift is None:
+        raise InputError(
+            f"node set is not unisolvent for the degree-{cpd_order(kernel.beta) - 1} "
+            "polynomial tail"
+        )
     # lower=1 on matrix.T is LAPACK's lower triangle, the upper one of
     # ``matrix``: OpenBLAS's lower Cholesky runs faster on one BLAS thread;
     # clean=0, as in cho_factor, leaves the other triangle as it was
@@ -651,10 +651,7 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
             # dpocon sees M alone; the polynomial block's share of S^-1 is
             # in its last q columns, one solve with q right-hand sides
             with np.errstate(all="ignore"):
-                try:
-                    poly_norm = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
-                except np.linalg.LinAlgError:  # R~ is singular: P has dependent columns
-                    poly_norm = math.inf
+                poly_norm = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
             cond = max(cond, anorm * poly_norm) if poly_norm < math.inf else math.inf
         factorization = "cholesky"
     else:
@@ -679,7 +676,10 @@ def _reduce(matrix: np.ndarray, q: int):
     """Reduce the saddle S = [[A, P], [P^T, 0]] in ``matrix``, of order
     N + q, to the kernel block on the null space of P^T, in place in its
     upper triangle, and return ``lift``: ``lift(solve)`` solves S x = b
-    given ``solve``, the solve with the factored upper triangle.
+    given ``solve``, the solve with the factored upper triangle.  Where
+    the nodes do not determine the polynomial tail, rank P < q, it returns
+    None and writes nothing: where N < q, and where R~'s singular values,
+    which are P's, have sigma_min <= 1e-10 sigma_max.
 
     q Householder reflectors of P with its rows reversed give an
     orthogonal G = I - W V^T with G P = [0; R~], R~ (q x q) in the last q
@@ -699,15 +699,19 @@ def _reduce(matrix: np.ndarray, q: int):
     R~ b = (G f)[m:] - (G A G^T)[m:, :] u."""
     count = matrix.shape[0] - q
     m = count - q
+    if m < 0:  # rank P <= N < q
+        return None
     # Q^T (J P) = [R; 0] for the row reversal J, and G = J Q^T J
     h, tau = np.linalg.qr(matrix[count - 1::-1, count:], mode="raw")
+    r = np.triu(h.T[:q])
+    if np.linalg.cond(r) >= 1e10:  # sigma_min <= 1e-10 sigma_max
+        return None
     v = np.tril(h.T, -1)
     v[range(q), range(q)] = 1.0
     t = np.zeros((q, q))  # Q = I - V T V^T, the compact WY form of dlarft
     for i in range(q):
         t[:i, i] = -tau[i] * (t[:i, :i] @ (v[:, :i].T @ v[:, i]))
         t[i, i] = tau[i]
-    r = np.triu(h.T[:q])
     v = np.ascontiguousarray(v[::-1])  # a reversed view would not reach BLAS
     w = v @ t.T
     av = matrix[:count, :count] @ v  # from A intact, before any write
@@ -795,13 +799,6 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     saddle, exponents = _saddle(kernel, nodes)
     q = len(exponents)
-    if q:
-        svals = np.linalg.svd(saddle[:n_nodes, n_nodes:], compute_uv=False)
-        if len(svals) < q or svals[-1] <= 1e-10 * svals[0]:  # N < q nodes: rank P < q
-            raise InputError(
-                f"node set is not unisolvent for the degree-{cpd_order(kernel.beta) - 1} "
-                "polynomial tail"
-            )
 
     # One factorization serves the solve, the estimate and the residuals.
     rhs = np.concatenate([values, np.zeros(q)])
@@ -846,5 +843,5 @@ def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:
     saddle = _saddle(kernel, nodes)[0]
     try:
         return _factor(kernel, nodes, saddle)[2]
-    except ConditioningError:
+    except (ConditioningError, InputError):  # InputError: rank P < q
         return math.inf

@@ -73,7 +73,7 @@ class GaussianBump(_Record):
         amplitude: float = 1.0,
         center: Optional[Tuple[float, ...]] = None,
     ):
-        _require_positive_finite(a, "gaussian width a")
+        a = _require_positive_finite(a, "gaussian width a")
         n = _validate_dimension(n)
         amplitude = _require_real(amplitude, "amplitude must be a finite real", math.isfinite)
         if center is not None:

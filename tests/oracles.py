@@ -7,7 +7,13 @@ other means, kept here so the package carries only its pipeline.
 import math
 
 from mqshape import NumericError, SpecError
-from mqshape.criterion import _require_positive_c, oned_threshold
+from mqshape.criterion import _require_positive_c
+
+
+def oned_threshold(sigma: float) -> float:
+    """Branch point 2/sqrt(3 sigma) of the one-dimensional beta = -1
+    criterion, where xi* = 1/c for q = 1."""
+    return 2.0 / math.sqrt(3.0 * sigma)
 
 
 def _case1_lhs_log(c: float, n: int, sigma: float) -> float:

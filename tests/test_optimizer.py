@@ -22,7 +22,7 @@ from mqshape import (
     optimal_c,
     optimizer,
 )
-from mqshape.criterion import finite_cap, xi_star
+from mqshape.criterion import _xi_star, finite_cap
 from oracles import case2_sq_derivative, critical_point_case1
 
 # bounded-search oracles (independent high-precision runs)
@@ -721,7 +721,7 @@ def _slope(c, spec, dc):
             log_m = 1.0 - 1.0 / (c * c * sigma)
             d_log_m = 2.0 / (c ** 3 * sigma)
         else:
-            xs = xi_star(c, sigma, 1.0)
+            xs = _xi_star(c, sigma, 1.0)
             log_m = 0.5 * math.log(c * xs) + c * xs - xs * xs / sigma
             d_log_m = 0.5 / c + xs
         z = -math.log(2.0 * math.sqrt(3.0) * math.log(2.0)) - log_m
@@ -729,7 +729,7 @@ def _slope(c, spec, dc):
         core = -0.5 / c + 0.5 * w * d_log_m
     else:
         p, q = spec.n - 1.0 - spec.beta, spec.n + spec.beta + 1.0
-        core = -p / (4.0 * c) + 0.5 * xi_star(c, sigma, q)
+        core = -p / (4.0 * c) + 0.5 * _xi_star(c, sigma, q)
     return core if spec.mode is Mode.PRACTICAL else core + dc.eta
 
 

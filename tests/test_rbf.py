@@ -22,7 +22,6 @@ from mqshape import (
     evaluate,
     fill_distance,
     fit,
-    kernel_eval,
     poly_basis,
     uniform_grid,
 )
@@ -72,19 +71,21 @@ def perturbed_grid_3d(rng, per_side, spacing=1.5):
 class TestKernel:
     def test_inverse_multiquadric_values(self):
         k = Kernel(c=1.0, beta=-1.0, n=1)
-        assert kernel_eval(k, [0.0]) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        assert kernel_eval(k, [math.sqrt(3.0)]) == pytest.approx(
-            math.sqrt(math.pi) / 2.0, rel=1e-14
-        )
+        assert k.radial(0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert k.radial(3.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
 
     def test_multiquadric_sign_flip(self):
         # Gamma(-1/2) = -2 sqrt(pi), so the beta=1 kernel is negative
         k = Kernel(c=2.0, beta=1.0, n=1)
-        assert kernel_eval(k, [0.0]) == pytest.approx(-4.0 * math.sqrt(math.pi), rel=1e-14)
+        assert k.radial(0.0) == pytest.approx(-4.0 * math.sqrt(math.pi), rel=1e-14)
 
     def test_radial_symmetry(self):
+        # the assembled kernel entries depend on the distance alone: the
+        # cube is centred on the origin, so the centred coordinates are exact
         k = Kernel(c=0.7, beta=-1.0, n=2)
-        assert kernel_eval(k, [0.3, 0.4]) == kernel_eval(k, [0.5, 0.0])
+        nodes = NodeSet([[0.0, 0.0], [0.3, 0.4], [0.5, 0.0]], (-np.ones(2), 2.0))
+        saddle = _saddle(k, nodes)[0]
+        assert saddle[0, 1] == saddle[0, 2] == k.radial(0.25)
 
     @pytest.mark.parametrize("beta", [-1.0, 1.0])
     @pytest.mark.parametrize("c", [1e-100, 0.3, 1.0, 1e100])
@@ -296,17 +297,42 @@ def grid_interpolant():
         lambda: evaluate(grid_interpolant(), "0.5"),
         lambda: evaluate(grid_interpolant(), b"0.5"),
         lambda: evaluate(grid_interpolant(), [0.5 + 0.5j]),
-        lambda: kernel_eval(KERN, "0.5"),
-        lambda: kernel_eval(KERN, 0.5j),
+        lambda: NodeSet(np.array([["0.1"], [0.5]], dtype=object), UNIT_CUBE),
+        lambda: NodeSet(np.array([[0.1], [0.5 + 0j]], dtype=object), UNIT_CUBE),
+        lambda: fit(KERN, GRID, np.array(["1", 2, 3], dtype=object)),
+        lambda: evaluate(grid_interpolant(), np.array([None], dtype=object)),
     ],
     ids=["nodes-str", "nodes-complex", "fill-nodes-str", "values-str", "values-complex",
-         "points-str", "points-bytes", "points-complex", "offset-str", "offset-complex"],
+         "points-str", "points-bytes", "points-complex", "nodes-object-str",
+         "nodes-object-complex", "values-object-str", "points-object-none"],
 )
 def test_array_inputs_that_are_not_real_numbers_are_refused(call):
     # strings were parsed, and complex numbers cut to their real parts with
-    # only a ComplexWarning, where the scalar rules refuse both
+    # only a ComplexWarning, where the scalar rules refuse both; an object
+    # array's entries are held to the scalar rule one by one
     with pytest.raises(InputError, match="must be real numbers"):
         call()
+
+
+def test_object_arrays_of_real_numbers_are_accepted():
+    nodes = NodeSet(np.array([[0.1], [0.5]], dtype=object), UNIT_CUBE)
+    assert nodes.points.dtype == float and nodes.points[:, 0].tolist() == [0.1, 0.5]
+    assert fit(KERN, GRID, np.array([0.0, 1, 0.0], dtype=object)) is not None
+
+
+def test_node_set_freezes_its_own_copy():
+    # the caller's array stays writable, and writing to it, or to the
+    # array it views, moves no node
+    for make in (lambda a: a[:, None], lambda a: a.reshape(2, 1)):
+        a = np.array([0.1, 0.5])
+        nodes = NodeSet(make(a), UNIT_CUBE)
+        a[0] = 0.2
+        assert a.flags.writeable and not nodes.points.flags.writeable
+        assert nodes.points[:, 0].tolist() == [0.1, 0.5]
+    a = np.array([[0.1], [0.5]])
+    nodes = NodeSet(a, UNIT_CUBE)
+    a[0, 0] = 0.2
+    assert nodes.points[:, 0].tolist() == [0.1, 0.5]
 
 
 class TestFit:
@@ -315,7 +341,7 @@ class TestFit:
         nodes = NodeSet(points=np.array([[0.3]]), cube=(np.zeros(1), 1.0))
         interp = fit(k, nodes, [2.5])
         assert interp.kernel_coeffs[0] == pytest.approx(
-            2.5 / kernel_eval(k, [0.0]), rel=1e-14
+            2.5 / k.radial(0.0), rel=1e-14
         )
         assert interp.condition_estimate == pytest.approx(1.0)
 
@@ -345,8 +371,10 @@ class TestFit:
         # beta=3 needs a degree-1 tail; collinear 2D nodes cannot pin it down
         pts = np.column_stack([np.linspace(0.1, 0.9, 8), np.full(8, 0.5)])
         nodes = NodeSet(points=pts, cube=(np.zeros(2), 1.0))
-        with pytest.raises(InputError):
-            fit(Kernel(c=0.5, beta=3.0, n=2), nodes, np.ones(8))
+        kern = Kernel(c=0.5, beta=3.0, n=2)
+        with pytest.raises(InputError, match="unisolvent for the degree-1 polynomial tail"):
+            fit(kern, nodes, np.ones(8))
+        assert condition_estimate(kern, nodes) == math.inf
 
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 2)])
     def test_fewer_nodes_than_tail_terms_are_not_unisolvent(self, n, count):

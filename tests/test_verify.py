@@ -130,6 +130,9 @@ class TestNorm:
         f = GaussianBump(a=0.25, n=2, amplitude=np.float32(0.3), center=(1, np.float64(0.1)))
         assert type(f.amplitude) is float and f.amplitude == float(np.float32(0.3))
         assert f.center == (1.0, 0.1) and all(type(v) is float for v in f.center)
+        for a in (True, 1, np.float32(0.25)):
+            bump = GaussianBump(a=a, n=1)
+            assert type(bump.a) is float and bump.a == float(a)
 
     def test_bump_rejects_wrong_point_dimension(self):
         f = GaussianBump(a=0.25, n=1)
