@@ -39,11 +39,24 @@ intact.  :func:`_factor` keeps a copy of the diagonal, writes it back once
 the solve has spent the factor, and forms the residuals S x - b of
 :func:`fit`, the solve's backward error (Higham, ch. 7), by one BLAS
 symmetric matrix-vector product (``dsymv``) that reads only that lower
-triangle: the system is held once.  The LAPACK and BLAS routines are
-called directly from scipy's f2py extensions ``scipy.linalg._flapack``
-and ``scipy.linalg._fblas``, each loaded on its first use without the
+triangle: the system is held once.  The 1-norm and the diagonal copy
+are taken block by block as the saddle is assembled.
+
+The LAPACK and BLAS routines are the C functions that scipy's Cython
+modules ``scipy.linalg.cython_lapack`` and ``scipy.linalg.cython_blas``
+export, called through :mod:`ctypes`, which releases the GIL, in place on
+sub-blocks of the saddle (:func:`_linalg`); scipy's f2py wrappers hold
+the GIL.  Each module is loaded on the first fit without the
 ``scipy.linalg`` package (:func:`_linalg_extension`), so the criterion and
-optimizer never load scipy, and a fit loads only those two extensions.
+optimizer never load scipy, and a fit loads only those two modules.  A
+saddle of more than one assembly row block is factored as a fixed 2 x 2
+block Cholesky on two strands (:func:`_cholesky`), whose calls and bits
+depend on the saddle's size alone; for beta < 0 its second strand assembles the lower
+half of the rows while the first factors the leading block.  The
+estimate then runs on one strand while the other solves.  Every call on
+such a saddle takes one BLAS thread (OpenBLAS's thread-local count, where
+scipy's BLAS is OpenBLAS), so that two strands of threaded calls do not
+spin against each other, and the bits do not follow the BLAS threads.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -68,15 +81,10 @@ height; so the output does not depend on the number of strands.
 :func:`evaluate` applies the factor once per evaluation point, and the
 strand count is capped by a constant, so its memory grows neither with
 the number of evaluation points nor with the number of CPUs.  Assembly
-(:func:`_saddle`) deals its blocks to the same strands and forms them in
-place, in the saddle's own rows, with no buffer and no copy: the
-right-hand side of :func:`_sq_dists` carries one padding point per
-polynomial term, so every block is whole, contiguous saddle rows for every
-beta (numpy's in-place steps run at half speed on rows strided within a
-wider matrix), and the polynomial tail then overwrites the padding
-columns.  Its blocks are half blocks, so that the scratch of two strands
-adds no more than one block, and every entry is formed elementwise, so the
-saddle does not depend on the number of strands either.
+(:func:`_assemble`) deals its half blocks to the same strands and forms
+them in place, in the saddle's own rows, with no buffer and no copy; every
+entry is formed elementwise, so the saddle does not depend on the number
+of strands either.
 
 The fill distance of a node set in its cube, the one property of the
 nodes that the error bound depends on, is measured by a nearest-node
@@ -90,12 +98,16 @@ before it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 import threading
+import types
 from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
@@ -125,7 +137,7 @@ __all__ = [
 
 # Entries per row block of _row_blocks(), the one blocking rule of every
 # scan over a matrix of distances or kernel values: assembly and evaluate()
-# (through _kernel_rows()), fill_distance(), and the norm pass of _factor().
+# (through _kernel_rows()) and fill_distance().
 # Each block is 512 KiB, so its working set stays in a core's L2 cache and
 # memory does not grow with the number of evaluation points.  evaluate()
 # holds one block per strand, at most _STRANDS of them (_deal_kernel_rows());
@@ -453,50 +465,69 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _run_strands(tasks, failed=None) -> None:
+    """Run each of ``tasks``, callables of no argument, on a strand of its
+    own: the first on the calling thread, each other one on a thread
+    started here and joined before this returns, whether a task raised or
+    not.  Where the process may run on one CPU (:func:`_cpu_count`), the
+    calling thread runs them all in turn and starts no thread, so a later
+    task may wait for an earlier one, never the reverse.  An exception is
+    appended to ``failed``, where the other tasks may see it and stop; on
+    one CPU no later task starts, and the first exception is raised again
+    here."""
+    failed = [] if failed is None else failed
+
+    def run(task) -> None:
+        try:
+            task()
+        except BaseException as exc:  # raised again by the caller
+            failed.append(exc)
+
+    if _cpu_count() < 2:
+        for task in tasks:
+            if not failed:
+                run(task)
+    else:
+        threads = [threading.Thread(target=run, args=(task,)) for task in tasks[1:]]
+        try:
+            for thread in threads:
+                thread.start()
+            run(tasks[0])
+        finally:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _deal_kernel_rows(
     kernel: Kernel, x: np.ndarray, y: np.ndarray, consume,
-    entries: int = _EVAL_BLOCK_ENTRIES, out=None,
+    entries: int = _EVAL_BLOCK_ENTRIES, out=None, strands=None,
 ) -> None:
     """Call ``consume(rows, block)`` on every (rows, block) of
     :func:`_kernel_rows`, formed in ``out`` where it is given, its slices
     those of :func:`_row_blocks` for blocks of ``entries`` entries, dealt
-    round-robin to ``_STRANDS`` strands, but to no more than there are
-    CPUs (:func:`_cpu_count`) or slices.  Each strand holds its own
-    scratch, and its own buffer where there is no ``out``, and runs under
-    its own ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a
-    context variable, which a new thread does not inherit); ``consume``
-    must write only the rows it is given.
-
-    The calling thread runs the first strand, and each other strand is a
-    thread of its own, started here and joined before this returns,
-    whether a strand raised or not; once one has raised, the others stop
-    at their next block, and the first exception is raised again here.
-    One strand starts no thread."""
+    round-robin to ``strands`` strands, by default ``_STRANDS``, but to no
+    more than there are CPUs (:func:`_cpu_count`) or slices
+    (:func:`_run_strands`).  Each strand holds its own scratch, and its
+    own buffer where there is no ``out``, and runs under its own
+    ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a context
+    variable, which a new thread does not inherit); ``consume`` must write
+    only the rows it is given.  Once a strand has raised, the others stop
+    at their next block.  One strand starts no thread."""
     blocks = list(_row_blocks(x.shape[0], y.shape[0], entries))
-    strands = max(1, min(_STRANDS, _cpu_count(), len(blocks)))
+    count = max(1, min(_STRANDS if strands is None else strands, _cpu_count(), len(blocks)))
     failed = []
 
     def strand(first: int) -> None:
-        try:
-            with np.errstate(**_BEYOND_RANGE):
-                for rows, block in _kernel_rows(kernel, x, y, blocks[first::strands], out):
-                    if failed:
-                        return
-                    consume(rows, block)
-        except BaseException as exc:  # raised again by the caller
-            failed.append(exc)
+        with np.errstate(**_BEYOND_RANGE):
+            for rows, block in _kernel_rows(kernel, x, y, blocks[first::count], out):
+                if failed:
+                    return
+                consume(rows, block)
 
-    threads = [threading.Thread(target=strand, args=(k,)) for k in range(1, strands)]
-    try:
-        for thread in threads:
-            thread.start()
-        strand(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if failed:
-        raise failed[0]
+    _run_strands([functools.partial(strand, k) for k in range(count)], failed)
 
 
 def _centred(nodes: NodeSet, x: np.ndarray) -> np.ndarray:
@@ -557,8 +588,8 @@ class Interpolant(NamedTuple):
 
 
 def _linalg_extension(name: str):
-    """scipy's f2py extension ``scipy.linalg.<name>``.  It is loaded from
-    its file and registered under its own name, which skips
+    """scipy's compiled extension ``scipy.linalg.<name>``.  It is loaded
+    from its file and registered under its own name, which skips
     ``scipy/linalg/__init__.py``: that package costs ~0.25 s a process
     (its array-API layer imports ``numpy.testing`` and ``numpy.f2py``),
     against ~25 ms for ``import scipy`` and the extension.  A module
@@ -582,94 +613,397 @@ def _linalg_extension(name: str):
     return module
 
 
-def _lapack():
-    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by
-    :func:`_linalg_extension` on the first factorization."""
-    return _linalg_extension("_flapack")
+def _leading_dimension(a: np.ndarray) -> int:
+    """The leading dimension of ``a`` as a Fortran argument: a float64
+    matrix whose columns are contiguous, such as the transpose of a block
+    of C-ordered rows, or a contiguous vector.  Anything else is refused,
+    since LAPACK would read and write past it."""
+    if a.dtype != np.float64 or a.ndim not in (1, 2) or (a.shape[0] > 1 and a.strides[0] != 8):
+        raise ValueError(f"not a Fortran-ordered float64 array: {a.dtype}, strides {a.strides}")
+    if a.ndim == 1 or a.shape[1] < 2:
+        return max(1, a.shape[0])
+    if a.strides[1] % 8 or a.strides[1] < 8 * a.shape[0]:
+        raise ValueError(f"columns overlap or are misaligned: strides {a.strides}")
+    return max(1, a.strides[1] // 8)
+
+
+def _aligned(count: int, dtype=np.float64) -> np.ndarray:
+    """An empty array of ``count`` entries at a 64-byte boundary.  The
+    estimators' last bits follow the address of their work arrays modulo
+    64 (the BLAS kernels they call peel to alignment), so a fixed
+    alignment makes the estimate the same in every call."""
+    size = count * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype)
+
+
+def _c_argument(value):
+    """``value`` as a pointer argument of a LAPACK or BLAS function: a
+    character as its bytes, an array by its address, and a Python int,
+    a float or a ctypes output by reference."""
+    if isinstance(value, np.ndarray):
+        return value.ctypes.data
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, int):
+        value = ctypes.c_int(value)
+    elif isinstance(value, float):
+        value = ctypes.c_double(value)
+    return ctypes.byref(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _linalg() -> types.SimpleNamespace:
+    """The LAPACK and BLAS routines of the solve, loaded on its first call.
+
+    Each is a C function that scipy's Cython modules
+    ``scipy.linalg.cython_lapack`` and ``scipy.linalg.cython_blas`` export
+    as a capsule in their ``__pyx_capi__``, called by :mod:`ctypes`, which
+    releases the GIL for the call, so two strands factor, solve and
+    estimate at once.  (scipy's f2py wrappers hold the GIL: two Cholesky
+    factorizations on two threads took longer than the two in turn.)  The
+    arrays are Fortran-ordered (:func:`_leading_dimension`), so a routine
+    works in place on a sub-block of the saddle.  The LAPACK routines
+    return their ``info``, the estimators (rcond, info) and the solves the
+    solution, in a new array; the Cholesky routines read and write the
+    lower triangle."""
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    capsules = {}
+    for module in ("cython_lapack", "cython_blas"):
+        capsules.update(_linalg_extension(module).__pyx_capi__)
+
+    def routine(name: str):
+        signature = name_of(capsules[name])  # b"void (char *, int *, ...)"
+        # every argument is a pointer: to a character, a scalar or an array
+        arguments = [ctypes.c_void_p] * (signature.count(b",") + 1)
+        function = ctypes.CFUNCTYPE(None, *arguments)(pointer_of(capsules[name], signature))
+        return lambda *args: function(*map(_c_argument, args))
+
+    potrf, pocon, potrs = routine("dpotrf"), routine("dpocon"), routine("dpotrs")
+    getrf, gecon, getrs = routine("dgetrf"), routine("dgecon"), routine("dgetrs")
+    trsm, syrk, gemm = routine("dtrsm"), routine("dsyrk"), routine("dgemm")
+    symv, syr2, syr2k = routine("dsymv"), routine("dsyr2"), routine("dsyr2k")
+    ld = _leading_dimension
+
+    def vector(x: np.ndarray) -> np.ndarray:  # contiguous, checked as a column is
+        ld(x)
+        return x
+
+    def solution(b: np.ndarray) -> Tuple[np.ndarray, int]:
+        x = np.array(b, dtype=float, order="F")
+        return x, 1 if x.ndim == 1 else x.shape[1]
+
+    def dpotrf(a):
+        info = ctypes.c_int()
+        potrf(b"L", a.shape[0], a, ld(a), info)
+        return info.value
+
+    def dpocon(a, anorm):
+        n, rcond, info = a.shape[0], ctypes.c_double(), ctypes.c_int()
+        pocon(b"L", n, a, ld(a), anorm, rcond, _aligned(3 * n), _aligned(n, np.intc), info)
+        return rcond.value, info.value
+
+    def dpotrs(a, b):
+        (x, nrhs), info = solution(b), ctypes.c_int()
+        potrs(b"L", a.shape[0], nrhs, a, ld(a), x, ld(x), info)
+        return x
+
+    def dgetrf(a):
+        piv, info = np.empty(a.shape[0], np.intc), ctypes.c_int()
+        getrf(a.shape[0], a.shape[1], a, ld(a), piv, info)
+        return piv, info.value
+
+    def dgecon(a, anorm):
+        n, rcond, info = a.shape[0], ctypes.c_double(), ctypes.c_int()
+        gecon(b"1", n, a, ld(a), anorm, rcond, _aligned(4 * n), _aligned(n, np.intc), info)
+        return rcond.value, info.value
+
+    def dgetrs(a, piv, b):
+        (x, nrhs), info = solution(b), ctypes.c_int()
+        getrs(b"N", a.shape[0], nrhs, a, ld(a), piv, x, ld(x), info)
+        return x
+
+    def dtrsm(lower, b):  # b <- b L^-T for the lower triangle L of ``lower``
+        trsm(b"R", b"L", b"T", b"N", b.shape[0], b.shape[1], 1.0, lower, ld(lower), b, ld(b))
+
+    def dsyrk(a, c):  # c <- c - a a^T, on the lower triangle
+        syrk(b"L", b"N", c.shape[0], a.shape[1], -1.0, a, ld(a), 1.0, c, ld(c))
+
+    def dgemm(a, b, c):  # c <- c - a b^T
+        m, n = c.shape
+        gemm(b"N", b"T", m, n, a.shape[1], -1.0, a, ld(a), b, ld(b), 1.0, c, ld(c))
+
+    def dsymv(a, x, y, beta):  # y <- a x + beta y, from the upper triangle
+        symv(b"U", a.shape[0], 1.0, a, ld(a), vector(x), 1, beta, vector(y), 1)
+
+    def dsyr2(x, y, a):  # a <- a - x y^T - y x^T, on the lower triangle
+        syr2(b"L", a.shape[0], -1.0, vector(x), 1, vector(y), 1, a, ld(a))
+
+    def dsyr2k(a, b, c):  # c <- c - a b^T - b a^T, on the lower triangle
+        syr2k(b"L", b"N", c.shape[0], a.shape[1], -1.0, a, ld(a), b, ld(b), 1.0, c, ld(c))
+
+    # the calling thread's BLAS thread count, set and returned by the
+    # OpenBLAS that the Cython module links to; a no-op for other BLAS
+    linked = ctypes.CDLL(_linalg_extension("cython_lapack").__file__)
+    set_threads = getattr(linked, "openblas_set_num_threads_local", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+
+    def blas_threads(count: int) -> int:  # returns the previous count
+        return count if set_threads is None else set_threads(count)
+
+    return types.SimpleNamespace(
+        dpotrf=dpotrf, dpocon=dpocon, dpotrs=dpotrs, dgetrf=dgetrf, dgecon=dgecon,
+        dgetrs=dgetrs, dtrsm=dtrsm, dsyrk=dsyrk, dgemm=dgemm, dsymv=dsymv, dsyr2=dsyr2,
+        dsyr2k=dsyr2k, blas_threads=blas_threads,
+    )
+
+
+@contextlib.contextmanager
+def _one_blas_thread(lib):
+    """Make the calling thread's calls of ``lib``'s routines take one BLAS
+    thread (``lib.blas_threads``) inside the block, and restore its count
+    after.  Under OpenBLAS's default threads, two strands of threaded
+    calls spun against each other on two CPUs and ran a fit at half
+    speed, and a threaded call's last bits followed the state of the
+    thread pool, so that the first estimate of a process could differ
+    from the next ones."""
+    previous = lib.blas_threads(1)
+    try:
+        yield
+    finally:
+        lib.blas_threads(previous)
+
+
+def _run_blas_strands(lib, tasks) -> None:
+    """:func:`_run_strands` for tasks that call ``lib``'s routines, each
+    on one BLAS thread (:func:`_one_blas_thread`)."""
+
+    def on_one_thread(task):
+        def run() -> None:
+            with _one_blas_thread(lib):
+                task()
+
+        return run
+
+    _run_strands([on_one_thread(task) for task in tasks])
 
 
 def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
     """(solution, residual, cond, factorization) for the saddle S of
-    ``kernel`` on ``nodes`` in ``matrix`` (:func:`_saddle`), which it
-    consumes, with q = order - N polynomial rows and columns [P^T, 0]:
-    the solution x of S x = ``rhs`` from one factorization, the residual
-    |S x - rhs|, the 1-norm condition estimate ||S||_1 / rcond with rcond
-    from LAPACK on those same factors (for q > 0 at least ||S||_1 times
-    the 1-norm of the last q columns of S^-1, which the reduced factor
-    does not see), and the name of the factorization.  Without ``rhs``,
-    solution and residual are empty.
+    ``kernel`` on ``nodes``, which it assembles in ``matrix``, an array of
+    S's order N + q (:func:`_empty_saddle`), and consumes, with q
+    polynomial rows and columns [P^T, 0]: the solution x of S x = ``rhs``
+    from one factorization, the residual |S x - rhs|, the 1-norm condition
+    estimate ||S||_1 / rcond with rcond from LAPACK on those same factors
+    (for q > 0 at least ||S||_1 times the 1-norm of the last q columns of
+    S^-1, which the reduced factor does not see), and the name of the
+    factorization.  Without ``rhs``, solution and residual are empty.
 
     ``matrix.T`` is column-major and, S being symmetric, equal to S, so
     LAPACK factors it in place, with no transposing copy.  For q = 0 the
-    matrix is factored by Cholesky (``dpotrf``, ``dpocon``).  For q > 0
-    it is first reduced in place to the kernel block on the null space of
-    P^T, padded with the identity (:func:`_reduce`), and that is factored
-    by Cholesky.  Where Cholesky breaks down (``info > 0``), the matrix
-    is not positive definite in floating point, and a fresh saddle from
+    matrix is factored by Cholesky (:func:`_cholesky`).  For q > 0 it is
+    first reduced in place to the kernel block on the null space of P^T,
+    padded with the identity (:func:`_reduce`), and that is factored by
+    Cholesky.  Where Cholesky breaks down (``info > 0``), the matrix is
+    not positive definite in floating point, and a fresh saddle from
     :func:`_saddle`, equal to S to the bit, is factored by a partially
-    pivoted LU (``dgetrf``, ``dgecon``).  The reduction and Cholesky are
-    called on LAPACK's lower triangle of ``matrix.T``: they overwrite the
-    upper triangle and the diagonal of ``matrix`` and leave its strict
-    lower triangle as it was.  Once the solve has spent the factor, the
-    copy of the diagonal taken beforehand is written back, and one BLAS
-    ``dsymv`` on that lower triangle forms S x - rhs.  An exactly
-    singular matrix estimates inf, and non-finite entries raise
+    pivoted LU (``dgetrf``).  Where the kernel rows take more than one
+    assembly row block (:func:`_split`), the Cholesky factorization runs on
+    two strands, for q = 0 beside the assembly of the rows below its split,
+    and then the estimate (``dpocon`` or ``dgecon``) runs on the second
+    strand while the first solves, the data and, for q > 0, the q
+    polynomial columns; there every call takes one BLAS thread, on either
+    strand and between them (:func:`_one_blas_thread`), so that the bits
+    do not follow the process's BLAS threads.  A smaller saddle starts no
+    thread and runs on the caller's own BLAS threads.  The reduction
+    and Cholesky write LAPACK's lower triangle of ``matrix.T``, the upper
+    triangle and the diagonal of ``matrix``, and leave its strict lower
+    triangle as it was.  Once the solve has spent the factor, the copy of
+    the diagonal that the assembly took is written back, and one BLAS
+    ``dsymv`` on that lower triangle forms S x - rhs.  An exactly singular
+    matrix estimates inf, and non-finite entries raise
     :class:`ConditioningError` with estimate inf.  Nodes that do not
     determine the polynomial tail raise :class:`InputError`: fewer nodes
     than polynomial terms, or numerically dependent columns of P
     (:func:`_reduce`).  The LU calls and their arguments are those of
-    scipy.linalg's ``lu_factor`` and ``lu_solve``, and for q = 0 the
-    Cholesky calls those of ``cho_factor(lower=True)`` and ``cho_solve``,
-    without the finiteness checks, so the factors and solutions are
-    theirs to the bit."""
-    lapack = _lapack()
-    size = matrix.shape[0]
-    q = size - nodes.count
-    # ||S||_1, the largest column sum of |S|, a row block at a time
-    col_sums = sum(np.abs(matrix[rows]).sum(axis=0) for rows in _row_blocks(size, size))
-    anorm = float(col_sums.max())  # a NaN or inf entry propagates here
+    scipy.linalg's ``lu_factor`` and ``lu_solve``, and for a saddle of one
+    block and q = 0 the Cholesky calls those of ``cho_factor(lower=True)``
+    and ``cho_solve``, without the finiteness checks, so those factors and
+    solutions are theirs to the bit (for a larger saddle, theirs on one
+    BLAS thread)."""
+    lib = _linalg()
+    count, size = nodes.count, matrix.shape[0]
+    q = size - count
+    split = _split(count, size)
+    with _one_blas_thread(lib) if split else contextlib.nullcontext():
+        sums, diagonal = np.empty(size), np.empty(size)
+        assemble = functools.partial(_assemble, kernel, nodes, matrix, sums, diagonal)
+        if split and not q:
+            # both strands form the rows above the split, and the second the rest
+            assemble(slice(0, split[0]))
+            prelude = functools.partial(assemble, slice(split[0], count), 1)
+        else:
+            assemble()
+            prelude = None
+        lift = None
+        if q:  # the reduction must not meet a non-finite entry
+            _one_norm(sums)
+            lift = _reduce(matrix, q)
+            if lift is None:
+                raise InputError(
+                    f"node set is not unisolvent for the degree-{cpd_order(kernel.beta) - 1} "
+                    "polynomial tail"
+                )
+        info = _cholesky(lib, matrix.T, split, prelude)
+        anorm = _one_norm(sums)
+        if info == 0:
+            factor = matrix.T
+            estimate = lambda: lib.dpocon(factor, anorm)
+            solve = lambda b: lib.dpotrs(factor, b)
+            if lift is not None:
+                solve = lift(solve)
+            factorization = "cholesky"
+        else:
+            lu = _saddle(kernel, nodes)[0].T
+            piv, _ = lib.dgetrf(lu)  # info > 0 is an exactly zero pivot, which estimates inf
+            estimate = lambda: lib.dgecon(lu, anorm)
+            solve = lambda b: lib.dgetrs(lu, piv, b)
+            lift = None
+            factorization = "lu"
+        out = {}
+
+        def solves() -> None:
+            if lift is not None:
+                # dpocon sees M alone; the polynomial block's share of S^-1 is
+                # in its last q columns, one solve with q right-hand sides
+                with np.errstate(all="ignore"):
+                    out["poly"] = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
+            if rhs is not None:
+                out["solution"] = solve(rhs)
+
+        def estimates() -> None:
+            out["cond"] = _from_rcond(*estimate())
+
+        if split:
+            _run_blas_strands(lib, [solves, estimates])
+        else:
+            solves()
+            estimates()
+        cond = out["cond"]
+        if lift is not None:
+            cond = max(cond, anorm * out["poly"]) if out["poly"] < math.inf else math.inf
+        if rhs is None:
+            return np.empty(0), np.empty(0), cond, factorization
+        # the factor is spent: with the diagonal back, the strict lower
+        # triangle is S's, LAPACK's upper triangle of matrix.T
+        np.fill_diagonal(matrix, diagonal)
+        solution, residual = out["solution"], np.array(rhs, dtype=float)
+        lib.dsymv(matrix.T, solution, residual, -1.0)
+        return solution, np.abs(residual), cond, factorization
+
+
+def _one_norm(sums: np.ndarray) -> float:
+    """||S||_1, the largest of the row sums of |S| in ``sums``; a NaN or
+    inf entry propagates to it and raises :class:`ConditioningError`
+    with estimate inf."""
+    anorm = float(sums.max())
     if not math.isfinite(anorm):
         message = "saddle system is numerically singular (cond ~ inf)"
         raise ConditioningError(message, condition_estimate=math.inf)
-    diagonal = matrix.diagonal().copy()
-    lift = _reduce(matrix, q) if q else None
-    if q and lift is None:
-        raise InputError(
-            f"node set is not unisolvent for the degree-{cpd_order(kernel.beta) - 1} "
-            "polynomial tail"
-        )
-    # lower=1 on matrix.T is LAPACK's lower triangle, the upper one of
-    # ``matrix``: OpenBLAS's lower Cholesky runs faster on one BLAS thread;
-    # clean=0, as in cho_factor, leaves the other triangle as it was
-    factor, info = lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        rcond, info = lapack.dpocon(factor, anorm, uplo=b"L")
-        cond = _from_rcond(rcond, info)
-        solve = lambda b: lapack.dpotrs(factor, b, lower=1)[0]
-        if lift is not None:
-            solve = lift(solve)
-            # dpocon sees M alone; the polynomial block's share of S^-1 is
-            # in its last q columns, one solve with q right-hand sides
-            with np.errstate(all="ignore"):
-                poly_norm = float(np.abs(solve(np.eye(size, q, q - size))).sum(axis=0).max())
-            cond = max(cond, anorm * poly_norm) if poly_norm < math.inf else math.inf
-        factorization = "cholesky"
-    else:
-        lu, piv, info = lapack.dgetrf(_saddle(kernel, nodes)[0].T, overwrite_a=1)
-        # info > 0 is an exactly zero pivot, which estimates inf
-        rcond, info = lapack.dgecon(lu, anorm, norm="1")
-        cond = _from_rcond(rcond, info)
-        solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
-        factorization = "lu"
-    if rhs is None:
-        return np.empty(0), np.empty(0), cond, factorization
-    solution = solve(rhs)
-    # the factor is spent: with the diagonal back, the strict lower
-    # triangle is S's, LAPACK's upper triangle of matrix.T
-    np.fill_diagonal(matrix, diagonal)
-    blas = _linalg_extension("_fblas")
-    residual = blas.dsymv(1.0, matrix.T, solution, beta=-1.0, y=rhs, lower=0)
-    return solution, np.abs(residual), cond, factorization
+    return anorm
+
+
+# Where the Cholesky factorization of order n splits (_split()): the
+# leading block takes the first N // 2 rows, for N nodes, and the first
+# strand the first shares of the n - N // 2 rows below, of the panel's
+# dtrsm and of the trailing update's tiles; the second strand takes the
+# rest of each.  For q = 0 the panel share balances the leading block's
+# dpotrf against the assembly of the rows below it, on the second strand;
+# for q > 0 that strand has nothing to assemble, and the panel splits in
+# halves.  The tile share gives the dsyrk of the leading tile and the
+# dgemm below it about as many flops as the dsyrk of the last tile,
+# 1 - 1/sqrt(2) of the rows.  Measured on two CPUs with one BLAS thread.
+_PANEL_SHARE = 0.57
+_TILE_SHARE = 0.29
+
+
+def _split(count: int, size: int):
+    """(half, panel, tiles): the row where the Cholesky factorization of
+    the saddle of ``count`` nodes, of order ``size``, splits into a 2 x 2
+    block one (:func:`_cholesky`), and the rows where the panel and the
+    trailing tiles below it split between two strands; or None where the
+    kernel rows take one assembly row block, and the saddle one
+    ``dpotrf``.  The rows depend on N and q alone, so the number of
+    strands decides no bit."""
+    if next(_row_blocks(count, size, _EVAL_BLOCK_ENTRIES // 2)).stop >= count:
+        return None
+    half = count // 2
+    below = size - half
+    panel = _PANEL_SHARE if size == count else 0.5
+    return half, half + round(panel * below), half + round(_TILE_SHARE * below)
+
+
+def _cholesky(lib, a: np.ndarray, split, prelude=None) -> int:
+    """LAPACK's ``info`` of the Cholesky factorization of ``a``'s lower
+    triangle, in place: one ``dpotrf`` where ``split`` is None, else, for
+    ``split`` = (h, p, t) from :func:`_split`, A = [[A11, .], [A21, A22]]
+    with A11 of order h:
+
+    1. the first strand factors A11 = L11 L11^T (``dpotrf``) while the
+       second runs ``prelude``, if any; then each solves its rows of the
+       panel L21 = A21 L11^-T (``dtrsm``), rows h:p on the first strand
+       and the rest on the second;
+    2. the trailing update A22 - L21 L21^T in three tiles: the first
+       strand takes the ``dsyrk`` of rows h:t and the ``dgemm`` of rows
+       t: against them, and the second the ``dsyrk`` of rows t:;
+    3. the caller factors the updated A22 (``dpotrf``).
+
+    A breakdown in A11 stops there, with A11's ``info``; one in A22 gives
+    h + its ``info``.  Each call's arguments, and so its bits, depend on
+    ``split`` alone, not on which strand runs it (:func:`_run_strands`),
+    and the two strands' calls take one BLAS thread each
+    (:func:`_run_blas_strands`)."""
+    if split is None:
+        return lib.dpotrf(a)
+    half, panel, tiles = split
+    top = a[:half, :half]
+    factored = threading.Event()
+    info = []
+
+    def first() -> None:
+        try:
+            info.append(lib.dpotrf(top))
+        finally:
+            factored.set()
+        if not info[0]:
+            lib.dtrsm(top, a[half:panel, :half])
+
+    def second() -> None:
+        if prelude is not None:
+            prelude()
+        factored.wait()
+        if info == [0]:
+            lib.dtrsm(top, a[panel:, :half])
+
+    _run_blas_strands(lib, [first, second])
+    if info[0]:
+        return info[0]
+    upper, lower = a[half:tiles, :half], a[tiles:, :half]
+
+    def leading_tiles() -> None:
+        lib.dsyrk(upper, a[half:tiles, half:tiles])
+        lib.dgemm(lower, upper, a[tiles:, half:tiles])
+
+    _run_blas_strands(lib, [leading_tiles, lambda: lib.dsyrk(lower, a[tiles:, tiles:])])
+    info = lib.dpotrf(a[half:, half:])
+    return half + info if info else 0
 
 
 def _reduce(matrix: np.ndarray, q: int):
@@ -718,13 +1052,13 @@ def _reduce(matrix: np.ndarray, q: int):
     vav = v.T @ av
     z = av - 0.5 * (w @ (0.5 * (vav + vav.T)))
     border = matrix[:count, m:count] - w @ z[m:].T - z @ w[m:].T  # (G A G^T)[:, m:N]
-    padded = np.zeros((2, count + q, q))
+    padded = np.zeros((2, q, count + q)).transpose(0, 2, 1)  # Fortran-ordered
     padded[0, :m], padded[1, :m] = w[:m], z[:m]
-    blas = _linalg_extension("_fblas")
+    lib = _linalg()
     if q == 1:
-        blas.dsyr2(-1.0, padded[0, :, 0], padded[1, :, 0], lower=1, a=matrix.T, overwrite_a=1)
+        lib.dsyr2(padded[0, :, 0], padded[1, :, 0], matrix.T)
     else:
-        blas.dsyr2k(-1.0, padded[0], padded[1], beta=1.0, c=matrix.T, lower=1, overwrite_c=1)
+        lib.dsyr2k(padded[0], padded[1], matrix.T)
     matrix[:m, m:] = 0.0
     np.copyto(matrix[m:, m:], np.eye(2 * q), where=np.triu(np.ones((2 * q, 2 * q), dtype=bool)))
 
@@ -750,30 +1084,73 @@ def _from_rcond(rcond: float, info: int) -> float:
     return 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
 
 
-def _saddle(kernel: Kernel, nodes: NodeSet):
-    """(saddle matrix, exponents) of the interpolation system on
-    ``nodes``: [[A, P], [P^T, 0]], with A the kernel matrix and P the
-    polynomial block.  It is bitwise symmetric."""
+def _empty_saddle(kernel: Kernel, nodes: NodeSet):
+    """(matrix, exponents): an uninitialised square array of the order
+    N + q of the interpolation saddle of ``kernel`` on ``nodes``, and the
+    q exponents of its polynomial tail."""
     if kernel.n != nodes.dim:
         raise InputError(
             f"kernel dimension {kernel.n} does not match node dimension {nodes.dim}"
         )
     exponents = tuple(poly_basis(cpd_order(kernel.beta), nodes.dim))
-    count, q = nodes.count, len(exponents)
-    saddle = np.empty((count + q, count + q))
+    size = nodes.count + len(exponents)
+    return np.empty((size, size)), exponents
+
+
+def _assemble(kernel: Kernel, nodes: NodeSet, matrix, sums, diagonal, rows=None, strands=None):
+    """Form ``rows`` of the saddle S = [[A, P], [P^T, 0]] of ``kernel`` on
+    ``nodes`` in place in ``matrix``: by default every row, and otherwise
+    the slice ``rows`` of the kernel rows, with their polynomial columns.
+    The kernel rows are dealt to at most ``strands`` strands
+    (:func:`_deal_kernel_rows`) in half blocks, formed in the saddle's own
+    rows, with no buffer and no copy: the right-hand side of
+    :func:`_sq_dists` carries one padding point per polynomial term, so
+    every block is whole, contiguous saddle rows for every beta (numpy's
+    in-place steps run at half speed on rows strided within a wider
+    matrix), and each block's polynomial tail then overwrites the padding
+    columns.  Half blocks keep the scratch of two strands within one
+    block, and every entry is formed elementwise, so S depends neither on
+    the number of strands nor on ``rows``.
+
+    Each block also leaves its rows' 1-norms in ``sums`` (S is
+    symmetric, so they are its column sums, and the largest is ||S||_1)
+    and its diagonal entries in ``diagonal``, read while the block is in
+    cache.  Every kernel entry has the sign of Gamma(-beta/2) or is zero
+    or NaN, so the 1-norm of a kernel row is the magnitude of its sum, to
+    the bit, and takes no temporary."""
+    count, size = nodes.count, matrix.shape[0]
+    q = size - count
+    whole, rows = rows is None, slice(0, count) if rows is None else rows
     centred = _centred(nodes, nodes.points)
-    # q padding points at the centre make every kernel block whole saddle
-    # rows, contiguous for numpy's in-place steps, for every beta; the
-    # polynomial tail then overwrites their columns.  A strand adds only
-    # its scratch for the later axes, half a block, so two add one block
     padded = np.concatenate([centred, np.zeros((q, nodes.dim))])
-    scale = lambda rows, block: np.multiply(block, kernel.gamma_factor, out=block)
-    _deal_kernel_rows(kernel, centred, padded, scale, _EVAL_BLOCK_ENTRIES // 2, saddle[:count])
-    p = _poly_matrix(exponents, nodes, nodes.points)
-    saddle[:count, count:] = p
-    saddle[count:, :count] = p.T
-    saddle[count:, count:] = 0.0
-    return saddle, exponents
+    p = _poly_matrix(poly_basis(cpd_order(kernel.beta), nodes.dim), nodes, nodes.points)
+
+    def consume(block_rows: slice, block: np.ndarray) -> None:
+        at = slice(rows.start + block_rows.start, rows.start + block_rows.stop)
+        np.multiply(block, kernel.gamma_factor, out=block)
+        np.abs(block[:, :count].sum(axis=1), out=sums[at])
+        diagonal[at] = block.reshape(-1)[at.start::size + 1]
+        if q:
+            block[:, count:] = p[at]
+            sums[at] += np.abs(p[at]).sum(axis=1)
+
+    _deal_kernel_rows(
+        kernel, centred[rows], padded, consume, _EVAL_BLOCK_ENTRIES // 2, matrix[rows], strands
+    )
+    if whole and q:
+        matrix[count:, :count] = p.T
+        matrix[count:, count:] = 0.0
+        sums[count:] = np.abs(p).sum(axis=0)
+        diagonal[count:] = 0.0
+
+
+def _saddle(kernel: Kernel, nodes: NodeSet):
+    """(saddle matrix, exponents) of the interpolation system on
+    ``nodes``: [[A, P], [P^T, 0]], with A the kernel matrix and P the
+    polynomial block (:func:`_assemble`).  It is bitwise symmetric."""
+    matrix, exponents = _empty_saddle(kernel, nodes)
+    _assemble(kernel, nodes, matrix, np.empty(len(matrix)), np.empty(len(matrix)))
+    return matrix, exponents
 
 
 def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
@@ -781,10 +1158,10 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
 
     The system is [[A, P], [P^T, 0]] [coef; poly] = [values; 0] with
     A the kernel matrix and P the polynomial block.  It is held once:
-    :func:`_factor` factors it in place, solves it and forms the residuals
-    from the triangle the factorization leaves intact.  Raises
-    :class:`InputError` for mismatched, non-finite or non-real data or a
-    node set that cannot determine the polynomial tail, and
+    :func:`_factor` assembles it, factors it in place, solves it and forms
+    the residuals from the triangle the factorization leaves intact.
+    Raises :class:`InputError` for mismatched, non-finite or non-real data
+    or a node set that cannot determine the polynomial tail, and
     :class:`ConditioningError` for non-finite system entries or
     coefficients (expected behaviour for very large c).
     """
@@ -797,12 +1174,12 @@ def fit(kernel: Kernel, nodes: NodeSet, values) -> Interpolant:
     if not np.isfinite(values).all():
         raise InputError("data values must be finite")
 
-    saddle, exponents = _saddle(kernel, nodes)
+    matrix, exponents = _empty_saddle(kernel, nodes)
     q = len(exponents)
 
     # One factorization serves the solve, the estimate and the residuals.
     rhs = np.concatenate([values, np.zeros(q)])
-    solution, residual, cond, factorization = _factor(kernel, nodes, saddle, rhs)
+    solution, residual, cond, factorization = _factor(kernel, nodes, matrix, rhs)
     if not np.isfinite(solution).all():
         raise ConditioningError(
             f"saddle solve produced non-finite coefficients (cond ~ {cond:.3e})",
@@ -840,8 +1217,8 @@ def evaluate(interp: Interpolant, x):
 def condition_estimate(kernel: Kernel, nodes: NodeSet) -> float:
     """1-norm condition estimate of the full saddle matrix, the same
     number :func:`fit` reports for these nodes."""
-    saddle = _saddle(kernel, nodes)[0]
+    matrix = _empty_saddle(kernel, nodes)[0]
     try:
-        return _factor(kernel, nodes, saddle)[2]
+        return _factor(kernel, nodes, matrix)[2]
     except (ConditioningError, InputError):  # InputError: rank P < q
         return math.inf

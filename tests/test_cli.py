@@ -673,11 +673,16 @@ def test_commands_load_no_dataclasses(tmp_path, command):
         assert loaded == set()
 
 
+CYTHON_LINALG = {"scipy.linalg.cython_lapack", "scipy.linalg.cython_blas"}
+F2PY_LINALG = {"scipy.linalg", "scipy.linalg._flapack", "scipy.linalg._fblas"}
+
+
 def assert_lapack_without_scipy_linalg(modules):
-    """The LAPACK extension is loaded, and neither the ``scipy.linalg``
-    package nor scipy.special or scipy.spatial is."""
-    assert "scipy.linalg._flapack" in modules
-    assert "scipy.linalg" not in modules
+    """scipy's Cython LAPACK and BLAS modules are loaded, and neither its
+    f2py extensions, the ``scipy.linalg`` package nor scipy.special or
+    scipy.spatial is."""
+    assert CYTHON_LINALG <= modules
+    assert not F2PY_LINALG & modules
     assert not {m for m in modules if m.startswith(("scipy.special", "scipy.spatial"))}
 
 
@@ -706,7 +711,6 @@ def test_rbf_commands_load_numpy_and_lapack_but_not_scipy_linalg(tmp_path, comma
     assert code == "0"
     assert "numpy" in modules
     assert_lapack_without_scipy_linalg(modules)
-    assert "scipy.linalg._fblas" in modules
 
 
 FIT_PROBE = """
@@ -714,8 +718,14 @@ from mqshape import rbf
 nodes = rbf.uniform_grid([0.0], 1.0, 11, 1)
 interp = rbf.fit(rbf.Kernel(c=0.5, beta=1.0, n=1), nodes, np.sin(nodes.points[:, 0]))
 assert interp.factorization == 'cholesky'
-used = rbf._lapack()
-used_blas = rbf._linalg_extension('_fblas')
+used = sys.modules['scipy.linalg.cython_lapack']
+used_blas = sys.modules['scipy.linalg.cython_blas']
+"""
+
+# the fit alone loads scipy's Cython modules and no f2py extension
+ONLY_CYTHON_PROBE = f"""
+assert set({sorted(CYTHON_LINALG)!r}) <= sys.modules.keys()
+assert not set({sorted(F2PY_LINALG)!r}) & sys.modules.keys()
 """
 
 SCIPY_LINALG_PROBE = """
@@ -723,11 +733,10 @@ import scipy.linalg
 """
 
 SAME_LAPACK_PROBE = """
-assert sys.modules['scipy.linalg._flapack'] is used
-assert scipy.linalg.lapack.dpotrf is used.dpotrf
-assert sys.modules['scipy.linalg._fblas'] is used_blas
-assert scipy.linalg.blas.dsyr2 is used_blas.dsyr2
-assert scipy.linalg.blas.dsymv is used_blas.dsymv
+from scipy.linalg import cython_blas, cython_lapack
+assert sys.modules['scipy.linalg.cython_lapack'] is used is cython_lapack
+assert sys.modules['scipy.linalg.cython_blas'] is used_blas is cython_blas
+assert 'dpotrf' in used.__pyx_capi__ and 'dsyr2' in used_blas.__pyx_capi__
 a = np.array([[4.0, 1.0], [2.0, 3.0]])
 x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0])
 assert np.allclose(a @ x, [1.0, 2.0])
@@ -741,7 +750,7 @@ import importlib.machinery
 real_find_spec = importlib.machinery.PathFinder.find_spec
 hidden = []
 def find_spec(name, path=None, target=None):
-    if name == 'scipy.linalg._flapack' and not hidden:
+    if name == 'scipy.linalg.cython_lapack' and not hidden:
         hidden.append(name)
         return None
     return real_find_spec(name, path, target)
@@ -756,7 +765,7 @@ assert 'scipy.linalg' in sys.modules
 @pytest.mark.parametrize(
     "steps",
     [
-        [FIT_PROBE, SCIPY_LINALG_PROBE],
+        [FIT_PROBE, ONLY_CYTHON_PROBE, SCIPY_LINALG_PROBE],
         [SCIPY_LINALG_PROBE, FIT_PROBE],
         [NO_SPEC_PROBE, FIT_PROBE, FELL_BACK_PROBE, SCIPY_LINALG_PROBE],
     ],
@@ -764,9 +773,9 @@ assert 'scipy.linalg' in sys.modules
 )
 def test_one_lapack_module_with_scipy_linalg(steps):
     # mqshape's loader and an import of scipy.linalg, in either order,
-    # share one copy of each extension, LAPACK's and BLAS's, and
-    # scipy.linalg still works; where no extension file is found, the
-    # loader imports the package
+    # share one copy of each Cython module, LAPACK's and BLAS's, and
+    # scipy.linalg still works; where no module file is found, the loader
+    # imports the package
     source = "import sys\nimport numpy as np\n" + "".join(steps) + SAME_LAPACK_PROBE
     assert run_fresh(source).split() == ["ok"]
 
