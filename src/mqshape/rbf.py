@@ -53,10 +53,16 @@ saddle of more than one assembly row block is factored as a fixed 2 x 2
 block Cholesky on two strands (:func:`_cholesky`), whose calls and bits
 depend on the saddle's size alone; for beta < 0 its second strand assembles the lower
 half of the rows while the first factors the leading block.  The
-estimate then runs on one strand while the other solves.  Every call on
-such a saddle takes one BLAS thread (OpenBLAS's thread-local count, where
-scipy's BLAS is OpenBLAS), so that two strands of threaded calls do not
-spin against each other, and the bits do not follow the BLAS threads.
+estimate then runs on one strand while the other solves.
+
+One rule holds for every fit, evaluate and condition estimate
+(:func:`_strand`): all of their work, on each strand and between the
+strands, takes one BLAS thread of each OpenBLAS the package calls,
+numpy's (assembly's and :func:`evaluate`'s products, the tail's QR) and
+the one that scipy's Cython modules link to (the factorizations), and
+the previous counts come back on exit.  Two strands of threaded calls
+would spin against each other, and a threaded call's bits would follow
+the thread count; so the results do not depend on ``OPENBLAS_NUM_THREADS``.
 
 Distances are taken per axis on coordinates centred on the node cube, so
 an offset cube loses no digits to cancellation.  The polynomial tail is
@@ -147,9 +153,8 @@ _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # The most strands that evaluate() and assembly deal their row blocks to:
 # a block of memory each for evaluate(), half a block for assembly.  Two is
-# the count measured faster than one, on two CPUs with one BLAS thread
-# (where OpenBLAS threads each strand's matrix-vector product, evaluate()
-# on two ran slower); a larger count would hold more memory per strand and
+# the count measured faster than one, on two CPUs with one BLAS thread per
+# strand (_strand()); a larger count would hold more memory per strand and
 # is unmeasured.
 _STRANDS = 2
 
@@ -427,9 +432,9 @@ def _row_blocks(count: int, width: int, entries: int = _EVAL_BLOCK_ENTRIES):
         yield slice(start, min(start + step, count))
 
 
-def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks=None, out=None):
-    """Yield (rows, block) for each slice ``rows`` of x in ``blocks``, by
-    default every slice of :func:`_row_blocks`: ``block`` holds
+def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks, out=None):
+    """Yield (rows, block) for each slice ``rows`` of x in the list
+    ``blocks``, slices of :func:`_row_blocks`: ``block`` holds
     (c^2 + |x_i - y_j|^2)^(beta/2) for those rows of x and every row of
     y, without the factor Gamma(-beta/2).  Each block is formed in place
     in ``out[rows]`` where ``out``, a C-ordered array of x's rows and y's
@@ -441,7 +446,6 @@ def _kernel_rows(kernel: Kernel, x: np.ndarray, y: np.ndarray, blocks=None, out=
     (rows, 2) left-hand side of :func:`_sq_dists`; the scratch for the
     second and later axes is allocated only for n > 1.
     Run it under ``np.errstate(**_BEYOND_RANGE)``."""
-    blocks = list(_row_blocks(x.shape[0], y.shape[0]) if blocks is None else blocks)
     rhs = _difference_rhs(y)
     first = blocks[0] if blocks else slice(0, 0)
     shape = (first.stop - first.start, y.shape[0])
@@ -465,21 +469,71 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_setters() -> tuple:
+    """The distinct ``openblas_set_num_threads_local`` functions of the
+    libraries that numpy's ``linalg._umath_linalg`` and scipy's
+    ``cython_lapack`` link to, each found by ``dlsym`` on the extension's
+    own file and told apart by address: numpy and scipy may carry an
+    OpenBLAS each, or share one.  A library without the symbol, another
+    BLAS, gives none.  Each sets the thread count and returns the previous
+    one."""
+    files = (np.linalg._umath_linalg.__file__, _linalg_extension("cython_lapack").__file__)
+    found = (getattr(ctypes.CDLL(file), "openblas_set_num_threads_local", None) for file in files)
+    addresses = {ctypes.cast(f, ctypes.c_void_p).value for f in found if f is not None}
+    return tuple(map(ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int), addresses))  # int (int)
+
+
+# OpenBLAS's thread count belongs to the process, not to the calling thread:
+# openblas_set_num_threads_local sets the shared count and returns the old
+# one.  So the first holder of _strand() sets one thread, and the last to
+# leave restores the counts that the first one saw.
+_blas = types.SimpleNamespace(lock=threading.Lock(), holders=0, saved=[])
+
+
+@contextlib.contextmanager
+def _strand():
+    """The setting of every strand (:func:`_run_strands`), and of the work
+    of :func:`_factor` and :func:`evaluate` around their strands:
+    ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a context
+    variable, which a new thread does not inherit) and one BLAS thread on
+    each OpenBLAS of :func:`_blas_setters`, whose counts come back when
+    the last holder leaves.  Under OpenBLAS's default threads, two strands
+    of threaded calls spun against each other on two CPUs and ran a fit at
+    half speed, and a threaded call's last bits followed the thread count
+    and the state of the pool.  While a holder runs, the process's other
+    BLAS calls take one thread too."""
+    with _blas.lock:
+        if not _blas.holders:
+            _blas.saved = [(set_count, set_count(1)) for set_count in _blas_setters()]
+        _blas.holders += 1
+    try:
+        with np.errstate(**_BEYOND_RANGE):
+            yield
+    finally:
+        with _blas.lock:
+            _blas.holders -= 1
+            if not _blas.holders:
+                for set_count, count in _blas.saved:
+                    set_count(count)
+
+
 def _run_strands(tasks, failed=None) -> None:
     """Run each of ``tasks``, callables of no argument, on a strand of its
-    own: the first on the calling thread, each other one on a thread
-    started here and joined before this returns, whether a task raised or
-    not.  Where the process may run on one CPU (:func:`_cpu_count`), the
-    calling thread runs them all in turn and starts no thread, so a later
-    task may wait for an earlier one, never the reverse.  An exception is
-    appended to ``failed``, where the other tasks may see it and stop; on
-    one CPU no later task starts, and the first exception is raised again
-    here."""
+    own, in :func:`_strand`'s setting: the first on the calling thread,
+    each other one on a thread started here and joined before this
+    returns, whether a task raised or not.  Where the process may run on
+    one CPU (:func:`_cpu_count`), the calling thread runs them all in turn
+    and starts no thread, so a later task may wait for an earlier one,
+    never the reverse.  An exception is appended to ``failed``, where the
+    other tasks may see it and stop; on one CPU no later task starts, and
+    the first exception is raised again here."""
     failed = [] if failed is None else failed
 
     def run(task) -> None:
         try:
-            task()
+            with _strand():
+                task()
         except BaseException as exc:  # raised again by the caller
             failed.append(exc)
 
@@ -511,21 +565,18 @@ def _deal_kernel_rows(
     round-robin to ``strands`` strands, by default ``_STRANDS``, but to no
     more than there are CPUs (:func:`_cpu_count`) or slices
     (:func:`_run_strands`).  Each strand holds its own scratch, and its
-    own buffer where there is no ``out``, and runs under its own
-    ``np.errstate(**_BEYOND_RANGE)`` (numpy's error state is a context
-    variable, which a new thread does not inherit); ``consume`` must write
-    only the rows it is given.  Once a strand has raised, the others stop
-    at their next block.  One strand starts no thread."""
+    own buffer where there is no ``out``; ``consume`` must write only the
+    rows it is given.  Once a strand has raised, the others stop at their
+    next block.  One strand starts no thread."""
     blocks = list(_row_blocks(x.shape[0], y.shape[0], entries))
     count = max(1, min(_STRANDS if strands is None else strands, _cpu_count(), len(blocks)))
     failed = []
 
     def strand(first: int) -> None:
-        with np.errstate(**_BEYOND_RANGE):
-            for rows, block in _kernel_rows(kernel, x, y, blocks[first::count], out):
-                if failed:
-                    return
-                consume(rows, block)
+        for rows, block in _kernel_rows(kernel, x, y, blocks[first::count], out):
+            if failed:
+                return
+            consume(rows, block)
 
     _run_strands([functools.partial(strand, k) for k in range(count)], failed)
 
@@ -748,51 +799,10 @@ def _linalg() -> types.SimpleNamespace:
     def dsyr2k(a, b, c):  # c <- c - a b^T - b a^T, on the lower triangle
         syr2k(b"L", b"N", c.shape[0], a.shape[1], -1.0, a, ld(a), b, ld(b), 1.0, c, ld(c))
 
-    # the calling thread's BLAS thread count, set and returned by the
-    # OpenBLAS that the Cython module links to; a no-op for other BLAS
-    linked = ctypes.CDLL(_linalg_extension("cython_lapack").__file__)
-    set_threads = getattr(linked, "openblas_set_num_threads_local", None)
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-
-    def blas_threads(count: int) -> int:  # returns the previous count
-        return count if set_threads is None else set_threads(count)
-
     return types.SimpleNamespace(
-        dpotrf=dpotrf, dpocon=dpocon, dpotrs=dpotrs, dgetrf=dgetrf, dgecon=dgecon,
-        dgetrs=dgetrs, dtrsm=dtrsm, dsyrk=dsyrk, dgemm=dgemm, dsymv=dsymv, dsyr2=dsyr2,
-        dsyr2k=dsyr2k, blas_threads=blas_threads,
+        dpotrf=dpotrf, dpocon=dpocon, dpotrs=dpotrs, dgetrf=dgetrf, dgecon=dgecon, dgetrs=dgetrs,
+        dtrsm=dtrsm, dsyrk=dsyrk, dgemm=dgemm, dsymv=dsymv, dsyr2=dsyr2, dsyr2k=dsyr2k,
     )
-
-
-@contextlib.contextmanager
-def _one_blas_thread(lib):
-    """Make the calling thread's calls of ``lib``'s routines take one BLAS
-    thread (``lib.blas_threads``) inside the block, and restore its count
-    after.  Under OpenBLAS's default threads, two strands of threaded
-    calls spun against each other on two CPUs and ran a fit at half
-    speed, and a threaded call's last bits followed the state of the
-    thread pool, so that the first estimate of a process could differ
-    from the next ones."""
-    previous = lib.blas_threads(1)
-    try:
-        yield
-    finally:
-        lib.blas_threads(previous)
-
-
-def _run_blas_strands(lib, tasks) -> None:
-    """:func:`_run_strands` for tasks that call ``lib``'s routines, each
-    on one BLAS thread (:func:`_one_blas_thread`)."""
-
-    def on_one_thread(task):
-        def run() -> None:
-            with _one_blas_thread(lib):
-                task()
-
-        return run
-
-    _run_strands([on_one_thread(task) for task in tasks])
 
 
 def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
@@ -819,13 +829,12 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
     two strands, for q = 0 beside the assembly of the rows below its split,
     and then the estimate (``dpocon`` or ``dgecon``) runs on the second
     strand while the first solves, the data and, for q > 0, the q
-    polynomial columns; there every call takes one BLAS thread, on either
-    strand and between them (:func:`_one_blas_thread`), so that the bits
-    do not follow the process's BLAS threads.  A smaller saddle starts no
-    thread and runs on the caller's own BLAS threads.  The reduction
-    and Cholesky write LAPACK's lower triangle of ``matrix.T``, the upper
-    triangle and the diagonal of ``matrix``, and leave its strict lower
-    triangle as it was.  Once the solve has spent the factor, the copy of
+    polynomial columns; a smaller saddle starts no thread.  Every call,
+    on either strand and between them, takes one BLAS thread
+    (:func:`_strand`), so the bits do not follow the process's BLAS
+    threads.  The reduction and Cholesky write LAPACK's lower triangle of
+    ``matrix.T``, the upper triangle and the diagonal of ``matrix``, and
+    leave its strict lower triangle as it was.  Once the solve has spent the factor, the copy of
     the diagonal that the assembly took is written back, and one BLAS
     ``dsymv`` on that lower triangle forms S x - rhs.  An exactly singular
     matrix estimates inf, and non-finite entries raise
@@ -836,13 +845,12 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
     scipy.linalg's ``lu_factor`` and ``lu_solve``, and for a saddle of one
     block and q = 0 the Cholesky calls those of ``cho_factor(lower=True)``
     and ``cho_solve``, without the finiteness checks, so those factors and
-    solutions are theirs to the bit (for a larger saddle, theirs on one
-    BLAS thread)."""
+    solutions are theirs on one BLAS thread, to the bit."""
     lib = _linalg()
     count, size = nodes.count, matrix.shape[0]
     q = size - count
     split = _split(count, size)
-    with _one_blas_thread(lib) if split else contextlib.nullcontext():
+    with _strand():
         sums, diagonal = np.empty(size), np.empty(size)
         assemble = functools.partial(_assemble, kernel, nodes, matrix, sums, diagonal)
         if split and not q:
@@ -851,7 +859,7 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
             prelude = functools.partial(assemble, slice(split[0], count), 1)
         else:
             assemble()
-            prelude = None
+            prelude = lambda: None
         lift = None
         if q:  # the reduction must not meet a non-finite entry
             _one_norm(sums)
@@ -892,7 +900,7 @@ def _factor(kernel: Kernel, nodes: NodeSet, matrix: np.ndarray, rhs=None):
             out["cond"] = _from_rcond(*estimate())
 
         if split:
-            _run_blas_strands(lib, [solves, estimates])
+            _run_strands([solves, estimates])
         else:
             solves()
             estimates()
@@ -950,14 +958,14 @@ def _split(count: int, size: int):
     return half, half + round(panel * below), half + round(_TILE_SHARE * below)
 
 
-def _cholesky(lib, a: np.ndarray, split, prelude=None) -> int:
+def _cholesky(lib, a: np.ndarray, split, prelude) -> int:
     """LAPACK's ``info`` of the Cholesky factorization of ``a``'s lower
     triangle, in place: one ``dpotrf`` where ``split`` is None, else, for
     ``split`` = (h, p, t) from :func:`_split`, A = [[A11, .], [A21, A22]]
     with A11 of order h:
 
     1. the first strand factors A11 = L11 L11^T (``dpotrf``) while the
-       second runs ``prelude``, if any; then each solves its rows of the
+       second runs ``prelude``; then each solves its rows of the
        panel L21 = A21 L11^-T (``dtrsm``), rows h:p on the first strand
        and the rest on the second;
     2. the trailing update A22 - L21 L21^T in three tiles: the first
@@ -968,8 +976,7 @@ def _cholesky(lib, a: np.ndarray, split, prelude=None) -> int:
     A breakdown in A11 stops there, with A11's ``info``; one in A22 gives
     h + its ``info``.  Each call's arguments, and so its bits, depend on
     ``split`` alone, not on which strand runs it (:func:`_run_strands`),
-    and the two strands' calls take one BLAS thread each
-    (:func:`_run_blas_strands`)."""
+    and each call takes one BLAS thread (:func:`_strand`)."""
     if split is None:
         return lib.dpotrf(a)
     half, panel, tiles = split
@@ -986,13 +993,12 @@ def _cholesky(lib, a: np.ndarray, split, prelude=None) -> int:
             lib.dtrsm(top, a[half:panel, :half])
 
     def second() -> None:
-        if prelude is not None:
-            prelude()
+        prelude()
         factored.wait()
         if info == [0]:
             lib.dtrsm(top, a[panel:, :half])
 
-    _run_blas_strands(lib, [first, second])
+    _run_strands([first, second])
     if info[0]:
         return info[0]
     upper, lower = a[half:tiles, :half], a[tiles:, :half]
@@ -1001,7 +1007,7 @@ def _cholesky(lib, a: np.ndarray, split, prelude=None) -> int:
         lib.dsyrk(upper, a[half:tiles, half:tiles])
         lib.dgemm(lower, upper, a[tiles:, half:tiles])
 
-    _run_blas_strands(lib, [leading_tiles, lambda: lib.dsyrk(lower, a[tiles:, tiles:])])
+    _run_strands([leading_tiles, lambda: lib.dsyrk(lower, a[tiles:, tiles:])])
     info = lib.dpotrf(a[half:, half:])
     return half + info if info else 0
 
@@ -1206,11 +1212,11 @@ def evaluate(interp: Interpolant, x):
     nodes, kernel = interp.nodes, interp.kernel
     s = np.empty(pts.shape[0])
     consume = lambda rows, block: np.matmul(block, interp.kernel_coeffs, out=s[rows])
-    _deal_kernel_rows(kernel, _centred(nodes, pts), _centred(nodes, nodes.points), consume)
-    with np.errstate(**_BEYOND_RANGE):
+    with _strand():
+        _deal_kernel_rows(kernel, _centred(nodes, pts), _centred(nodes, nodes.points), consume)
         s *= kernel.gamma_factor
-    if interp.poly_exponents:
-        s += _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs
+        if interp.poly_exponents:
+            s += _poly_matrix(interp.poly_exponents, nodes, pts) @ interp.poly_coeffs
     return float(s[0]) if one else s
 
 

@@ -195,7 +195,9 @@ def run_bound_experiment(
     uniform evaluation grid, measures the fill distance on a grid of
     ``grid_per_side`` points per axis (defaults to the evaluation grid),
     and evaluates :func:`error_bound` with delta replaced by the measured
-    value.  Both grid sizes must be integers >= 2 (:class:`InputError`).
+    value.  Both grid sizes must be integers >= 2, and the fill-distance
+    grid must have a point off the nodes, or delta would measure 0
+    (:class:`InputError`).
     """
     if f.n != nodes.dim or spec.n != nodes.dim:
         raise InputError("dimension mismatch between spec, target, and nodes")
@@ -203,6 +205,13 @@ def run_bound_experiment(
     for name, size in (("eval_grid", eval_grid), ("grid_per_side", grid_per_side)):
         if not _is_count(size, 2):
             raise InputError(f"{name} must be an integer >= 2, got {size!r}")
+    delta = fill_distance(nodes.cube, nodes, grid_per_side)
+    if delta == 0.0:
+        raise InputError(
+            f"the fill-distance grid of grid_per_side={grid_per_side} points per axis "
+            "(--grid-per-side) lies only on nodes and measures delta = 0; "
+            "choose one with points between the nodes"
+        )
     kern = Kernel(c=c, beta=spec.beta, n=spec.n)
     interp = fit(kern, nodes, f(nodes.points))
 
@@ -210,7 +219,6 @@ def run_bound_experiment(
     grid = _tensor_grid(corner, side, eval_grid, spec.n)
     err = float(np.max(np.abs(f(grid) - evaluate(interp, grid))))
 
-    delta = fill_distance(nodes.cube, nodes, grid_per_side)
     spec_measured = spec.replace(delta=delta)
     dc = derive_constants(spec_measured)
     log_bound = error_bound(spec_measured, dc, c, e_sigma_norm(f, spec.sigma))

@@ -521,6 +521,23 @@ class TestVerifyCommand:
         assert out == ""
         assert "integer >= 2" in err
 
+    def test_fill_distance_grid_on_the_nodes_exits_2(self, capsys, tmp_path):
+        # three nodes at 0, 0.5 and 1 and a 3-point grid, which --eval-grid
+        # also sets for the fill distance: delta measures 0, and the error
+        # names the grid, not a delta the user never passed
+        path = tmp_path / "nodes.csv"
+        path.write_text("0\n0.5\n1\n")
+        code, out, err = run_cli(
+            capsys,
+            [
+                "verify", "--n", "1", "--beta", "-1", "--b0", "1", "--gauss-a", "0.25",
+                "--c", "5", "--nodes", str(path), "--eval-grid", "3",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--grid-per-side" in err and "positive finite" not in err
+
     def test_infinite_shape_parameter_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("".join(f"{x}\n" for x in np.linspace(0.0, 1.0, 11)))

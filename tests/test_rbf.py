@@ -1,6 +1,9 @@
 import copy
+import ctypes
 import math
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -39,6 +42,19 @@ from mqshape.rbf import (
     _saddle,
     _sq_dists,
 )
+
+
+def poison_own_kernel_entry(monkeypatch, node):
+    # the kernel entry of ``node`` with itself becomes NaN
+    power = Kernel._power
+
+    def poisoned(self, t):
+        at = t[:, node] == 0.0  # the row of the node itself
+        power(self, t)
+        t[at, node] = math.nan
+        return t
+
+    monkeypatch.setattr(Kernel, "_power", poisoned)
 
 
 def perturbed_grid_1d(rng, count, spacing=0.5):
@@ -865,9 +881,9 @@ class TestStrands:
         # interleaves the strands finely
         x = np.linspace(0.0, 1.0, 1000)[:, None]
         kern = Kernel(c=1.0, beta=-1.0, n=1)
-        with np.errstate(**_BEYOND_RANGE):
-            ref = np.concatenate([block.copy() for _, block in _kernel_rows(kern, x, x)])
         serial = list(_row_blocks(len(x), len(x)))
+        with np.errstate(**_BEYOND_RANGE):
+            ref = np.concatenate([block.copy() for _, block in _kernel_rows(kern, x, x, serial)])
         monkeypatch.setattr(rbf, "_STRANDS", 64)
         for cpus in (1, 3, 64):
             monkeypatch.setattr(rbf, "_cpu_count", lambda: cpus)
@@ -1033,7 +1049,7 @@ class TestStrands:
         saddle = _saddle(kern, nodes)[0]
         assert rbf._split(nodes.count, len(saddle)) is not None
         rhs = np.concatenate([vals, np.zeros(len(saddle) - nodes.count)])
-        with rbf._one_blas_thread(_linalg()):
+        with rbf._strand():
             direct = scipy.linalg.lu_solve(scipy.linalg.lu_factor(saddle), rhs)
         calls, failed = TestFit.count_lapack_calls(monkeypatch)
         before = threading.active_count()
@@ -1054,15 +1070,7 @@ class TestStrands:
         nodes = uniform_grid(np.zeros(1), 1.0, 300, 1)
         node = 250
         assert rbf._split(nodes.count, nodes.count)[0] < node
-        power = Kernel._power
-
-        def poisoned(self, t):
-            at = t[:, node] == 0.0  # the row of the node itself
-            power(self, t)
-            t[at, node] = math.nan
-            return t
-
-        monkeypatch.setattr(Kernel, "_power", poisoned)
+        poison_own_kernel_entry(monkeypatch, node)
         calls, _ = TestFit.count_lapack_calls(monkeypatch)
         kern = Kernel(c=0.01, beta=-1.0, n=1)
         before = threading.active_count()
@@ -1096,25 +1104,283 @@ class TestStrands:
         # other: each strand's calls take one BLAS thread, and the caller
         # gets its own count back (with one BLAS thread, trivially)
         monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
-        lib = _linalg()
-        set_threads = lib.blas_threads
+        lib, setters = _linalg(), rbf._blas_setters()
         counts = []
         for name in ("dtrsm", "dsyrk", "dgemm", "dpocon"):
             real = getattr(lib, name)
 
             def counted(*args, _real=real):
-                count = set_threads(1)
-                set_threads(count)
-                counts.append(count)
+                counts.append(TestBlasThreads.read_counts(setters))
                 return _real(*args)
 
             monkeypatch.setattr(lib, name, counted)
-        caller = set_threads(1)
-        set_threads(caller)
+        caller = TestBlasThreads.read_counts(setters)
         nodes = perturbed_grid_2d(np.random.default_rng(3), 20)
         fit(Kernel(c=0.1, beta=-1.0, n=2), nodes, np.ones(nodes.count))
-        assert set_threads(caller) == caller
-        assert len(counts) == 6 and set(counts) == {1}
+        assert TestBlasThreads.read_counts(setters) == caller
+        assert len(counts) == 6 and set(counts) == {(1,) * len(setters)}
+
+
+class TestBlasThreads:
+    """fit, evaluate and condition_estimate take one BLAS thread on each
+    OpenBLAS the package calls, numpy's and scipy's, in every strand and
+    between the strands, and give the caller its counts back."""
+
+    @staticmethod
+    def read_counts(setters):
+        # a setter returns the previous count, so setting it back reads it
+        counts = []
+        for set_count in setters:
+            counts.append(set_count(1))
+            set_count(counts[-1])
+        return tuple(counts)
+
+    @staticmethod
+    def fake_setters(monkeypatch, counts):
+        # one process-wide count per library, as OpenBLAS keeps it
+        def setter(k):
+            def set_count(count):
+                counts[k], previous = count, counts[k]
+                return previous
+
+            return set_count
+
+        fakes = tuple(setter(k) for k in range(len(counts)))
+        monkeypatch.setattr(rbf, "_blas_setters", lambda: fakes)
+
+    @staticmethod
+    def split_nodes():
+        nodes = perturbed_grid_2d(np.random.default_rng(3), 20)
+        assert rbf._split(nodes.count, nodes.count) is not None
+        return nodes
+
+    def calls(self, monkeypatch):
+        small = perturbed_grid_2d(np.random.default_rng(3), 5)
+        split = self.split_nodes()
+        line = np.linspace(0.0, 1.0, 400)
+        collinear = NodeSet(np.column_stack([line, 0.5 * line]), (np.zeros(2), 1.0))
+        ones = lambda nodes: np.ones(nodes.count)
+        interp = fit(Kernel(c=0.5, beta=3.0, n=2), small, np.cos(small.points.sum(axis=1)))
+        xs = np.random.default_rng(4).uniform(0.0, small.cube[1], (4096, 2))
+
+        def poisoned_fit():
+            poison_own_kernel_entry(monkeypatch, 250)  # below the split
+            fit(Kernel(c=0.01, beta=-1.0, n=1), uniform_grid(np.zeros(1), 1.0, 300, 1), np.ones(300))
+
+        return {
+            "split fit": lambda: fit(Kernel(c=0.1, beta=1.0, n=2), split, ones(split)),
+            "one-block fit": lambda: fit(Kernel(c=0.5, beta=3.0, n=2), small, ones(small)),
+            "evaluate": lambda: evaluate(interp, xs),
+            "condition_estimate": lambda: condition_estimate(Kernel(c=0.1, beta=-1.0, n=2), split),
+            "NaN below the split": poisoned_fit,
+            "collinear nodes": lambda: fit(Kernel(c=0.5, beta=3.0, n=2), collinear, ones(collinear)),
+        }
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [("split fit", None), ("one-block fit", None), ("evaluate", None),
+         ("condition_estimate", None), ("NaN below the split", ConditioningError),
+         ("collinear nodes", InputError)],
+    )
+    def test_the_caller_gets_its_counts_back(self, monkeypatch, call, error):
+        # the caller's count is set to 2, not 1, so that a count left at
+        # one thread shows, also where the process runs on one BLAS thread
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
+        run = self.calls(monkeypatch)[call]
+        setters = rbf._blas_setters()
+        if not setters:
+            pytest.skip("no OpenBLAS with openblas_set_num_threads_local")
+        before = [set_count(2) for set_count in setters]
+        try:
+            if error is None:
+                run()
+            else:
+                with pytest.raises(error):
+                    run()
+            assert self.read_counts(setters) == (2,) * len(setters)
+        finally:
+            for set_count, count in zip(setters, before):
+                set_count(count)
+
+    def test_every_strand_and_every_serial_call_sees_one_thread(self, monkeypatch):
+        # fake setters keep one process-wide count each, as OpenBLAS does;
+        # every LAPACK or BLAS routine, every block of squared distances
+        # (assembly's and evaluate's strands), every polynomial block and
+        # the reduction records the counts it runs under, and on which thread
+        counts = [4, 4]
+        self.fake_setters(monkeypatch, counts)
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
+        seen = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def spied(*args, **kwargs):
+                seen.append((name, tuple(counts), threading.current_thread()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spied)
+
+        lib = _linalg()
+        for name in ("dpotrf", "dpocon", "dpotrs", "dgetrf", "dgecon", "dgetrs", "dtrsm", "dsyrk",
+                     "dgemm", "dsymv", "dsyr2", "dsyr2k"):
+            spy(lib, name)
+        for name in ("_sq_dists", "_poly_matrix", "_reduce"):
+            spy(rbf, name)
+        split, small = self.split_nodes(), perturbed_grid_2d(np.random.default_rng(3), 5)
+        xs = np.random.default_rng(4).uniform(0.0, small.cube[1], (4096, 2))
+        runs = {
+            "split fit": lambda: fit(Kernel(c=0.1, beta=1.0, n=2), split, np.ones(split.count)),
+            "one-block fit": lambda: fit(Kernel(c=0.5, beta=3.0, n=2), small, np.ones(small.count)),
+        }
+        interp = runs["one-block fit"]()
+        runs["evaluate"] = lambda: evaluate(interp, xs)
+        runs["strands alone"] = lambda: _deal_kernel_rows(
+            Kernel(c=0.1, beta=-1.0, n=2), split.points, split.points, lambda rows, block: None
+        )
+        for call, run in runs.items():
+            seen.clear()
+            run()
+            assert counts == [4, 4], call
+            assert seen and all(under == (1, 1) for _, under, _ in seen), call
+            names = {name for name, _, _ in seen}
+            threads = {thread for _, _, thread in seen}
+            if call == "split fit":
+                assert {"dtrsm", "dsyrk", "dgemm", "dsymv", "_reduce"} <= names
+                assert len(threads) > 1
+            elif call == "one-block fit":
+                assert {"dpotrf", "dpocon", "dsymv", "_reduce", "_sq_dists"} <= names
+            elif call == "strands alone":  # with no holder around them
+                assert "_sq_dists" in names and len(threads) > 1
+            else:
+                assert {"_sq_dists", "_poly_matrix"} <= names and len(threads) > 1
+
+    def test_overlapping_callers_leave_the_counts_as_they_were(self, monkeypatch):
+        # OpenBLAS's count is the process's: thread A enters evaluate, then
+        # B does, A leaves first and B last, and the count is back at 4,
+        # not at the 1 that B would have seen on entering
+        counts = [4]
+        self.fake_setters(monkeypatch, counts)
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 1)
+        small = perturbed_grid_2d(np.random.default_rng(3), 5)
+        interp = fit(Kernel(c=0.5, beta=3.0, n=2), small, np.ones(small.count))
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        poly_matrix = rbf._poly_matrix
+
+        def spied(*args):
+            if threading.current_thread().name == "A":
+                a_in.set()
+                b_in.wait(10.0)
+            else:
+                b_in.set()
+                a_out.wait(10.0)
+            return poly_matrix(*args)
+
+        monkeypatch.setattr(rbf, "_poly_matrix", spied)
+
+        def a():
+            evaluate(interp, small.points)
+            a_out.set()
+
+        def b():
+            a_in.wait(10.0)
+            evaluate(interp, small.points)
+
+        threads = [threading.Thread(target=a, name="A"), threading.Thread(target=b, name="B")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert a_out.is_set() and counts == [4]
+
+    def test_many_callers_under_fine_switching(self, monkeypatch):
+        # four callers of evaluate, each on two strands, on two CPUs, with
+        # a short switch interval: every block sees one thread, and the
+        # count is back at 4 once they are all done
+        counts, seen = [4], []
+        self.fake_setters(monkeypatch, counts)
+        monkeypatch.setattr(rbf, "_cpu_count", lambda: 2)
+        small = perturbed_grid_2d(np.random.default_rng(3), 5)
+        interp = fit(Kernel(c=0.5, beta=3.0, n=2), small, np.ones(small.count))
+        xs = np.random.default_rng(4).uniform(0.0, small.cube[1], (4096, 2))
+        assert len(list(_row_blocks(len(xs), small.count))) >= 2
+        sq_dists = rbf._sq_dists
+
+        def spied(*args, **kwargs):
+            seen.append(counts[0])
+            return sq_dists(*args, **kwargs)
+
+        monkeypatch.setattr(rbf, "_sq_dists", spied)
+        callers = [threading.Thread(target=lambda: [evaluate(interp, xs) for _ in range(5)])
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(seen) == 4 * 5 * 2 and set(seen) == {1}
+        assert counts == [4]
+
+    def test_one_setter_per_library(self, monkeypatch):
+        # numpy's matrix products and scipy's factorizations each reach
+        # the setter of their own OpenBLAS; numpy's core extension links the
+        # OpenBLAS that its linalg extension does, so standing in for
+        # scipy's, it adds no setter
+        names = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
+        core = next(sys.modules[name] for name in names if name in sys.modules)
+        address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
+        found = {address(f) for f in rbf._blas_setters()}
+        for module in (core, rbf._linalg_extension("cython_lapack")):
+            own = getattr(ctypes.CDLL(module.__file__), "openblas_set_num_threads_local", None)
+            assert own is None or address(own) in found
+        monkeypatch.setattr(rbf, "_linalg_extension", lambda name: core)
+        one = rbf._blas_setters.__wrapped__()
+        if not one:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        assert len(one) == 1
+
+    def test_default_threads_give_the_one_thread_bits(self):
+        # fresh processes with and without OPENBLAS_NUM_THREADS=1: 144 2-D
+        # nodes (one block, beta = -1 and 3) and 1024 (split, beta = +-1),
+        # whose coefficients, residuals, estimates and values at 4096
+        # points hash the same; the 144-node fits differed where only the
+        # split saddles took one thread
+        script = """
+import hashlib
+import numpy as np
+from mqshape import Kernel, NodeSet, condition_estimate, evaluate, fit
+rng = np.random.default_rng(601)
+for per_side, beta, c in ((12, -1.0, 0.3), (12, 3.0, 0.3), (32, -1.0, 0.2), (32, 1.0, 0.2)):
+    spacing = 1.0 / per_side
+    base = (np.arange(per_side) + 0.5) * spacing
+    pts = np.stack(np.meshgrid(base, base, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes = NodeSet(pts + 0.3 * spacing * rng.uniform(-1.0, 1.0, pts.shape), (np.zeros(2), 1.0))
+    kern = Kernel(c=c, beta=beta, n=2)
+    interp = fit(kern, nodes, np.exp(-8.0 * ((nodes.points - 0.5) ** 2).sum(axis=1)))
+    outputs = [interp.kernel_coeffs, interp.poly_coeffs, interp.node_residual,
+               interp.side_condition_residual, interp.condition_estimate,
+               condition_estimate(kern, nodes), evaluate(interp, rng.uniform(0.0, 1.0, (4096, 2)))]
+    print(per_side, beta, c, interp.factorization,
+          hashlib.sha256(b"".join(np.asarray(o, dtype=float).tobytes() for o in outputs)).hexdigest())
+"""
+        src = str(rbf.__file__).rsplit(os.sep, 2)[0]
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        out = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}):
+            env = dict(base, PYTHONPATH=path, **threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert len(out[0].splitlines()) == 4
+        assert out[0] == out[1]
 
 
 class TestMemory:
@@ -1165,7 +1431,7 @@ class TestMemory:
 
         def consume():
             with np.errstate(**_BEYOND_RANGE):
-                for _ in _kernel_rows(kern, x, x):
+                for _ in _kernel_rows(kern, x, x, list(_row_blocks(len(x), len(x)))):
                     pass
 
         assert self.peak_bytes(consume) <= 8 * (_EVAL_BLOCK_ENTRIES + x.size + np.getbufsize())

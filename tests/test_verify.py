@@ -497,6 +497,16 @@ class TestExperiments:
         with pytest.raises(InputError, match="integer >= 2"):
             run_bound_experiment(spec, f, nodes, 30.0, eval_grid, grid_per_side)
 
+    def test_fill_distance_grid_on_the_nodes_is_an_input_error(self):
+        # a 5 x 5 grid of nodes measured on the same 5 x 5 grid has delta =
+        # 0, which is no fill distance: the grid is named, not delta
+        nodes = uniform_grid(np.zeros(2), 1.0, 5, 2)
+        spec = ProblemSpec(n=2, beta=-1.0, sigma=1.0, delta=0.1, b0=1.0)
+        f = GaussianBump(a=0.25, n=2, center=(0.5, 0.5))
+        with pytest.raises(InputError, match="grid_per_side=5") as err:
+            run_bound_experiment(spec, f, nodes, 10.0, eval_grid=60, grid_per_side=5)
+        assert "delta = 0" in str(err.value)
+
     def test_two_dimensional_experiment_inadmissible_at_desk_scale(self):
         # in two dimensions the admissible fill distance at any ordinary c
         # is far below what a finite node set can reach, so a live bound
